@@ -7,6 +7,7 @@ reproduces the input byte-for-byte from the first start code onward.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -105,10 +106,20 @@ class NalUnit:
         return self.start_code_len + (0 if self.header is None else 1 + len(self.ebsp))
 
 
+# Emulation prevention (H.264 7.4.1) as three byte patterns. In an escaped
+# payload a 0x03 after two zero bytes is an emulation-prevention byte when a
+# byte <= 0x03 follows it; two zero bytes followed by 0x00-0x02 must never
+# occur. Escaping inserts 0x03 after every two zero bytes that precede a
+# byte <= 0x03; matches do not overlap, so 00 00 00 00 becomes 00 00 03 00 00.
+_EPB_STRIP = re.compile(b"\x00\x00\x03(?=[\x00-\x03])")
+_EPB_INSERT = re.compile(b"\x00\x00(?=[\x00-\x03])")
+_EPB_VIOLATION = re.compile(b"\x00\x00[\x00-\x02]")
+
+
 def find_escape_violation(ebsp: bytes) -> int:
     """Offset of the first forbidden 00 00 0X (X <= 2) run, or -1 if clean."""
-    hits = [i for i in (ebsp.find(b"\x00\x00" + bytes((b,))) for b in (0, 1, 2)) if i != -1]
-    return min(hits) if hits else -1
+    m = _EPB_VIOLATION.search(ebsp)
+    return -1 if m is None else m.start()
 
 
 def ebsp_to_rbsp(ebsp: bytes) -> bytes:
@@ -118,40 +129,15 @@ def ebsp_to_rbsp(ebsp: bytes) -> bytes:
     byte <= 0x03. Raises MalformedEscape when two zero bytes are followed by
     0x00, 0x01 or 0x02, which a properly escaped payload can never contain.
     """
-    if b"\x00\x00" not in ebsp:
-        return bytes(ebsp)
-    out = bytearray()
-    zeros = 0
-    i = 0
-    n = len(ebsp)
-    while i < n:
-        b = ebsp[i]
-        if zeros >= 2:
-            if b <= 0x02:
-                raise MalformedEscape(f"unescaped 00 00 {b:02x} at payload offset {i - 2}")
-            if b == 0x03 and i + 1 < n and ebsp[i + 1] <= 0x03:
-                zeros = 0
-                i += 1
-                continue
-        out.append(b)
-        zeros = zeros + 1 if b == 0 else 0
-        i += 1
-    return bytes(out)
+    v = find_escape_violation(ebsp)
+    if v != -1:
+        raise MalformedEscape(f"unescaped 00 00 {ebsp[v + 2]:02x} at payload offset {v}")
+    return _EPB_STRIP.sub(b"\x00\x00", ebsp)
 
 
 def rbsp_to_ebsp(rbsp: bytes) -> bytes:
     """Insert emulation-prevention 0x03 bytes so no 00 00 0X (X <= 2) survives."""
-    if b"\x00\x00" not in rbsp:
-        return bytes(rbsp)
-    out = bytearray()
-    zeros = 0
-    for b in rbsp:
-        if zeros >= 2 and b <= 0x03:
-            out.append(0x03)
-            zeros = 0
-        out.append(b)
-        zeros = zeros + 1 if b == 0 else 0
-    return bytes(out)
+    return _EPB_INSERT.sub(b"\x00\x00\x03", rbsp)
 
 
 def _next_start_code(data: bytes, start: int) -> "tuple[int, int]":

@@ -123,18 +123,34 @@ def _print_table(report: StreamReport) -> None:
     _print_summary(report)
 
 
+def _warn_clear_intra_candidates(report: StreamReport) -> None:
+    # Under all-i a slice whose header did not parse cannot be classified as
+    # intra, so it stays in the clear; say so rather than leave it to a flag.
+    chosen = frozenset(report.selected_ordinals)
+    left = [r.ordinal for r in report.rows if r.unparsed and r.ordinal not in chosen]
+    if left:
+        print(
+            f"selenc: warning: all-i left {len(left)} slice(s) in the clear whose header "
+            f"did not parse, at VCL ordinals {', '.join(map(str, left))}",
+            file=sys.stderr,
+        )
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "encrypt":
         nonce = _parse_nonce(args.nonce) if args.nonce else None
+        policy = _POLICY_NAMES[args.policy]
         report = cmd_encrypt(
             args.in_path,
             args.out_path,
             args.meta_path,
             _key_source(args),
-            _POLICY_NAMES[args.policy],
+            policy,
             nonce,
         )
         _print_summary(report)
+        if policy is EncryptionPolicy.ALL_INTRA:
+            _warn_clear_intra_candidates(report)
     elif args.command == "decrypt":
         report = cmd_decrypt(args.in_path, args.meta_path, args.out_path, _key_source(args))
         _print_summary(report)

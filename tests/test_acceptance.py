@@ -196,12 +196,14 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         fraction = res.selective_encrypted_bytes / res.vcl_payload_bytes
         assert abs(fraction - 5 / 60) <= 0.02 * (5 / 60)
 
-        # Count actual cipher invocations during the selective pass. The
-        # keystream generator resolves encrypt_block through the aes module,
-        # so only payload keystream blocks are counted.
-        calls = []
-        real = aes.encrypt_block
-        monkeypatch.setattr(aes, "encrypt_block", lambda b, k: calls.append(1) or real(b, k))
+        # Count the blocks the cipher actually computes during the selective
+        # pass. The keystream generator resolves the batched engine through
+        # the aes module, so only payload keystream blocks are counted.
+        blocks = []
+        real = aes.encrypt_blocks
+        monkeypatch.setattr(
+            aes, "encrypt_blocks", lambda d, k: blocks.append(len(d) // 16) or real(d, k)
+        )
         encrypt_stream(nals, ks, EncryptionPolicy.IDR_ONLY, b"\x22" * 8)
         monkeypatch.undo()
         sizes = {n.ordinal: len(ebsp_to_rbsp(n.ebsp)) for n in nals}
@@ -209,7 +211,7 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
 
         selected = select(nals, EncryptionPolicy.IDR_ONLY).selected_ordinals
         expected_blocks = sum(-(-sizes[o] // 16) for o in selected)
-        assert len(calls) == expected_blocks
+        assert sum(blocks) == expected_blocks
         assert res.aes_blocks_selective == expected_blocks
 
         # Naive slice work is exactly 12x the selective work on this stream;

@@ -358,3 +358,61 @@ class TestCounterMode:
     def test_xor_bytes_length_check(self):
         with pytest.raises(ValueError):
             xor_bytes(b"\x00", b"\x00\x00")
+
+
+def per_block_keystream(ks, nonce: bytes, ordinal: int, nbytes: int) -> bytes:
+    """Counter-mode keystream one encrypt_block call at a time."""
+    nblocks = -(-nbytes // 16)
+    blocks = (encrypt_block(CounterBlock(nonce, ordinal, j).to_bytes(), ks) for j in range(nblocks))
+    return b"".join(blocks)[:nbytes]
+
+
+def cryptography_keystream(key: bytes, nonce: bytes, ordinal: int, nbytes: int) -> bytes:
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+    counter = CounterBlock(nonce, ordinal, 0).to_bytes()
+    enc = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.CTR(counter)).encryptor()
+    return enc.update(bytes(nbytes)) + enc.finalize()
+
+
+# Two whole chunks of the batched engine plus a partial block.
+MULTI_CHUNK_BYTES = 2 * aes._CHUNK_BLOCKS * 16 + 9
+
+
+class TestBatchedEngine:
+    def test_encrypt_blocks_matches_encrypt_block(self):
+        rng = random.Random(21)
+        for n in (0, 1, 2, 3, 16, 33):
+            ks = key_expansion(rng.randbytes(16))
+            data = rng.randbytes(16 * n)
+            want = b"".join(encrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16))
+            assert aes.encrypt_blocks(data, ks) == want
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 15, 16, 17, 100, 4096, MULTI_CHUNK_BYTES])
+    @pytest.mark.parametrize("ordinal", [0, 2**32 - 1])
+    def test_keystream_matches_per_block_calls(self, nbytes, ordinal):
+        rng = random.Random(nbytes ^ ordinal)
+        ks = key_expansion(rng.randbytes(16))
+        nonce = rng.randbytes(8)
+        assert ctr_keystream(ks, nonce, ordinal, nbytes) == per_block_keystream(
+            ks, nonce, ordinal, nbytes
+        )
+
+    def test_keystream_matches_cryptography_every_length(self):
+        rng = random.Random(4096)
+        key, nonce = rng.randbytes(16), rng.randbytes(8)
+        ks = key_expansion(key)
+        want = cryptography_keystream(key, nonce, 2**32 - 1, 4096)
+        for nbytes in range(4097):
+            assert ctr_keystream(ks, nonce, 2**32 - 1, nbytes) == want[:nbytes], nbytes
+
+    @pytest.mark.parametrize("ordinal", [0, 2**32 - 1])
+    def test_keystream_matches_cryptography_across_chunks(self, ordinal):
+        rng = random.Random(ordinal + 1)
+        key, nonce = rng.randbytes(16), rng.randbytes(8)
+        got = ctr_keystream(key_expansion(key), nonce, ordinal, MULTI_CHUNK_BYTES)
+        assert got == cryptography_keystream(key, nonce, ordinal, MULTI_CHUNK_BYTES)
+
+    @pytest.mark.parametrize("size", [1, 15, 17, 31])
+    def test_encrypt_blocks_rejects_partial_blocks(self, size):
+        with pytest.raises(ValueError):
+            aes.encrypt_blocks(b"\x00" * size, key_expansion(b"\x00" * 16))

@@ -44,6 +44,52 @@ def bits_of(data: bytes) -> str:
     return "".join(f"{b:08b}" for b in data)
 
 
+# Byte-at-a-time escaping, kept as the reference for the pattern-based
+# functions in selenc.bitstream.
+def ebsp_to_rbsp_loop(ebsp: bytes) -> bytes:
+    out = bytearray()
+    zeros = 0
+    i = 0
+    n = len(ebsp)
+    while i < n:
+        b = ebsp[i]
+        if zeros >= 2:
+            if b <= 0x02:
+                raise MalformedEscape(f"unescaped 00 00 {b:02x} at payload offset {i - 2}")
+            if b == 0x03 and i + 1 < n and ebsp[i + 1] <= 0x03:
+                zeros = 0
+                i += 1
+                continue
+        out.append(b)
+        zeros = zeros + 1 if b == 0 else 0
+        i += 1
+    return bytes(out)
+
+
+def rbsp_to_ebsp_loop(rbsp: bytes) -> bytes:
+    out = bytearray()
+    zeros = 0
+    for b in rbsp:
+        if zeros >= 2 and b <= 0x03:
+            out.append(0x03)
+            zeros = 0
+        out.append(b)
+        zeros = zeros + 1 if b == 0 else 0
+    return bytes(out)
+
+
+def escape_violation_loop(ebsp: bytes) -> int:
+    for i in range(len(ebsp) - 2):
+        if ebsp[i] == 0 and ebsp[i + 1] == 0 and ebsp[i + 2] <= 0x02:
+            return i
+    return -1
+
+
+zero_heavy = st.lists(st.sampled_from([0, 0, 0, 0, 1, 2, 3, 3, 4, 0x80, 0xFF]), max_size=64).map(
+    bytes
+)
+
+
 class TestNalHeader:
     @pytest.mark.parametrize(
         "byte,expected",
@@ -241,6 +287,20 @@ class TestEscaping:
         assert find_escape_violation(b"\xaa\x00\x00\x01") == 1
         assert find_escape_violation(b"\x00\x00\x03\x01") == -1
         assert find_escape_violation(b"") == -1
+
+    @settings(max_examples=500)
+    @given(zero_heavy)
+    def test_patterns_match_byte_loops(self, data):
+        assert rbsp_to_ebsp(data) == rbsp_to_ebsp_loop(data)
+        assert find_escape_violation(data) == escape_violation_loop(data)
+        try:
+            want = ebsp_to_rbsp_loop(data)
+        except MalformedEscape as exc:
+            with pytest.raises(MalformedEscape) as got:
+                ebsp_to_rbsp(data)
+            assert str(got.value) == str(exc)
+        else:
+            assert ebsp_to_rbsp(data) == want
 
 
 class TestBitReader:

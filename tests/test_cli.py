@@ -83,6 +83,26 @@ class TestEncryptDecrypt:
         assert rc == 1
         assert err.startswith("selenc: error:") and err.count("\n") == 1
 
+    def test_all_i_warns_about_unparsed_slice(self, stream_file, tmp_path, capsys):
+        # A trailing non-IDR slice whose payload is all zero bytes has no
+        # readable slice header, so all-i cannot tell whether it is intra.
+        stream = tmp_path / "unparsed.264"
+        stream.write_bytes(stream_file.read_bytes() + b"\x00\x00\x00\x01\x41\x00\x00")
+        enc, meta = tmp_path / "enc.264", tmp_path / "meta.seh"
+        assert run("encrypt", "--in", str(stream), "--out", str(enc), "--meta", str(meta),
+                   "--key", KEY, "--policy", "all-i", "--nonce", "33" * 8) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("selenc: warning:") and err.count("\n") == 1
+        assert err.rstrip().endswith(" 14")  # ordinal of the appended slice
+        assert 14 not in CipherHeader.from_bytes(meta.read_bytes()).ordinals
+
+    def test_idr_policy_does_not_warn(self, stream_file, tmp_path, capsys):
+        stream = tmp_path / "unparsed.264"
+        stream.write_bytes(stream_file.read_bytes() + b"\x00\x00\x00\x01\x41\x00\x00")
+        assert run("encrypt", "--in", str(stream), "--out", str(tmp_path / "e.264"),
+                   "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "33" * 8) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_nonce(self, stream_file, tmp_path, capsys):
         rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),
                  "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "xyz")
