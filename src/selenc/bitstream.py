@@ -249,44 +249,34 @@ class BitReader:
 
 
 class BitWriter:
-    """MSB-first bit accumulator, the encoding mirror of BitReader."""
+    """MSB-first bit accumulator, the encoding mirror of BitReader.
+
+    The bits written so far are the low ``bit_length`` bits of one integer.
+    """
 
     def __init__(self) -> None:
-        self._bits: "list[int]" = []
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._bits)
+        self._acc = 0
+        self.bit_length = 0
 
     def write_bit(self, bit: int) -> None:
-        self._bits.append(bit & 1)
+        self.write_bits(bit, 1)
 
     def write_bits(self, value: int, n: int) -> None:
-        for shift in range(n - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
+        """Append the low ``n`` bits of ``value``, most significant first."""
+        self._acc = (self._acc << n) | (value & ((1 << n) - 1))
+        self.bit_length += n
 
     def write_ue(self, value: int) -> None:
         if value < 0:
             raise ValueError("ue(v) encodes unsigned values only")
         n = (value + 1).bit_length() - 1
-        self.write_bits(0, n)
-        self.write_bits(value + 1, n + 1)
+        # n leading zero bits, then value + 1 in its n + 1 bits.
+        self.write_bits(value + 1, 2 * n + 1)
 
     def to_bytes(self) -> bytes:
         """Pack accumulated bits, zero-padding the final partial byte."""
-        out = bytearray()
-        acc = 0
-        count = 0
-        for bit in self._bits:
-            acc = (acc << 1) | bit
-            count += 1
-            if count == 8:
-                out.append(acc)
-                acc = 0
-                count = 0
-        if count:
-            out.append(acc << (8 - count))
-        return bytes(out)
+        pad = -self.bit_length % 8
+        return (self._acc << pad).to_bytes((self.bit_length + pad) // 8, "big")
 
 
 @dataclass(frozen=True)

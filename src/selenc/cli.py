@@ -7,13 +7,13 @@ import json
 import sys
 
 from .aes import key_expansion
-from .bitstream import scan_annexb
 from .errors import BadHex, SelencError
 from .harness import bench
 from .pipeline import (
     DEFAULT_KDF_ITERATIONS,
     KeySource,
     StreamReport,
+    _read_stream,
     cmd_decrypt,
     cmd_encrypt,
     cmd_inspect,
@@ -164,9 +164,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         data = gen_test_stream(args.out_path, args.gop, args.frames, args.payload, args.seed)
         print(f"wrote {len(data)} bytes to {args.out_path}")
     elif args.command == "bench":
-        from pathlib import Path
-
-        nals = scan_annexb(Path(args.in_path).read_bytes())
+        _, _, nals = _read_stream(args.in_path)
         ks = key_expansion(derive_key(KeySource.from_raw_hex(args.key)))
         result = bench(nals, ks, _POLICY_NAMES[args.policy])
         if args.json:

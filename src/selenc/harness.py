@@ -17,6 +17,7 @@ from .bitstream import (
     BitReader,
     BitWriter,
     NalUnit,
+    classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
@@ -70,11 +71,12 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     over every NAL payload, parameter sets included. Block counts are exact
     arithmetic; wall times depend on the machine and are informative only.
     """
-    result = select(nals, policy)
-    rbsp_sizes = {n.ordinal: len(ebsp_to_rbsp(n.ebsp)) for n in nals if n.header is not None}
+    rows = classify_stream(nals)
+    result = select(rows, policy)
+    rbsp_sizes = {r.ordinal: r.rbsp_size for r in rows}
 
     t0 = time.perf_counter()
-    encrypt_stream(nals, ks, policy, _BENCH_NONCE)
+    encrypt_stream(nals, ks, result, _BENCH_NONCE)
     wall_selective = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -280,7 +282,8 @@ def _check_stream_compliance(rng: random.Random) -> str:
                                    seed=rng.randrange(1 << 30))
             nals = scan_annexb(data)
             nonce = rng.randbytes(8)
-            enc_nals, header = encrypt_stream(nals, ks, policy, nonce)
+            selection = select(classify_stream(nals), policy)
+            enc_nals, header = encrypt_stream(nals, ks, selection, nonce)
             for n in enc_nals:
                 assert find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} escaping violated"
             enc_data = serialize_annexb(enc_nals)

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from .aes import KeySchedule, encrypt_block, key_expansion, xor_bytes
 from .bitstream import (
+    VCL_TYPES,
     BitWriter,
     NalUnit,
     ReportRow,
@@ -161,30 +162,28 @@ class StreamReport:
 
 
 def build_report(
-    nals: Sequence[NalUnit],
+    rows: Sequence[ReportRow],
     policy: EncryptionPolicy,
-    leading: bytes = b"",
-    selected_ordinals: "Optional[Sequence[int]]" = None,
+    selected_ordinals: Sequence[int],
+    leading: bytes,
+    total_bytes: int,
 ) -> StreamReport:
-    """Assemble a StreamReport; selection defaults to what the policy picks."""
-    rows = tuple(classify_stream(nals))
-    if selected_ordinals is None:
-        selected_ordinals = select(nals, policy).selected_ordinals
+    """Assemble a StreamReport from classify_stream's rows, the ordinals
+    that were (or would be) ciphered and the stream's size in bytes."""
     chosen = frozenset(selected_ordinals)
     by_ordinal = {r.ordinal: r for r in rows}
-    vcl_payload = sum(r.rbsp_size for r in rows if r.nal_type in (1, 5))
+    vcl_payload = sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES)
     selected_bytes = sum(by_ordinal[o].rbsp_size for o in chosen if o in by_ordinal)
-    total = len(leading) + sum(n.wire_size() for n in nals)
     blocks = sum(-(-by_ordinal[o].rbsp_size // 16) for o in chosen if o in by_ordinal)
     return StreamReport(
-        rows=rows,
+        rows=tuple(rows),
         policy=policy,
         selected_ordinals=tuple(sorted(chosen)),
         leading_garbage=len(leading),
-        total_bytes=total,
+        total_bytes=total_bytes,
         vcl_payload_bytes=vcl_payload,
         selected_bytes=selected_bytes,
-        encrypted_fraction=selected_bytes / total if total else 0.0,
+        encrypted_fraction=selected_bytes / total_bytes if total_bytes else 0.0,
         aes_blocks=blocks,
     )
 
@@ -227,14 +226,15 @@ def cmd_encrypt(
     With an explicit nonce the run is fully deterministic; otherwise eight
     random bytes are drawn and recorded in the sidecar.
     """
-    _, leading, nals = _read_stream(in_path)
+    data, leading, nals = _read_stream(in_path)
+    rows = classify_stream(nals)
     ks = key_expansion(derive_key(key))
     if nonce is None:
         nonce = os.urandom(8)
-    out_nals, header = encrypt_stream(nals, ks, policy, nonce)
+    out_nals, header = encrypt_stream(nals, ks, select(rows, policy), nonce)
     _atomic_write(out_path, serialize_annexb(out_nals, leading))
     _atomic_write(meta_path, header.to_bytes())
-    return build_report(nals, policy, leading, header.ordinals)
+    return build_report(rows, policy, header.ordinals, leading, len(data))
 
 
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> StreamReport:
@@ -243,14 +243,17 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> StreamReport:
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
     ks = key_expansion(derive_key(key))
     out_nals = decrypt_stream(nals, ks, header)
-    _atomic_write(out_path, serialize_annexb(out_nals, leading))
-    return build_report(out_nals, header.policy, leading, header.ordinals)
+    out = serialize_annexb(out_nals, leading)
+    _atomic_write(out_path, out)
+    rows = classify_stream(out_nals)
+    return build_report(rows, header.policy, header.ordinals, leading, len(out))
 
 
 def cmd_inspect(in_path, policy: EncryptionPolicy = EncryptionPolicy.IDR_ONLY) -> StreamReport:
     """Report a stream's NAL layout without modifying anything."""
-    _, leading, nals = _read_stream(in_path)
-    return build_report(nals, policy, leading)
+    data, leading, nals = _read_stream(in_path)
+    rows = classify_stream(nals)
+    return build_report(rows, policy, select(rows, policy).selected_ordinals, leading, len(data))
 
 
 def _noise(rng: random.Random, n: int, nonzero_tail: bool = False) -> bytearray:

@@ -20,22 +20,13 @@ from typing import Iterable, Sequence
 from .aes import KeySchedule, ctr_keystream, encrypt_block, xor_bytes
 from .bitstream import (
     NAL_IDR,
-    NAL_NON_IDR,
+    VCL_TYPES,
     NalUnit,
+    ReportRow,
     ebsp_to_rbsp,
-    parse_slice_info,
     rbsp_to_ebsp,
 )
-from .errors import (
-    BadMagic,
-    BadVersion,
-    MalformedEscape,
-    MalformedHeader,
-    OrdinalOutOfRange,
-    OutOfBits,
-    OutOfRange,
-    WrongKey,
-)
+from .errors import BadMagic, BadVersion, MalformedHeader, OrdinalOutOfRange, WrongKey
 
 SIDECAR_MAGIC = b"SEH1"
 SIDECAR_VERSION = 1
@@ -50,49 +41,38 @@ class EncryptionPolicy(Enum):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of applying a policy to a parsed stream."""
+    """Outcome of applying a policy to a classified stream."""
 
+    policy: EncryptionPolicy
     selected_ordinals: "tuple[int, ...]"
     selected_bytes: int  # RBSP bytes that will be ciphered
     total_payload_bytes: int  # RBSP bytes across all slice NALs
     unparsed_ordinals: "tuple[int, ...]" = ()
 
 
-def select(nals: Iterable[NalUnit], policy: EncryptionPolicy) -> SelectionResult:
-    """Pick the ordinals the policy covers.
+def select(rows: Iterable[ReportRow], policy: EncryptionPolicy) -> SelectionResult:
+    """Pick the ordinals the policy covers from classify_stream's rows.
 
     Non-VCL NALs (SPS/PPS/SEI/...) are never selected. Under ALL_INTRA a
     non-IDR slice whose header cannot be parsed counts as non-intra and is
     reported in unparsed_ordinals.
     """
+    all_intra = policy is EncryptionPolicy.ALL_INTRA
     chosen = []
     unparsed = []
     selected_bytes = 0
     total_payload = 0
-    for nal in nals:
-        if nal.header is None or nal.header.nal_unit_type not in (NAL_NON_IDR, NAL_IDR):
+    for r in rows:
+        if r.nal_type not in VCL_TYPES:
             continue
-        try:
-            rbsp = ebsp_to_rbsp(nal.ebsp)
-        except MalformedEscape:
-            rbsp = None
-        rbsp_len = len(rbsp) if rbsp is not None else len(nal.ebsp)
-        total_payload += rbsp_len
-        take = False
-        if nal.header.nal_unit_type == NAL_IDR:
-            take = True
-        elif policy is EncryptionPolicy.ALL_INTRA:
-            if rbsp is None:
-                unparsed.append(nal.ordinal)
-            else:
-                try:
-                    take = parse_slice_info(rbsp).is_intra
-                except (OutOfBits, OutOfRange):
-                    unparsed.append(nal.ordinal)
-        if take:
-            chosen.append(nal.ordinal)
-            selected_bytes += rbsp_len
-    return SelectionResult(tuple(chosen), selected_bytes, total_payload, tuple(unparsed))
+        total_payload += r.rbsp_size
+        intra = r.slice_info is not None and r.slice_info.is_intra
+        if r.nal_type == NAL_IDR or (all_intra and intra):
+            chosen.append(r.ordinal)
+            selected_bytes += r.rbsp_size
+        elif all_intra and r.unparsed:
+            unparsed.append(r.ordinal)
+    return SelectionResult(policy, tuple(chosen), selected_bytes, total_payload, tuple(unparsed))
 
 
 def encrypt_nal(nal: NalUnit, ks: KeySchedule, nonce: bytes) -> NalUnit:
@@ -175,16 +155,15 @@ class CipherHeader:
 def encrypt_stream(
     nals: Sequence[NalUnit],
     ks: KeySchedule,
-    policy: EncryptionPolicy,
+    selection: SelectionResult,
     nonce: bytes,
 ) -> "tuple[list[NalUnit], CipherHeader]":
-    """Encrypt the policy-selected NALs, leaving everything else untouched."""
+    """Encrypt the selected ordinals, leaving everything else untouched."""
     if len(nonce) != 8:
         raise ValueError("nonce must be 8 bytes")
-    result = select(nals, policy)
-    chosen = frozenset(result.selected_ordinals)
+    chosen = frozenset(selection.selected_ordinals)
     out = [encrypt_nal(n, ks, nonce) if n.ordinal in chosen else n for n in nals]
-    header = CipherHeader(policy, key_check_value(ks), nonce, result.selected_ordinals)
+    header = CipherHeader(selection.policy, key_check_value(ks), nonce, selection.selected_ordinals)
     return out, header
 
 

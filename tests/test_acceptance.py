@@ -29,6 +29,7 @@ from selenc.aes import (
 from selenc.bitstream import (
     BitReader,
     BitWriter,
+    classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
@@ -37,7 +38,7 @@ from selenc.bitstream import (
 )
 from selenc.errors import WrongKey
 from selenc.pipeline import KeySource, cmd_decrypt, cmd_encrypt, derive_key, gen_test_stream
-from selenc.selective import EncryptionPolicy, decrypt_stream, encrypt_stream
+from selenc.selective import EncryptionPolicy, decrypt_stream, encrypt_stream, select
 
 
 @contextmanager
@@ -174,7 +175,8 @@ def test_criterion_5_syntactic_compliance():
             for policy in EncryptionPolicy:
                 data = gen_test_stream(None, gop=gop, frames=frames, seed=gop * 100 + frames)
                 nals = scan_annexb(data)
-                enc_nals, _ = encrypt_stream(nals, ks, policy, b"\x21" * 8)
+                selection = select(classify_stream(nals), policy)
+                enc_nals, _ = encrypt_stream(nals, ks, selection, b"\x21" * 8)
                 for n in enc_nals:
                     assert find_escape_violation(n.ebsp) == -1
                 rescan = scan_annexb(serialize_annexb(enc_nals))
@@ -204,12 +206,12 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         monkeypatch.setattr(
             aes, "encrypt_blocks", lambda d, k: blocks.append(len(d) // 16) or real(d, k)
         )
-        encrypt_stream(nals, ks, EncryptionPolicy.IDR_ONLY, b"\x22" * 8)
+        selection = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
+        encrypt_stream(nals, ks, selection, b"\x22" * 8)
         monkeypatch.undo()
         sizes = {n.ordinal: len(ebsp_to_rbsp(n.ebsp)) for n in nals}
-        from selenc.selective import select
 
-        selected = select(nals, EncryptionPolicy.IDR_ONLY).selected_ordinals
+        selected = selection.selected_ordinals
         expected_blocks = sum(-(-sizes[o] // 16) for o in selected)
         assert sum(blocks) == expected_blocks
         assert res.aes_blocks_selective == expected_blocks
@@ -226,7 +228,8 @@ def test_criterion_7_wrong_key_behavior(monkeypatch):
         data = gen_test_stream(None, gop=3, frames=6, payload_size=64, seed=1007)
         nals = scan_annexb(data)
         right = key_expansion(rng.randbytes(16))
-        enc, header = encrypt_stream(nals, right, EncryptionPolicy.IDR_ONLY, rng.randbytes(8))
+        selection = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
+        enc, header = encrypt_stream(nals, right, selection, rng.randbytes(8))
 
         touched = []
         real = selective_mod.decrypt_nal

@@ -367,6 +367,38 @@ class TestBitWriter:
         assert got == value
         assert consumed == w.bit_length
 
+    def test_empty_writer(self):
+        w = BitWriter()
+        assert w.bit_length == 0
+        assert w.to_bytes() == b""
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("bit"), st.integers(-3, 3)),
+        st.tuples(st.just("bits"), st.integers(-(1 << 40), 1 << 40), st.integers(0, 33)),
+        st.tuples(st.just("ue"), st.integers(0, 1 << 20)),
+    ), max_size=30))
+    def test_mixed_writes_against_bit_string(self, ops):
+        # The expected output is built as a '0'/'1' string: write_bit keeps
+        # the low bit, write_bits the low n bits (values wider than n are
+        # cut), write_ue the Exp-Golomb codeword; the last byte is zero-padded.
+        w = BitWriter()
+        want = ""
+        for op in ops:
+            if op[0] == "bit":
+                w.write_bit(op[1])
+                want += str(op[1] & 1)
+            elif op[0] == "bits":
+                _, value, n = op
+                w.write_bits(value, n)
+                want += format(value & ((1 << n) - 1), f"0{n}b") if n else ""
+            else:
+                w.write_ue(op[1])
+                suffix = format(op[1] + 1, "b")
+                want += "0" * (len(suffix) - 1) + suffix
+        assert w.bit_length == len(want)
+        want += "0" * (-len(want) % 8)
+        assert bits_of(w.to_bytes()) == want
+
 
 class TestSliceInfo:
     @pytest.mark.parametrize(

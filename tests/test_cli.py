@@ -159,3 +159,9 @@ class TestBench:
                    "--policy", "all-i") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["selective_encrypted_bytes"] <= doc["naive_encrypted_bytes"]
+
+    def test_empty_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.264"
+        empty.write_bytes(b"")
+        assert run("bench", "--in", str(empty), "--key", KEY) == 1
+        assert capsys.readouterr().err == f"selenc: error: {empty}: input file is empty\n"

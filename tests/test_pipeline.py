@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selenc import aes
+from selenc import aes, bitstream, harness, pipeline, selective
 from selenc.aes import key_expansion
 from selenc.bitstream import classify_stream, scan_annexb
 from selenc.errors import (
@@ -24,7 +25,7 @@ from selenc.pipeline import (
     estimate_passphrase_bits,
     gen_test_stream,
 )
-from selenc.selective import CipherHeader, EncryptionPolicy
+from selenc.selective import CipherHeader, EncryptionPolicy, select
 
 
 def kdf_oracle(passphrase: str, iterations: int) -> bytes:
@@ -192,10 +193,16 @@ class TestGenerator:
         assert out.read_bytes() == data
 
 
+def report_of(data, policy):
+    rows = classify_stream(scan_annexb(data))
+    return build_report(rows, policy, select(rows, policy).selected_ordinals, b"", len(data))
+
+
 class TestReport:
     def test_aggregates_match_rows(self):
-        nals = scan_annexb(gen_test_stream(None, gop=3, frames=9, payload_size=56, seed=2))
-        report = build_report(nals, EncryptionPolicy.IDR_ONLY)
+        data = gen_test_stream(None, gop=3, frames=9, payload_size=56, seed=2)
+        nals = scan_annexb(data)
+        report = report_of(data, EncryptionPolicy.IDR_ONLY)
         rows = report.rows
         assert report.vcl_payload_bytes == sum(
             r.rbsp_size for r in rows if r.nal_type in (1, 5)
@@ -211,8 +218,9 @@ class TestReport:
     def test_to_dict_round_trips_through_json(self):
         import json
 
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3))
-        report = build_report(nals, EncryptionPolicy.ALL_INTRA)
+        data = gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3)
+        nals = scan_annexb(data)
+        report = report_of(data, EncryptionPolicy.ALL_INTRA)
         parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["policy"] == "ALL_INTRA"
         assert len(parsed["nals"]) == len(nals)
@@ -318,3 +326,49 @@ class TestFileCommands:
     def test_inspect_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             cmd_inspect(tmp_path / "nope.264")
+
+
+class TestOnePass:
+    """Each command classifies its stream once: every NAL with a header is
+    unescaped once, plus once more for each NAL it ciphers."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("ebsp_to_rbsp", "classify_stream"):
+            real = getattr(bitstream, name)
+            for module in (bitstream, selective, pipeline, harness):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting(name, real))
+        return calls
+
+    @pytest.mark.parametrize("policy", list(EncryptionPolicy))
+    def test_each_command_unescapes_each_nal_once(self, tmp_path, counts, policy):
+        plain, enc, meta, out = (tmp_path / n for n in ("p.264", "e.264", "m.seh", "o.264"))
+        # The trailing bare start code is a NAL without a header byte.
+        data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
+        plain.write_bytes(data + b"\x00\x00\x00\x01")
+        with_header = sum(n.header is not None for n in scan_annexb(plain.read_bytes()))
+        assert with_header == 14
+
+        report = cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x09" * 8)
+        ciphered = len(report.selected_ordinals)
+        assert ciphered == 3
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": with_header + ciphered}
+
+        counts.clear()
+        cmd_decrypt(enc, meta, out, KEY)
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": with_header + ciphered}
+        assert out.read_bytes() == plain.read_bytes()
+
+        counts.clear()
+        cmd_inspect(plain, policy)
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": with_header}

@@ -8,9 +8,11 @@ from selenc.aes import key_expansion
 from selenc.bitstream import (
     BitWriter,
     NalUnit,
+    classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
     parse_nal_header,
+    parse_slice_info,
     rbsp_to_ebsp,
     scan_annexb,
     serialize_annexb,
@@ -18,14 +20,18 @@ from selenc.bitstream import (
 from selenc.errors import (
     BadMagic,
     BadVersion,
+    MalformedEscape,
     MalformedHeader,
     OrdinalOutOfRange,
+    OutOfBits,
+    OutOfRange,
     WrongKey,
 )
 from selenc.pipeline import gen_test_stream
 from selenc.selective import (
     CipherHeader,
     EncryptionPolicy,
+    SelectionResult,
     decrypt_nal,
     decrypt_stream,
     encrypt_nal,
@@ -56,13 +62,73 @@ def make_stream(types_and_rbsp) -> list:
     ]
 
 
+def select_reference(nals, policy):
+    """Per-NAL selection that unescapes and parses each slice itself; the
+    behaviour select must keep now that it reads classify_stream's rows."""
+    chosen = []
+    unparsed = []
+    selected_bytes = 0
+    total_payload = 0
+    for nal in nals:
+        if nal.header is None or nal.header.nal_unit_type not in (1, 5):
+            continue
+        try:
+            rbsp = ebsp_to_rbsp(nal.ebsp)
+        except MalformedEscape:
+            rbsp = None
+        rbsp_len = len(rbsp) if rbsp is not None else len(nal.ebsp)
+        total_payload += rbsp_len
+        take = False
+        if nal.header.nal_unit_type == 5:
+            take = True
+        elif policy is EncryptionPolicy.ALL_INTRA:
+            if rbsp is None:
+                unparsed.append(nal.ordinal)
+            else:
+                try:
+                    take = parse_slice_info(rbsp).is_intra
+                except (OutOfBits, OutOfRange):
+                    unparsed.append(nal.ordinal)
+        if take:
+            chosen.append(nal.ordinal)
+            selected_bytes += rbsp_len
+    return SelectionResult(policy, tuple(chosen), selected_bytes, total_payload, tuple(unparsed))
+
+
+# Header bytes: types 1, 5, 6, 7, 8 and others, forbidden bit set or clear.
+HEADER_BYTES = st.builds(
+    lambda forbidden, ref, t: forbidden << 7 | ref << 5 | t,
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.sampled_from([1, 5]) | st.sampled_from([6, 7, 8]) | st.integers(0, 31),
+)
+# Escaped payloads: empty, parseable slice headers of every slice_type,
+# all zeros (no ue terminator), slice_type > 9, a malformed 00 00 00 escape,
+# and arbitrary zero-heavy bytes.
+PAYLOADS = st.one_of(
+    st.just(b""),
+    st.builds(
+        lambda t, extra: rbsp_to_ebsp(slice_rbsp(t, extra)),
+        st.sampled_from([2, 7]) | st.integers(0, 12),
+        st.binary(max_size=16),
+    ),
+    st.integers(1, 8).map(lambda n: rbsp_to_ebsp(b"\x00" * n)),
+    st.builds(lambda extra: b"\x11\x00\x00\x00" + extra, st.binary(max_size=8)),
+    st.lists(st.sampled_from([0, 0, 1, 2, 3, 0x80, 0xFF]), max_size=24).map(bytes),
+)
+
+
+def selection(nals, policy):
+    return select(classify_stream(nals), policy)
+
+
 class TestSelect:
     def test_idr_only_picks_type5(self):
         p = slice_rbsp(0, b"\x55" * 6)
         nals = make_stream(
             [(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, b"\x11" * 6)), (1, p), (1, p), (1, p)]
         )
-        res = select(nals, EncryptionPolicy.IDR_ONLY)
+        res = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
         assert res.selected_ordinals == (2,)
 
     def test_all_intra_with_p_slices_matches_idr_only(self):
@@ -70,19 +136,19 @@ class TestSelect:
         nals = make_stream(
             [(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, b"\x11" * 6)), (1, p), (1, p), (1, p)]
         )
-        res = select(nals, EncryptionPolicy.ALL_INTRA)
+        res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == (2,)
 
     def test_all_intra_picks_intra_type1(self):
         nals = make_stream(
             [(5, slice_rbsp(7)), (1, slice_rbsp(2, b"\x10")), (1, slice_rbsp(0, b"\x10"))]
         )
-        assert select(nals, EncryptionPolicy.ALL_INTRA).selected_ordinals == (0, 1)
-        assert select(nals, EncryptionPolicy.IDR_ONLY).selected_ordinals == (0,)
+        assert select(classify_stream(nals), EncryptionPolicy.ALL_INTRA).selected_ordinals == (0, 1)
+        assert select(classify_stream(nals), EncryptionPolicy.IDR_ONLY).selected_ordinals == (0,)
 
     def test_nothing_selected(self):
         nals = make_stream([(7, b"\x42"), (1, slice_rbsp(0)), (1, slice_rbsp(1))])
-        res = select(nals, EncryptionPolicy.ALL_INTRA)
+        res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == ()
         assert res.selected_bytes == 0
 
@@ -90,11 +156,11 @@ class TestSelect:
         # SEI/SPS/PPS carry slice-looking payloads but must never be picked.
         nals = make_stream([(6, slice_rbsp(7)), (7, slice_rbsp(7)), (8, slice_rbsp(7))])
         for policy in EncryptionPolicy:
-            assert select(nals, policy).selected_ordinals == ()
+            assert select(classify_stream(nals), policy).selected_ordinals == ()
 
     def test_unparseable_type1_reported_not_selected(self):
         nals = make_stream([(5, slice_rbsp(7)), (1, b"")])
-        res = select(nals, EncryptionPolicy.ALL_INTRA)
+        res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == (0,)
         assert res.unparsed_ordinals == (1,)
 
@@ -102,9 +168,19 @@ class TestSelect:
         idr = slice_rbsp(7, b"\x11" * 31)  # 32 rbsp bytes
         p = slice_rbsp(0, b"\x22" * 15)  # 16 rbsp bytes
         nals = make_stream([(7, b"\x42\x00"), (5, idr), (1, p), (1, p)])
-        res = select(nals, EncryptionPolicy.IDR_ONLY)
+        res = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
         assert res.selected_bytes == 32
         assert res.total_payload_bytes == 32 + 16 + 16
+
+    @given(st.lists(st.one_of(st.none(), st.tuples(HEADER_BYTES, PAYLOADS)), max_size=12))
+    def test_matches_per_nal_reference(self, units):
+        nals = [
+            NalUnit(i, 4, None, b"") if u is None else NalUnit(i, 4, parse_nal_header(u[0]), u[1])
+            for i, u in enumerate(units)
+        ]
+        rows = classify_stream(nals)
+        for policy in EncryptionPolicy:
+            assert select(rows, policy) == select_reference(nals, policy)
 
 
 class TestEncryptNal:
@@ -227,17 +303,17 @@ class TestCipherHeader:
 
 class TestStreamEncryption:
     def test_empty_stream(self):
-        out, header = encrypt_stream([], KS, EncryptionPolicy.IDR_ONLY, NONCE)
+        out, header = encrypt_stream([], KS, selection([], EncryptionPolicy.IDR_ONLY), NONCE)
         assert out == [] and header.ordinals == ()
 
     def test_gop12_sixty_frames_counts_five(self):
         nals = scan_annexb(gen_test_stream(None, gop=12, frames=60, payload_size=64, seed=1))
-        _, header = encrypt_stream(nals, KS, EncryptionPolicy.IDR_ONLY, NONCE)
+        _, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         assert len(header.ordinals) == 5
 
     def test_non_selected_untouched(self):
         nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
-        out, header = encrypt_stream(nals, KS, EncryptionPolicy.IDR_ONLY, NONCE)
+        out, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         chosen = set(header.ordinals)
         for before, after in zip(nals, out):
             if before.ordinal in chosen:
@@ -247,22 +323,22 @@ class TestStreamEncryption:
 
     def test_header_records_inputs(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3))
-        _, header = encrypt_stream(nals, KS, EncryptionPolicy.ALL_INTRA, NONCE)
+        _, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.ALL_INTRA), NONCE)
         assert header.nonce == NONCE
         assert header.policy is EncryptionPolicy.ALL_INTRA
         assert header.key_check == key_check_value(KS)
-        assert header.ordinals == select(nals, EncryptionPolicy.ALL_INTRA).selected_ordinals
+        assert header.ordinals == selection(nals, EncryptionPolicy.ALL_INTRA).selected_ordinals
 
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
-            encrypt_stream([], KS, EncryptionPolicy.IDR_ONLY, b"\x00" * 7)
+            encrypt_stream([], KS, selection([], EncryptionPolicy.IDR_ONLY), b"\x00" * 7)
 
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_round_trip_generated_streams(self, policy):
         for seed in range(4):
             data = gen_test_stream(None, gop=3, frames=10, payload_size=80, seed=seed)
             nals = scan_annexb(data)
-            enc, header = encrypt_stream(nals, KS, policy, NONCE)
+            enc, header = encrypt_stream(nals, KS, selection(nals, policy), NONCE)
             dec = decrypt_stream(enc, KS, header)
             assert serialize_annexb(dec) == data
 
@@ -272,7 +348,7 @@ class TestStreamEncryption:
              (1, slice_rbsp(2, b"\x00\x00\x00\x07")), (1, slice_rbsp(0, b"\x99" * 9))]
         )
         data = serialize_annexb(nals)
-        enc, header = encrypt_stream(nals, KS, EncryptionPolicy.ALL_INTRA, NONCE)
+        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.ALL_INTRA), NONCE)
         assert header.ordinals == (2, 3)
         assert serialize_annexb(decrypt_stream(enc, KS, header)) == data
 
@@ -280,7 +356,7 @@ class TestStreamEncryption:
         for policy in EncryptionPolicy:
             data = gen_test_stream(None, gop=4, frames=9, payload_size=72, seed=5)
             nals = scan_annexb(data)
-            enc, _ = encrypt_stream(nals, KS, policy, NONCE)
+            enc, _ = encrypt_stream(nals, KS, selection(nals, policy), NONCE)
             rescan = scan_annexb(serialize_annexb(enc))
             assert len(rescan) == len(nals)
             for a, b in zip(nals, rescan):
@@ -292,7 +368,7 @@ class TestStreamEncryption:
 class TestDecryptStream:
     def test_wrong_key_rejected_before_decrypting(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
-        enc, header = encrypt_stream(nals, KS, EncryptionPolicy.IDR_ONLY, NONCE)
+        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         other = key_expansion(b"\x42" * 16)
         with pytest.raises(WrongKey):
             decrypt_stream(enc, other, header)
@@ -305,7 +381,7 @@ class TestDecryptStream:
 
     def test_decrypts_exactly_listed_ordinals(self):
         nals = scan_annexb(gen_test_stream(None, gop=1, frames=4, payload_size=32, seed=8))
-        enc, header = encrypt_stream(nals, KS, EncryptionPolicy.IDR_ONLY, NONCE)
+        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         partial = CipherHeader(header.policy, header.key_check, header.nonce, header.ordinals[:1])
         dec = decrypt_stream(enc, KS, partial)
         assert dec[header.ordinals[0]] == nals[header.ordinals[0]]
