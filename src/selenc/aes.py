@@ -3,12 +3,16 @@
 The S-box and multiplication tables are derived at import time from GF(2^8)
 arithmetic (reduction polynomial x^8 + x^4 + x^3 + x + 1) rather than typed
 in as constants. The state-matrix transformations expose the algebra for
-testing. Two flat-byte paths run the same cipher fast enough for real work:
+testing. Two flat paths run the same cipher fast enough for real work:
 
 - encrypt_block/decrypt_block take one block at a time. They serve the
   single-block callers (key check, passphrase KDF, known-answer checks) and
   are, with the state-matrix round functions, the reference the batched
-  engine is tested against.
+  engine is tested against. encrypt_block is table-driven: 16 lookup tables,
+  built at import from SBOX, _MUL2 and _MUL3, fold SubBytes, ShiftRows and
+  MixColumns into one lookup per input byte, so a full round is 16 lookups
+  XORed with the round key as 128-bit integers (the T-table formulation of
+  Daemen & Rijmen, The Design of Rijndael, 2002, section 4.2).
 - encrypt_blocks runs N concatenated blocks in lockstep, each byte a lane of
   one big integer: SubBytes is one ``bytes.translate`` over all N*16 bytes,
   ShiftRows and the MixColumns column rotations are shifts ANDed with
@@ -16,7 +20,9 @@ testing. Two flat-byte paths run the same cipher fast enough for real work:
   keystream (ctr_keystream) is built on it. This is the lockstep idea behind
   bitsliced AES (Kasper & Schwabe, CHES 2009) with bytes as the lanes.
 
-Not constant-time, and not meant to protect real secrets.
+Not constant-time, and not meant to protect real secrets: the table lookups
+in encrypt_block are indexed by secret-dependent bytes, so their cache
+footprint leaks key material to a co-resident observer.
 """
 
 from __future__ import annotations
@@ -86,6 +92,29 @@ _MUL14 = bytes(_gf_mul(a, 14) for a in range(256))
 # state rotates left by r, i.e. new[r + 4c] = old[r + 4((c + r) % 4)].
 _SHIFT_PERM = tuple((i & 3) + 4 * (((i >> 2) + (i & 3)) & 3) for i in range(16))
 _INV_SHIFT_PERM = tuple((i & 3) + 4 * (((i >> 2) - (i & 3)) & 3) for i in range(16))
+
+
+def _build_round_tables() -> "tuple[tuple[int, ...], ...]":
+    """Entry [i][x]: the 128-bit state that block byte i holding x becomes
+    after SubBytes, ShiftRows and MixColumns, all other bytes being zero.
+
+    MixColumns turns a row-0 byte v into the column (2v, v, v, 3v); a byte in
+    row r gives that column rotated down r rows. ShiftRows decides which
+    column it lands in.
+    """
+    column = [_MUL2[v] << 24 | v << 16 | v << 8 | _MUL3[v] for v in SBOX]
+    tables = []
+    for i in range(16):
+        j = _SHIFT_PERM.index(i)  # block offset of byte i after ShiftRows
+        rot = 8 * (j & 3)
+        shift = 8 * (12 - (j & 12))
+        tables.append(
+            tuple(((w >> rot | w << (32 - rot)) & 0xFFFFFFFF) << shift for w in column)
+        )
+    return tuple(tables)
+
+
+_ROUND_TABLES = _build_round_tables()
 
 
 def _lanes(keep) -> bytes:
@@ -206,10 +235,15 @@ def add_round_key(s: AesState, round_key: bytes) -> AesState:
 
 @dataclass(frozen=True)
 class KeySchedule:
-    """Expanded AES-128 key: 44 four-byte words, grouped into 11 round keys."""
+    """Expanded AES-128 key: 44 four-byte words, grouped into 11 round keys.
+
+    ``round_key_ints`` holds the same 11 round keys as big-endian integers,
+    the form encrypt_block XORs into its state.
+    """
 
     words: "tuple[bytes, ...]"
     round_keys: "tuple[bytes, ...]"
+    round_key_ints: "tuple[int, ...]"
 
     NK = 4  # four-byte words in the cipher key
 
@@ -236,32 +270,32 @@ def key_expansion(key: bytes) -> KeySchedule:
             prev = _t_transform(prev, ROUND_CONSTANTS[i // 4 - 1])
         words.append(bytes(a ^ b for a, b in zip(prev, words[i - 4])))
     round_keys = tuple(b"".join(words[4 * r : 4 * r + 4]) for r in range(11))
-    return KeySchedule(tuple(words), round_keys)
+    round_key_ints = tuple(int.from_bytes(k, "big") for k in round_keys)
+    return KeySchedule(tuple(words), round_keys, round_key_ints)
 
 
 def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     """Encrypt one 16-byte block: initial key add, 9 full rounds, final round
-    without the column mix."""
+    without the column mix.
+
+    Each full round is one lookup in _ROUND_TABLES per state byte, XORed
+    together with the round key. The final round reads ``SBOX`` at call time.
+    """
     if len(block) != BLOCK_SIZE:
         raise ValueError("block must be 16 bytes")
-    rk = ks.round_keys
-    s = _xor16(block, rk[0])
-    for r in range(1, 10):
-        t = s.translate(SBOX)
-        t = bytes(map(t.__getitem__, _SHIFT_PERM))
-        k = rk[r]
-        out = bytearray(16)
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            x = a0 ^ a1 ^ a2 ^ a3
-            out[c] = a0 ^ x ^ _MUL2[a0 ^ a1] ^ k[c]
-            out[c + 1] = a1 ^ x ^ _MUL2[a1 ^ a2] ^ k[c + 1]
-            out[c + 2] = a2 ^ x ^ _MUL2[a2 ^ a3] ^ k[c + 2]
-            out[c + 3] = a3 ^ x ^ _MUL2[a3 ^ a0] ^ k[c + 3]
-        s = bytes(out)
-    t = s.translate(SBOX)
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _ROUND_TABLES
+    rk = ks.round_key_ints
+    s = int.from_bytes(block, "big") ^ rk[0]
+    for k in rk[1:10]:
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = s.to_bytes(16, "big")
+        s = (
+            t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7]
+            ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11] ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
+            ^ k
+        )
+    t = s.to_bytes(16, "big").translate(SBOX)
     t = bytes(map(t.__getitem__, _SHIFT_PERM))
-    return _xor16(t, rk[10])
+    return (int.from_bytes(t, "big") ^ rk[10]).to_bytes(16, "big")
 
 
 def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .aes import KeySchedule, encrypt_block, key_expansion, xor_bytes
+from .aes import encrypt_block, key_expansion, xor_bytes
 from .bitstream import (
     VCL_TYPES,
     BitWriter,

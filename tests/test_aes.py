@@ -300,6 +300,20 @@ class TestBlockCipher:
             ks = key_expansion(key)
             assert encrypt_block(block, ks) == unrolled_encrypt(block, ks)
 
+    @given(rand_key, rand_block)
+    def test_matches_unrolled_rounds_property(self, key, block):
+        ks = key_expansion(key)
+        assert encrypt_block(block, ks) == unrolled_encrypt(block, ks)
+
+    def test_matches_cryptography_ecb(self):
+        ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+        rng = random.Random(13)
+        for _ in range(200):
+            key = rng.randbytes(16)
+            block = rng.randbytes(16)
+            enc = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.ECB()).encryptor()
+            assert encrypt_block(block, key_expansion(key)) == enc.update(block) + enc.finalize()
+
 
 class TestCounterMode:
     def test_counter_block_layout(self):

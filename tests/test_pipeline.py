@@ -16,6 +16,7 @@ from selenc.errors import (
     WrongKey,
 )
 from selenc.pipeline import (
+    DEFAULT_KDF_ITERATIONS,
     KeySource,
     build_report,
     cmd_decrypt,
@@ -52,6 +53,14 @@ KDF_VECTORS = [
     ("päss", 4, "a0dc66e99c9756688fa9af08e82c9c9b"),
 ]
 
+# Frozen the same way, at realistic iteration counts; checked against
+# derive_key only, since kdf_oracle re-expands every key per step.
+LONG_KDF_VECTORS = [
+    ("password", DEFAULT_KDF_ITERATIONS, "8e535f33124380ec7aafaa239073eb80"),
+    ("bench passphrase deadbeef", DEFAULT_KDF_ITERATIONS, "585bc40380367cff28ad8a8c5990caa7"),
+    ("a longer passphrase spanning three blocks, ü", 1000, "56a15daa8fa5b905b6c038fac93aced0"),
+]
+
 
 class TestKeySource:
     def test_exactly_one_variant(self):
@@ -79,7 +88,7 @@ class TestDeriveKey:
         with pytest.raises(EmptyPassphrase):
             derive_key(KeySource.from_passphrase(""))
 
-    @pytest.mark.parametrize("phrase,iters,expected", KDF_VECTORS)
+    @pytest.mark.parametrize("phrase,iters,expected", KDF_VECTORS + LONG_KDF_VECTORS)
     def test_frozen_vectors(self, phrase, iters, expected):
         assert derive_key(KeySource.from_passphrase(phrase, iterations=iters)).hex() == expected
 
