@@ -219,6 +219,13 @@ def _check_ctr_keystream(rng: random.Random) -> str:
     assert long[:16] == first and len(long) == 40
     blocks = b"".join(aes.encrypt_block(CounterBlock(nonce, 7, j).to_bytes(), ks) for j in range(3))
     assert long == blocks[:40], "batched keystream diverges from encrypt_block"
+    # Past one engine chunk: the sizes the pipeline ciphers a slice at.
+    nblocks = aes._CHUNK_BLOCKS + 3
+    chunked = ctr_keystream(ks, nonce, 9, 16 * nblocks - 5)
+    blocks = b"".join(
+        aes.encrypt_block(CounterBlock(nonce, 9, j).to_bytes(), ks) for j in range(nblocks)
+    )
+    assert chunked == blocks[:-5], "chunked keystream diverges from encrypt_block"
     assert ctr_keystream(ks, nonce, 7, 0) == b""
     for _ in range(50):
         data = rng.randbytes(rng.randrange(0, 200))

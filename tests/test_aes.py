@@ -395,13 +395,14 @@ MULTI_CHUNK_BYTES = 2 * aes._CHUNK_BLOCKS * 16 + 9
 class TestBatchedEngine:
     def test_encrypt_blocks_matches_encrypt_block(self):
         rng = random.Random(21)
-        for n in (0, 1, 2, 3, 16, 33):
+        for n in (0, 1, 2, 3, 16, 33, 64, 511, 512, aes._CHUNK_BLOCKS, aes._CHUNK_BLOCKS + 1):
             ks = key_expansion(rng.randbytes(16))
             data = rng.randbytes(16 * n)
             want = b"".join(encrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16))
             assert aes.encrypt_blocks(data, ks) == want
 
-    @pytest.mark.parametrize("nbytes", [0, 1, 15, 16, 17, 100, 4096, MULTI_CHUNK_BYTES])
+    # 32777 bytes is 2048 whole blocks and a partial one.
+    @pytest.mark.parametrize("nbytes", [0, 1, 15, 16, 17, 100, 4096, 32777, MULTI_CHUNK_BYTES])
     @pytest.mark.parametrize("ordinal", [0, 2**32 - 1])
     def test_keystream_matches_per_block_calls(self, nbytes, ordinal):
         rng = random.Random(nbytes ^ ordinal)
