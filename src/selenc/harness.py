@@ -31,10 +31,6 @@ from .selective import EncryptionPolicy, decrypt_stream, encrypt_nal, encrypt_st
 _BENCH_NONCE = bytes(range(8))
 
 
-def _blocks(nbytes: int) -> int:
-    return -(-nbytes // 16)
-
-
 @dataclass(frozen=True)
 class BenchResult:
     """Byte counts, exact AES block counts and informative wall times for a
@@ -73,7 +69,6 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     """
     rows = classify_stream(nals)
     result = select(rows, policy)
-    rbsp_sizes = {r.ordinal: r.rbsp_size for r in rows}
 
     t0 = time.perf_counter()
     encrypt_stream(nals, ks, result, _BENCH_NONCE)
@@ -86,15 +81,17 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     wall_naive = time.perf_counter() - t0
 
     total = sum(n.wire_size() for n in nals)
-    vcl = result.total_payload_bytes
+    selective = pipeline.build_report(rows, policy, result.selected_ordinals, b"", total)
+    naive = pipeline.build_report(rows, policy, [r.ordinal for r in rows], b"", total)
+    vcl = selective.vcl_payload_bytes
     return BenchResult(
         total_bytes=total,
         vcl_payload_bytes=vcl,
-        selective_encrypted_bytes=result.selected_bytes,
-        naive_encrypted_bytes=sum(rbsp_sizes.values()),
-        selective_fraction=result.selected_bytes / vcl if vcl else 0.0,
-        aes_blocks_selective=sum(_blocks(rbsp_sizes[o]) for o in result.selected_ordinals),
-        aes_blocks_naive=sum(_blocks(s) for s in rbsp_sizes.values()),
+        selective_encrypted_bytes=selective.selected_bytes,
+        naive_encrypted_bytes=naive.selected_bytes,
+        selective_fraction=selective.selected_bytes / vcl if vcl else 0.0,
+        aes_blocks_selective=selective.aes_blocks,
+        aes_blocks_naive=naive.aes_blocks,
         wall_time_selective=wall_selective,
         wall_time_naive=wall_naive,
     )
@@ -120,38 +117,100 @@ class OracleReport:
         return [c for c in self.checks if not c.passed]
 
 
+# Frozen answers and straight-line references, shared with the tests.
+
+# (key, plaintext, ciphertext): FIPS-197 C.1 and B, SP 800-38A F.1.1.
+KNOWN_ANSWERS = (
+    (
+        "000102030405060708090a0b0c0d0e0f",
+        "00112233445566778899aabbccddeeff",
+        "69c4e0d86a7b0430d8cdb78070b4c55a",
+    ),
+    (
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        "3243f6a8885a308d313198a2e0370734",
+        "3925841d02dc09fbdc118597196a0b32",
+    ),
+    (
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        "6bc1bee22e409f96e93d7e117393172a",
+        "3ad77bb40d7a3660a89ecaf32466ef97",
+    ),
+)
+
+# Key hex -> {word index: expanded word}: FIPS-197 A.1 and the all-zero key.
+EXPANSION_ANCHORS = {
+    "2b7e151628aed2a6abf7158809cf4f3c": {
+        4: "a0fafe17", 5: "88542cb1", 6: "23a33939", 7: "2a6c7605",
+        40: "d014f9a8", 41: "c9ee2589", 42: "e13f0cc8", 43: "b6630ca6",
+    },
+    "00000000000000000000000000000000": {4: "62636363", 5: "62636363"},
+}
+
+# (passphrase, iterations, key hex): computed once with kdf_oracle and
+# frozen, so drift in the cipher or the padding rule shows up.
+KDF_VECTORS = (
+    ("a", 1, "5e032572a8bddda63df07808e7f3fbad"),
+    ("a", 2, "2900a13c3341823438db2622ed48c704"),
+    ("password", 1, "f1739600dc522bab751a35a4d5d5bc39"),
+    ("open sesame", 3, "2a3a6506c47136680caf48d62960cde7"),
+    ("sixteen byte msg", 2, "7de49d49f033dff947cedd01d80929d5"),
+    ("päss", 4, "a0dc66e99c9756688fa9af08e82c9c9b"),
+)
+
+# Frozen the same way at realistic iteration counts; checked against
+# derive_key only, since kdf_oracle re-expands every key per step.
+LONG_KDF_VECTORS = (
+    ("password", 10_000, "8e535f33124380ec7aafaa239073eb80"),
+    ("bench passphrase deadbeef", 10_000, "585bc40380367cff28ad8a8c5990caa7"),
+    ("a longer passphrase spanning three blocks, ü", 1000, "56a15daa8fa5b905b6c038fac93aced0"),
+    ("correct horse battery staple", 10_000, "f08f1ce1d0d675c3df7e0470f102342a"),
+)
+
+
+def unrolled_encrypt(block: bytes, ks: KeySchedule) -> bytes:
+    """Literal composition of the four transformations, round by round."""
+    s = aes.add_round_key(aes.AesState.from_block(block), ks.round_keys[0])
+    for r in range(1, 10):
+        s = aes.sub_bytes(s)
+        s = aes.shift_rows(s)
+        s = aes.mix_columns(s)
+        s = aes.add_round_key(s, ks.round_keys[r])
+    s = aes.sub_bytes(s)
+    s = aes.shift_rows(s)
+    s = aes.add_round_key(s, ks.round_keys[10])
+    return s.to_block()
+
+
+def kdf_oracle(passphrase: str, iterations: int) -> bytes:
+    """Straight-line restatement of the key-stretching definition, kept
+    independent of pipeline._kdf on purpose."""
+    message = passphrase.encode("utf-8") + b"\x80"
+    while len(message) % 16 != 0:
+        message += b"\x00"
+    h = b"\x00" * 16
+    for _ in range(iterations):
+        for i in range(0, len(message), 16):
+            block_key = message[i : i + 16]
+            encrypted = aes.encrypt_block(h, key_expansion(block_key))
+            h = bytes(x ^ y for x, y in zip(encrypted, h))
+    return h
+
+
 def _check_cipher_known_answers(rng: random.Random) -> str:
-    vectors = [
-        # (key, plaintext, ciphertext) from the published standard's examples
-        (
-            "000102030405060708090a0b0c0d0e0f",
-            "00112233445566778899aabbccddeeff",
-            "69c4e0d86a7b0430d8cdb78070b4c55a",
-        ),
-        (
-            "2b7e151628aed2a6abf7158809cf4f3c",
-            "3243f6a8885a308d313198a2e0370734",
-            "3925841d02dc09fbdc118597196a0b32",
-        ),
-        (
-            "2b7e151628aed2a6abf7158809cf4f3c",
-            "6bc1bee22e409f96e93d7e117393172a",
-            "3ad77bb40d7a3660a89ecaf32466ef97",
-        ),
-    ]
-    for key_hex, pt_hex, ct_hex in vectors:
+    for key_hex, pt_hex, ct_hex in KNOWN_ANSWERS:
         ks = key_expansion(bytes.fromhex(key_hex))
         got = aes.encrypt_block(bytes.fromhex(pt_hex), ks)
         assert got.hex() == ct_hex, f"encrypt({pt_hex}) -> {got.hex()}, want {ct_hex}"
         back = aes.decrypt_block(bytes.fromhex(ct_hex), ks)
         assert back.hex() == pt_hex, f"decrypt({ct_hex}) -> {back.hex()}, want {pt_hex}"
-    ks = key_expansion(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-    expansion_anchors = {4: "a0fafe17", 5: "88542cb1", 6: "23a33939", 7: "2a6c7605", 43: "b6630ca6"}
-    for i, want in expansion_anchors.items():
-        assert ks.words[i].hex() == want, f"W[{i}] = {ks.words[i].hex()}, want {want}"
-    zero = key_expansion(b"\x00" * 16)
-    assert zero.words[4].hex() == "62636363", zero.words[4].hex()
-    return f"{len(vectors)} cipher vectors, {len(expansion_anchors) + 1} schedule anchors"
+    for key_hex, words in EXPANSION_ANCHORS.items():
+        ks = key_expansion(bytes.fromhex(key_hex))
+        for i, want in words.items():
+            got = ks.words[i].hex()
+            assert got == want, f"{key_hex}: W[{i}] = {got}, want {want}"
+    anchors = sum(map(len, EXPANSION_ANCHORS.values()))
+    return f"{len(KNOWN_ANSWERS)} cipher vectors, {anchors} schedule anchors"
 
 
 def _check_key_schedule_recurrences(rng: random.Random) -> str:
@@ -184,27 +243,13 @@ def _check_cipher_round_trip(rng: random.Random) -> str:
     return f"{trials} random round trips, no ciphertext collisions"
 
 
-def _unrolled_encrypt(block: bytes, ks: KeySchedule) -> bytes:
-    # Literal composition of the four transformations, round by round.
-    s = aes.add_round_key(aes.AesState.from_block(block), ks.round_keys[0])
-    for r in range(1, 10):
-        s = aes.sub_bytes(s)
-        s = aes.shift_rows(s)
-        s = aes.mix_columns(s)
-        s = aes.add_round_key(s, ks.round_keys[r])
-    s = aes.sub_bytes(s)
-    s = aes.shift_rows(s)
-    s = aes.add_round_key(s, ks.round_keys[10])
-    return s.to_block()
-
-
 def _check_cipher_composition(rng: random.Random) -> str:
     trials = 10_000
     for t in range(trials):
         if t % 500 == 0:
             ks = key_expansion(rng.randbytes(16))
         block = rng.randbytes(16)
-        assert aes.encrypt_block(block, ks) == _unrolled_encrypt(block, ks), (
+        assert aes.encrypt_block(block, ks) == unrolled_encrypt(block, ks), (
             f"fast path diverges from unrolled rounds on block {block.hex()}"
         )
     return f"{trials} (key, block) pairs agree with the unrolled rounds"
@@ -321,7 +366,7 @@ def _check_selectivity_arithmetic(rng: random.Random) -> str:
     assert res.aes_blocks_selective == 5 * 16  # 256-byte payloads are 16 blocks each
     assert res.selective_encrypted_bytes <= res.naive_encrypted_bytes
     sizes = [len(ebsp_to_rbsp(n.ebsp)) for n in nals]
-    assert res.aes_blocks_naive == sum(_blocks(s) for s in sizes)
+    assert res.aes_blocks_naive == sum(-(-s // 16) for s in sizes)
     return "5/60 fraction and exact block counts on the 60-frame stream"
 
 
@@ -346,32 +391,16 @@ def _check_end_to_end_files(rng: random.Random) -> str:
     return "encrypt/decrypt file round trip and wrong-key rejection"
 
 
-def _kdf_oracle(passphrase: str, iterations: int) -> bytes:
-    # Straight-line restatement of the key-stretching definition, kept
-    # independent of pipeline._kdf on purpose.
-    message = passphrase.encode("utf-8") + b"\x80"
-    while len(message) % 16 != 0:
-        message += b"\x00"
-    h = b"\x00" * 16
-    for _ in range(iterations):
-        for i in range(0, len(message), 16):
-            block_key = message[i : i + 16]
-            encrypted = aes.encrypt_block(h, key_expansion(block_key))
-            h = bytes(x ^ y for x, y in zip(encrypted, h))
-    return h
-
-
 def _check_kdf_oracle(rng: random.Random) -> str:
-    vectors = [("a", 1), ("a", 2), ("password", 1), ("open sesame", 3),
-               ("sixteen byte msg", 2), ("päss", 4)]
-    for phrase, iters in vectors:
-        got = derive_key(KeySource.from_passphrase(phrase, iterations=iters))
-        want = _kdf_oracle(phrase, iters)
-        assert got == want, f"KDF({phrase!r}, {iters}) = {got.hex()}, oracle {want.hex()}"
+    for phrase, iters, frozen in KDF_VECTORS:
+        got = derive_key(KeySource.from_passphrase(phrase, iterations=iters)).hex()
+        want = kdf_oracle(phrase, iters).hex()
+        detail = f"KDF({phrase!r}, {iters}) = {got}, oracle {want}, frozen {frozen}"
+        assert got == want == frozen, detail
     a = derive_key(KeySource.from_passphrase("a", iterations=1))
     b = derive_key(KeySource.from_passphrase("a", iterations=2))
     assert a != b, "iteration count has no effect"
-    return f"{len(vectors)} passphrase vectors match the straight-line oracle"
+    return f"{len(KDF_VECTORS)} passphrase vectors match the oracle and their frozen outputs"
 
 
 _CHECKS: "tuple[tuple[str, Callable[[random.Random], str]], ...]" = (

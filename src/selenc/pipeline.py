@@ -7,7 +7,7 @@ import math
 import os
 import random
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,8 +39,8 @@ DEFAULT_KDF_ITERATIONS = 10_000
 class KeySource:
     """A raw 128-bit key or a passphrase to stretch; exactly one is set."""
 
-    raw_key_hex: Optional[str] = None
-    passphrase: Optional[str] = None
+    raw_key_hex: Optional[str] = field(default=None, repr=False)
+    passphrase: Optional[str] = field(default=None, repr=False)
     kdf_iterations: int = DEFAULT_KDF_ITERATIONS
 
     def __post_init__(self) -> None:

@@ -37,6 +37,7 @@ from selenc.bitstream import (
     serialize_annexb,
 )
 from selenc.errors import WrongKey
+from selenc.harness import EXPANSION_ANCHORS, KDF_VECTORS, KNOWN_ANSWERS, LONG_KDF_VECTORS
 from selenc.pipeline import KeySource, cmd_decrypt, cmd_encrypt, derive_key, gen_test_stream
 from selenc.selective import EncryptionPolicy, decrypt_stream, encrypt_stream, select
 
@@ -54,45 +55,16 @@ def criterion(number, name, budget=None):
     print(f"[criterion {number}] {name}: PASS ({elapsed:.2f}s)")
 
 
-KNOWN_ANSWERS = [
-    (
-        "000102030405060708090a0b0c0d0e0f",
-        "00112233445566778899aabbccddeeff",
-        "69c4e0d86a7b0430d8cdb78070b4c55a",
-    ),
-    (
-        "2b7e151628aed2a6abf7158809cf4f3c",
-        "3243f6a8885a308d313198a2e0370734",
-        "3925841d02dc09fbdc118597196a0b32",
-    ),
-    (
-        "2b7e151628aed2a6abf7158809cf4f3c",
-        "6bc1bee22e409f96e93d7e117393172a",
-        "3ad77bb40d7a3660a89ecaf32466ef97",
-    ),
-]
-
-EXPANSION_ANCHORS = {
-    4: "a0fafe17",
-    5: "88542cb1",
-    6: "23a33939",
-    7: "2a6c7605",
-    40: "d014f9a8",
-    41: "c9ee2589",
-    42: "e13f0cc8",
-    43: "b6630ca6",
-}
-
-
 def test_criterion_1_cipher_correctness():
     with criterion(1, "cipher correctness", budget=5.0):
         for key_hex, pt_hex, ct_hex in KNOWN_ANSWERS:
             ks = key_expansion(bytes.fromhex(key_hex))
             assert encrypt_block(bytes.fromhex(pt_hex), ks).hex() == ct_hex
             assert decrypt_block(bytes.fromhex(ct_hex), ks).hex() == pt_hex
-        ks = key_expansion(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-        for i, want in EXPANSION_ANCHORS.items():
-            assert ks.words[i].hex() == want
+        for key_hex, words in EXPANSION_ANCHORS.items():
+            ks = key_expansion(bytes.fromhex(key_hex))
+            for i, want in words.items():
+                assert ks.words[i].hex() == want
         rng = random.Random(1001)
         for trial in range(10_000):
             if trial % 500 == 0:
@@ -248,15 +220,6 @@ def test_criterion_7_wrong_key_behavior(monkeypatch):
 
 def test_criterion_8_kdf_determinism():
     with criterion(8, "KDF regression vectors"):
-        vectors = [
-            ("a", 1, "5e032572a8bddda63df07808e7f3fbad"),
-            ("a", 2, "2900a13c3341823438db2622ed48c704"),
-            ("password", 1, "f1739600dc522bab751a35a4d5d5bc39"),
-            ("open sesame", 3, "2a3a6506c47136680caf48d62960cde7"),
-            ("sixteen byte msg", 2, "7de49d49f033dff947cedd01d80929d5"),
-            ("päss", 4, "a0dc66e99c9756688fa9af08e82c9c9b"),
-            ("correct horse battery staple", 10_000, "f08f1ce1d0d675c3df7e0470f102342a"),
-        ]
-        for phrase, iters, expected in vectors:
+        for phrase, iters, expected in KDF_VECTORS + LONG_KDF_VECTORS:
             got = derive_key(KeySource.from_passphrase(phrase, iterations=iters))
             assert got.hex() == expected, f"KDF({phrase!r}, {iters})"

@@ -22,6 +22,7 @@ from selenc.aes import (
     xor_bytes,
 )
 from selenc.errors import BadKeyLength, CounterOverflow
+from selenc.harness import EXPANSION_ANCHORS, KNOWN_ANSWERS, unrolled_encrypt
 
 
 def gf_mul_oracle(a: int, b: int) -> int:
@@ -191,24 +192,10 @@ class TestKeyExpansion:
         ks = key_expansion(key)
         assert b"".join(ks.words[:4]) == key
 
-    def test_zero_key_word_four(self):
-        ks = key_expansion(b"\x00" * 16)
-        assert ks.words[4].hex() == "62636363"
-        assert ks.words[5].hex() == "62636363"
-
-    def test_standard_expansion_anchors(self):
-        ks = key_expansion(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-        anchors = {
-            4: "a0fafe17",
-            5: "88542cb1",
-            6: "23a33939",
-            7: "2a6c7605",
-            40: "d014f9a8",
-            41: "c9ee2589",
-            42: "e13f0cc8",
-            43: "b6630ca6",
-        }
-        for i, want in anchors.items():
+    @pytest.mark.parametrize("key_hex", EXPANSION_ANCHORS)
+    def test_expansion_anchors(self, key_hex):
+        ks = key_expansion(bytes.fromhex(key_hex))
+        for i, want in EXPANSION_ANCHORS[key_hex].items():
             assert ks.words[i].hex() == want
 
     @given(rand_key)
@@ -229,34 +216,6 @@ class TestKeyExpansion:
         assert len(ks.round_keys) == 11
         for r in range(11):
             assert ks.round_keys[r] == b"".join(ks.words[4 * r : 4 * r + 4])
-
-
-KNOWN_ANSWERS = [
-    (
-        "000102030405060708090a0b0c0d0e0f",
-        "00112233445566778899aabbccddeeff",
-        "69c4e0d86a7b0430d8cdb78070b4c55a",
-    ),
-    (
-        "2b7e151628aed2a6abf7158809cf4f3c",
-        "3243f6a8885a308d313198a2e0370734",
-        "3925841d02dc09fbdc118597196a0b32",
-    ),
-    (
-        "2b7e151628aed2a6abf7158809cf4f3c",
-        "6bc1bee22e409f96e93d7e117393172a",
-        "3ad77bb40d7a3660a89ecaf32466ef97",
-    ),
-]
-
-
-def unrolled_encrypt(block: bytes, ks) -> bytes:
-    """Literal round-by-round composition of the four transformations."""
-    s = add_round_key(AesState.from_block(block), ks.round_keys[0])
-    for r in range(1, 10):
-        s = add_round_key(mix_columns(shift_rows(sub_bytes(s))), ks.round_keys[r])
-    s = add_round_key(shift_rows(sub_bytes(s)), ks.round_keys[10])
-    return s.to_block()
 
 
 class TestBlockCipher:

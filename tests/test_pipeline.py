@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selenc import aes, bitstream, harness, pipeline, selective
-from selenc.aes import key_expansion
+from selenc import bitstream, harness, pipeline, selective
 from selenc.bitstream import classify_stream, scan_annexb
 from selenc.errors import (
     BadHex,
@@ -15,8 +14,8 @@ from selenc.errors import (
     NoStartCode,
     WrongKey,
 )
+from selenc.harness import KDF_VECTORS, LONG_KDF_VECTORS, kdf_oracle
 from selenc.pipeline import (
-    DEFAULT_KDF_ITERATIONS,
     KeySource,
     build_report,
     cmd_decrypt,
@@ -29,39 +28,6 @@ from selenc.pipeline import (
 from selenc.selective import CipherHeader, EncryptionPolicy, select
 
 
-def kdf_oracle(passphrase: str, iterations: int) -> bytes:
-    """Straight-line restatement of the key stretching, for cross-checking."""
-    message = passphrase.encode("utf-8") + b"\x80"
-    while len(message) % 16 != 0:
-        message += b"\x00"
-    h = b"\x00" * 16
-    for _ in range(iterations):
-        for i in range(0, len(message), 16):
-            encrypted = aes.encrypt_block(h, key_expansion(message[i : i + 16]))
-            h = bytes(x ^ y for x, y in zip(encrypted, h))
-    return h
-
-
-# Computed once with kdf_oracle and frozen; any drift in the cipher or the
-# padding rule shows up here.
-KDF_VECTORS = [
-    ("a", 1, "5e032572a8bddda63df07808e7f3fbad"),
-    ("a", 2, "2900a13c3341823438db2622ed48c704"),
-    ("password", 1, "f1739600dc522bab751a35a4d5d5bc39"),
-    ("open sesame", 3, "2a3a6506c47136680caf48d62960cde7"),
-    ("sixteen byte msg", 2, "7de49d49f033dff947cedd01d80929d5"),
-    ("päss", 4, "a0dc66e99c9756688fa9af08e82c9c9b"),
-]
-
-# Frozen the same way, at realistic iteration counts; checked against
-# derive_key only, since kdf_oracle re-expands every key per step.
-LONG_KDF_VECTORS = [
-    ("password", DEFAULT_KDF_ITERATIONS, "8e535f33124380ec7aafaa239073eb80"),
-    ("bench passphrase deadbeef", DEFAULT_KDF_ITERATIONS, "585bc40380367cff28ad8a8c5990caa7"),
-    ("a longer passphrase spanning three blocks, ü", 1000, "56a15daa8fa5b905b6c038fac93aced0"),
-]
-
-
 class TestKeySource:
     def test_exactly_one_variant(self):
         with pytest.raises(ValueError):
@@ -72,6 +38,10 @@ class TestKeySource:
     def test_iterations_positive(self):
         with pytest.raises(ValueError):
             KeySource.from_passphrase("x", iterations=0)
+
+    def test_repr_hides_secrets(self):
+        assert "hunter2" not in repr(KeySource.from_passphrase("hunter2 secret"))
+        assert "00112233" not in repr(KeySource.from_raw_hex("00112233445566778899aabbccddeeff"))
 
 
 class TestDeriveKey:

@@ -352,6 +352,26 @@ class TestStreamEncryption:
         assert header.ordinals == (2, 3)
         assert serialize_annexb(decrypt_stream(enc, KS, header)) == data
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a ciphertext ending in 0x00 turns the next 3-byte start code into a "
+        "4-byte one and loses that byte (ROADMAP item 1)",
+    )
+    def test_round_trip_second_slice_after_three_byte_start_code(self):
+        lost = []
+        for seed in range(2000):
+            rng = random.Random(seed)
+            nals = make_stream([(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, rng.randbytes(40)))])
+            nals.append(make_nal(3, 0x65, slice_rbsp(7, rng.randbytes(40)), scl=3))
+            data = serialize_annexb(nals)
+            sel = selection(nals, EncryptionPolicy.IDR_ONLY)
+            enc, header = encrypt_stream(nals, KS, sel, rng.randbytes(8))
+            dec = decrypt_stream(scan_annexb(serialize_annexb(enc)), KS, header)
+            if serialize_annexb(dec) != data:
+                lost.append(seed)
+        assert lost == []
+
     def test_compliance_rescan(self):
         for policy in EncryptionPolicy:
             data = gen_test_stream(None, gop=4, frames=9, payload_size=72, seed=5)
