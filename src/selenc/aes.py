@@ -2,17 +2,20 @@
 
 The S-box and multiplication tables are derived at import time from GF(2^8)
 arithmetic (reduction polynomial x^8 + x^4 + x^3 + x + 1) rather than typed
-in as constants. The state-matrix transformations expose the algebra for
-testing. Two flat paths run the same cipher fast enough for real work:
+in as constants. The round functions expose the algebra for testing. Their
+AesState is the block's 16 bytes in column-major order, each round function
+is one whole-block operation on those bytes, and decrypt_block is the
+composition of the inverse round functions. Two flat paths run the cipher
+forward fast enough for real work:
 
-- encrypt_block/decrypt_block take one block at a time. They serve the
-  single-block callers (key check, passphrase KDF, known-answer checks) and
-  are, with the state-matrix round functions, the reference the batched
-  engine is tested against. encrypt_block is table-driven: 16 lookup tables,
-  built at import from SBOX, _MUL2 and _MUL3, fold SubBytes, ShiftRows and
-  MixColumns into one lookup per input byte, so a full round is 16 lookups
-  XORed with the round key as 128-bit integers (the T-table formulation of
-  Daemen & Rijmen, The Design of Rijndael, 2002, section 4.2).
+- encrypt_block takes one block at a time. It serves the single-block
+  callers (key check, passphrase KDF, known-answer checks) and is, with the
+  round functions, the reference the batched engine is tested against. It is
+  table-driven: 16 lookup tables, built at import from SBOX, _MUL2 and
+  _MUL3, fold SubBytes, ShiftRows and MixColumns into one lookup per input
+  byte, so a full round is 16 lookups XORed with the round key as 128-bit
+  integers (the T-table formulation of Daemen & Rijmen, The Design of
+  Rijndael, 2002, section 4.2).
 - encrypt_blocks runs N concatenated blocks in lockstep, byte-sliced: slab j
   holds byte j of every block, and each state row of four slabs is one big
   integer. AddRoundKey and SubBytes are one ``bytes.translate`` per slab
@@ -84,6 +87,7 @@ def _build_sbox() -> bytes:
 SBOX = _build_sbox()
 INV_SBOX = bytes(SBOX.index(i) for i in range(256))
 
+_MUL1 = bytes(range(256))
 _MUL2 = bytes(_gf_mul(a, 2) for a in range(256))
 _MUL3 = bytes(_gf_mul(a, 3) for a in range(256))
 _MUL9 = bytes(_gf_mul(a, 9) for a in range(256))
@@ -94,7 +98,11 @@ _MUL14 = bytes(_gf_mul(a, 14) for a in range(256))
 # ShiftRows as a permutation of the flat column-major block: row r of the
 # state rotates left by r, i.e. new[r + 4c] = old[r + 4((c + r) % 4)].
 _SHIFT_PERM = tuple((i & 3) + 4 * (((i >> 2) + (i & 3)) & 3) for i in range(16))
-_INV_SHIFT_PERM = tuple((i & 3) + 4 * (((i >> 2) - (i & 3)) & 3) for i in range(16))
+_INV_SHIFT_PERM = tuple(_SHIFT_PERM.index(i) for i in range(16))
+# Rotating every column up k rows, new[r + 4c] = old[(r + k) % 4 + 4c], is
+# rotating each 32-bit word of the block's big-endian integer left by 8k bits;
+# _COLUMN_KEEP[k] marks the bytes that stay inside their word.
+_COLUMN_KEEP = tuple(int.from_bytes((b"\xff" * (4 - k) + bytes(k)) * 4, "big") for k in range(4))
 
 
 def _build_round_tables() -> "tuple[tuple[int, ...], ...]":
@@ -139,10 +147,6 @@ _SLAB_BYTE = tuple((p >> 2) + 4 * (p & 3) for p in range(16))
 _GATHER = tuple(_SHIFT_PERM[i] for i in _SLAB_BYTE)
 
 
-def _xor16(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(16, "big")
-
-
 def xor_bytes(data: bytes, mask: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(data) != len(mask):
@@ -153,85 +157,71 @@ def xor_bytes(data: bytes, mask: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class AesState:
-    """4x4 byte matrix, column-major over a 16-byte block.
+    """4x4 byte matrix, stored as the 16-byte column-major block itself.
 
-    Block byte i lands in row i % 4, column i // 4.
+    Block byte i is the cell in row i % 4, column i // 4.
     """
 
-    cells: "tuple[tuple[int, ...], ...]"
+    block: bytes
 
     @classmethod
     def from_block(cls, block: bytes) -> "AesState":
         if len(block) != BLOCK_SIZE:
             raise ValueError("state block must be 16 bytes")
-        return cls(tuple(tuple(block[4 * c + r] for c in range(4)) for r in range(4)))
+        return cls(bytes(block))
 
     def to_block(self) -> bytes:
-        return bytes(self.cells[r][c] for c in range(4) for r in range(4))
+        return self.block
 
-
-def _map_cells(s: AesState, table: bytes) -> AesState:
-    return AesState(tuple(tuple(table[b] for b in row) for row in s.cells))
+    @property
+    def cells(self) -> "tuple[tuple[int, ...], ...]":
+        """The four rows, each as its four cells."""
+        return tuple(tuple(self.block[r::4]) for r in range(4))
 
 
 def sub_bytes(s: AesState) -> AesState:
     """Substitute every cell through the S-box, independent of position."""
-    return _map_cells(s, SBOX)
+    return AesState(s.block.translate(SBOX))
 
 
 def inv_sub_bytes(s: AesState) -> AesState:
-    return _map_cells(s, INV_SBOX)
-
-
-def _rot(row: "tuple[int, ...]", k: int) -> "tuple[int, ...]":
-    k %= 4
-    return row[k:] + row[:k]
+    return AesState(s.block.translate(INV_SBOX))
 
 
 def shift_rows(s: AesState) -> AesState:
     """Rotate row r left by r positions."""
-    return AesState(tuple(_rot(row, r) for r, row in enumerate(s.cells)))
+    return AesState(bytes(map(s.block.__getitem__, _SHIFT_PERM)))
 
 
 def inv_shift_rows(s: AesState) -> AesState:
-    return AesState(tuple(_rot(row, -r) for r, row in enumerate(s.cells)))
+    return AesState(bytes(map(s.block.__getitem__, _INV_SHIFT_PERM)))
+
+
+def _mix_circulant(block: bytes, tables: "tuple[bytes, ...]") -> bytes:
+    """Multiply every column by the circulant matrix whose first row is
+    ``tables``: out[r] = XOR over k of tables[k][a[(r + k) % 4]]."""
+    acc = 0
+    for k, table in enumerate(tables):
+        x = int.from_bytes(block.translate(table), "big")
+        acc ^= (x << 8 * k) & _COLUMN_KEEP[k] | (x >> 32 - 8 * k) & ~_COLUMN_KEEP[k]
+    return acc.to_bytes(BLOCK_SIZE, "big")
 
 
 def mix_columns(s: AesState) -> AesState:
     """Multiply each column by {03}x^3 + {01}x^2 + {01}x + {02} in GF(2^8)."""
-    r0, r1, r2, r3 = s.cells
-    out = ([], [], [], [])
-    for c in range(4):
-        a0, a1, a2, a3 = r0[c], r1[c], r2[c], r3[c]
-        out[0].append(_MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3)
-        out[1].append(a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3)
-        out[2].append(a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3])
-        out[3].append(_MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3])
-    return AesState(tuple(tuple(row) for row in out))
+    return AesState(_mix_circulant(s.block, (_MUL2, _MUL3, _MUL1, _MUL1)))
 
 
 def inv_mix_columns(s: AesState) -> AesState:
     """Multiply each column by the inverse polynomial {0b}x^3+{0d}x^2+{09}x+{0e}."""
-    r0, r1, r2, r3 = s.cells
-    out = ([], [], [], [])
-    for c in range(4):
-        a0, a1, a2, a3 = r0[c], r1[c], r2[c], r3[c]
-        out[0].append(_MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3])
-        out[1].append(_MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3])
-        out[2].append(_MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3])
-        out[3].append(_MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3])
-    return AesState(tuple(tuple(row) for row in out))
+    return AesState(_mix_circulant(s.block, (_MUL14, _MUL11, _MUL13, _MUL9)))
 
 
 def add_round_key(s: AesState, round_key: bytes) -> AesState:
     """XOR the state with one 16-byte round key. Its own inverse."""
     if len(round_key) != BLOCK_SIZE:
         raise ValueError("round key must be 16 bytes")
-    return AesState(
-        tuple(
-            tuple(s.cells[r][c] ^ round_key[4 * c + r] for c in range(4)) for r in range(4)
-        )
-    )
+    return AesState(xor_bytes(s.block, round_key))
 
 
 @dataclass(frozen=True)
@@ -245,8 +235,6 @@ class KeySchedule:
     words: "tuple[bytes, ...]"
     round_keys: "tuple[bytes, ...]"
     round_key_ints: "tuple[int, ...]"
-
-    NK = 4  # four-byte words in the cipher key
 
 
 def _t_transform(word: bytes, rcon: int) -> bytes:
@@ -300,24 +288,13 @@ def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
 
 
 def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:
-    """Exact inverse of encrypt_block: inverse transformations in reverse order."""
-    if len(block) != BLOCK_SIZE:
-        raise ValueError("block must be 16 bytes")
+    """Exact inverse of encrypt_block: the inverse round functions composed
+    in reverse order."""
     rk = ks.round_keys
-    s = _xor16(block, rk[10])
+    s = add_round_key(AesState.from_block(block), rk[10])
     for r in range(9, 0, -1):
-        s = bytes(map(s.__getitem__, _INV_SHIFT_PERM)).translate(INV_SBOX)
-        s = _xor16(s, rk[r])
-        out = bytearray(16)
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            out[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            out[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            out[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
-        s = bytes(out)
-    s = bytes(map(s.__getitem__, _INV_SHIFT_PERM)).translate(INV_SBOX)
-    return _xor16(s, rk[0])
+        s = inv_mix_columns(add_round_key(inv_sub_bytes(inv_shift_rows(s)), rk[r]))
+    return add_round_key(inv_sub_bytes(inv_shift_rows(s)), rk[0]).to_block()
 
 
 def encrypt_blocks(data: bytes, ks: KeySchedule) -> bytes:

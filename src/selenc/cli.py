@@ -138,7 +138,7 @@ def _warn_clear_intra_candidates(report: StreamReport) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "encrypt":
-        nonce = _parse_nonce(args.nonce) if args.nonce else None
+        nonce = _parse_nonce(args.nonce) if args.nonce is not None else None
         policy = _POLICY_NAMES[args.policy]
         report = cmd_encrypt(
             args.in_path,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -47,17 +47,7 @@ class BenchResult:
     wall_time_naive: float
 
     def to_dict(self) -> dict:
-        return {
-            "total_bytes": self.total_bytes,
-            "vcl_payload_bytes": self.vcl_payload_bytes,
-            "selective_encrypted_bytes": self.selective_encrypted_bytes,
-            "naive_encrypted_bytes": self.naive_encrypted_bytes,
-            "selective_fraction": self.selective_fraction,
-            "aes_blocks_selective": self.aes_blocks_selective,
-            "aes_blocks_naive": self.aes_blocks_naive,
-            "wall_time_selective": self.wall_time_selective,
-            "wall_time_naive": self.wall_time_naive,
-        }
+        return asdict(self)
 
 
 def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) -> BenchResult:

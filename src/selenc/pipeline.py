@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .aes import encrypt_block, key_expansion, xor_bytes
+from .aes import KEY_SIZE, encrypt_block, key_expansion, xor_bytes
 from .bitstream import (
     VCL_TYPES,
     BitWriter,
@@ -83,9 +83,13 @@ def derive_key(source: KeySource) -> bytes:
         if len(text) != 32:
             raise BadHex(f"raw key must be 32 hex characters, got {len(text)}")
         try:
-            return bytes.fromhex(text)
+            key = bytes.fromhex(text)
         except ValueError as exc:
             raise BadHex(f"raw key is not valid hex: {text!r}") from exc
+        if len(key) != KEY_SIZE:
+            # fromhex skips whitespace, so 32 characters can hold fewer digits.
+            raise BadHex(f"raw key must decode to 16 bytes, got {len(key)}")
+        return key
     if not source.passphrase:
         raise EmptyPassphrase("passphrase must be non-empty")
     return _kdf(source.passphrase, source.kdf_iterations)

@@ -270,8 +270,13 @@ class TestBlockCipher:
         for _ in range(200):
             key = rng.randbytes(16)
             block = rng.randbytes(16)
-            enc = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.ECB()).encryptor()
-            assert encrypt_block(block, key_expansion(key)) == enc.update(block) + enc.finalize()
+            cipher = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.ECB())
+            ks = key_expansion(key)
+            enc = cipher.encryptor()
+            ct = enc.update(block) + enc.finalize()
+            assert encrypt_block(block, ks) == ct
+            dec = cipher.decryptor()
+            assert decrypt_block(ct, ks) == dec.update(ct) + dec.finalize()
 
 
 class TestCounterMode:

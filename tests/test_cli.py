@@ -103,9 +103,10 @@ class TestEncryptDecrypt:
                    "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "33" * 8) == 0
         assert capsys.readouterr().err == ""
 
-    def test_bad_nonce(self, stream_file, tmp_path, capsys):
+    @pytest.mark.parametrize("nonce", ["xyz", ""])
+    def test_bad_nonce(self, stream_file, tmp_path, capsys, nonce):
         rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),
-                 "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "xyz")
+                 "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", nonce)
         assert rc == 1
         assert "nonce" in capsys.readouterr().err
 

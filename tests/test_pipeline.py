@@ -49,7 +49,9 @@ class TestDeriveKey:
         src = KeySource.from_raw_hex("000102030405060708090a0b0c0d0e0f")
         assert derive_key(src) == bytes(range(16))
 
-    @pytest.mark.parametrize("text", ["00" * 15, "00" * 17, "zz" + "00" * 15, ""])
+    @pytest.mark.parametrize(
+        "text", ["00" * 15, "00" * 17, "zz" + "00" * 15, "", "00" * 7 + " " + "00" * 7 + " " + "00"]
+    )
     def test_bad_hex(self, text):
         with pytest.raises(BadHex):
             derive_key(KeySource.from_raw_hex(text))
