@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     EscapingViolation,
@@ -114,6 +114,9 @@ class NalUnit:
 _EPB_STRIP = re.compile(b"\x00\x00\x03(?=[\x00-\x03])")
 _EPB_INSERT = re.compile(b"\x00\x00(?=[\x00-\x03])")
 _EPB_VIOLATION = re.compile(b"\x00\x00[\x00-\x02]")
+# What classify_stream's 00 00 03 count cannot size: a violation, or a 00 00 03
+# that _EPB_STRIP keeps. Once 7.3.1 strips every 00 00 03, it is _EPB_VIOLATION.
+_EPB_IRREGULAR = re.compile(_EPB_VIOLATION.pattern + b"|\x00\x00\x03(?![\x00-\x03])")
 
 
 def find_escape_violation(ebsp: bytes) -> int:
@@ -196,6 +199,7 @@ def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
 
     Each payload is checked against the escaping invariant first; a violation
     would let payload bytes mimic a start code and desynchronize any reader.
+    Given the input bytes, splice_annexb makes the same stream with less work.
     """
     out = bytearray(leading)
     for nal in nals:
@@ -206,6 +210,26 @@ def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
             )
         out += nal.to_bytes()
     return bytes(out)
+
+
+def splice_annexb(
+    data: bytes, leading: bytes, nals: Sequence[NalUnit], out_nals: Sequence[NalUnit],
+    rows: Sequence[ReportRow],
+) -> bytes:
+    """serialize_annexb(out_nals, leading), where split_annexb(data) gave
+    (leading, nals): NALs that out_nals kept are copied from ``data``, and
+    only replaced ones and those that ``rows`` (classify_stream of either
+    list) flag as malformed_escape pass serialize_annexb's escaping check."""
+    view = memoryview(data)
+    parts = []
+    copied, pos = 0, len(leading)
+    for nal, out, row in zip(nals, out_nals, rows):
+        if out is not nal or row.malformed_escape:
+            parts += (view[copied:pos], serialize_annexb((out,)))
+            copied = pos + nal.wire_size()
+        pos += nal.wire_size()
+    parts.append(view[copied:])
+    return b"".join(parts)
 
 
 class BitReader:
@@ -314,40 +338,57 @@ class ReportRow:
     slice_info: Optional[SliceInfo]
     unparsed: bool  # slice NAL whose header could not be read
     forbidden_bit: bool
+    malformed_escape: bool  # payload holds a forbidden 00 00 0X (X <= 2)
+
+
+def _parse_slice_header(ebsp: bytes, rbsp: Optional[bytes]) -> SliceInfo:
+    # The first 64 payload bytes, less the three unescaped bytes a 00 00 03 cut
+    # there can change, hold most headers; the rest are read from the whole RBSP.
+    if rbsp is None and len(ebsp) > 64:
+        try:
+            return parse_slice_info(ebsp_to_rbsp(ebsp[:64])[:-3])
+        except OutOfBits:
+            pass
+    return parse_slice_info(ebsp_to_rbsp(ebsp) if rbsp is None else rbsp)
 
 
 def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
-    """One inspection row per NAL; never raises on corrupt payloads."""
+    """One inspection row per NAL; never raises on corrupt payloads. Only a
+    payload that _EPB_IRREGULAR matches is unescaped whole (the others are
+    sized by their 00 00 03 count); slice headers are read from a prefix."""
     rows = []
     for nal in nals:
         if nal.header is None:
-            rows.append(ReportRow(nal.ordinal, -1, "empty", 0, 0, None, False, False))
+            rows.append(ReportRow(nal.ordinal, -1, "empty", 0, 0, None, False, False, False))
             continue
         t = nal.header.nal_unit_type
-        try:
-            rbsp: Optional[bytes] = ebsp_to_rbsp(nal.ebsp)
-        except MalformedEscape:
-            rbsp = None
+        ebsp = nal.ebsp
+        rbsp: Optional[bytes] = None
+        malformed = False
+        rbsp_size = len(ebsp) - ebsp.count(b"\x00\x00\x03")
+        if _EPB_IRREGULAR.search(ebsp) is not None:
+            try:
+                rbsp = ebsp_to_rbsp(ebsp)
+            except MalformedEscape:
+                malformed = True
+            rbsp_size = len(ebsp) if malformed else len(rbsp)
         info = None
-        unparsed = False
-        if t in VCL_TYPES:
-            if rbsp is None:
-                unparsed = True
-            else:
-                try:
-                    info = parse_slice_info(rbsp)
-                except (OutOfBits, OutOfRange):
-                    unparsed = True
+        if t in VCL_TYPES and not malformed:
+            try:
+                info = _parse_slice_header(ebsp, rbsp)
+            except (OutOfBits, OutOfRange):
+                pass
         rows.append(
             ReportRow(
                 ordinal=nal.ordinal,
                 nal_type=t,
                 type_name=nal_type_name(t),
-                size=len(nal.ebsp),
-                rbsp_size=len(rbsp) if rbsp is not None else len(nal.ebsp),
+                size=len(ebsp),
+                rbsp_size=rbsp_size,
                 slice_info=info,
-                unparsed=unparsed,
+                unparsed=t in VCL_TYPES and info is None,
                 forbidden_bit=bool(nal.header.forbidden_zero_bit),
+                malformed_escape=malformed,
             )
         )
     return rows

@@ -61,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect", help="report the NAL layout of a stream")
     ins.add_argument("--in", dest="in_path", metavar="F", required=True)
+    ins.add_argument("--policy", choices=sorted(_POLICY_NAMES), default="idr")
     ins.add_argument("--json", action="store_true")
 
     gen = sub.add_parser("gen-test", help="write a deterministic synthetic stream")
@@ -155,7 +156,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = cmd_decrypt(args.in_path, args.meta_path, args.out_path, _key_source(args))
         _print_summary(report)
     elif args.command == "inspect":
-        report = cmd_inspect(args.in_path)
+        report = cmd_inspect(args.in_path, _POLICY_NAMES[args.policy])
         if args.json:
             print(json.dumps(report.to_dict(), indent=2))
         else:

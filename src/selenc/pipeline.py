@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .aes import KEY_SIZE, encrypt_block, key_expansion, xor_bytes
+from .aes import encrypt_block, key_expansion, xor_bytes
 from .bitstream import (
     VCL_TYPES,
     BitWriter,
@@ -21,6 +21,7 @@ from .bitstream import (
     parse_nal_header,
     rbsp_to_ebsp,
     serialize_annexb,
+    splice_annexb,
     split_annexb,
 )
 from .errors import BadHex, EmptyPassphrase, NoStartCode
@@ -82,14 +83,11 @@ def derive_key(source: KeySource) -> bytes:
         text = source.raw_key_hex
         if len(text) != 32:
             raise BadHex(f"raw key must be 32 hex characters, got {len(text)}")
-        try:
-            key = bytes.fromhex(text)
-        except ValueError as exc:
-            raise BadHex(f"raw key is not valid hex: {text!r}") from exc
-        if len(key) != KEY_SIZE:
-            # fromhex skips whitespace, so 32 characters can hold fewer digits.
-            raise BadHex(f"raw key must decode to 16 bytes, got {len(key)}")
-        return key
+        # Name the position, never the text: the key is a secret.
+        bad = next((i for i, c in enumerate(text) if c not in "0123456789abcdefABCDEF"), -1)
+        if bad != -1:
+            raise BadHex(f"raw key has a non-hex character at position {bad}")
+        return bytes.fromhex(text)
     if not source.passphrase:
         raise EmptyPassphrase("passphrase must be non-empty")
     return _kdf(source.passphrase, source.kdf_iterations)
@@ -236,20 +234,20 @@ def cmd_encrypt(
     if nonce is None:
         nonce = os.urandom(8)
     out_nals, header = encrypt_stream(nals, ks, select(rows, policy), nonce)
-    _atomic_write(out_path, serialize_annexb(out_nals, leading))
+    _atomic_write(out_path, splice_annexb(data, leading, nals, out_nals, rows))
     _atomic_write(meta_path, header.to_bytes())
     return build_report(rows, policy, header.ordinals, leading, len(data))
 
 
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> StreamReport:
     """Decrypt a stream file using its sidecar; inverse of cmd_encrypt."""
-    _, leading, nals = _read_stream(in_path)
+    data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
     ks = key_expansion(derive_key(key))
     out_nals = decrypt_stream(nals, ks, header)
-    out = serialize_annexb(out_nals, leading)
-    _atomic_write(out_path, out)
     rows = classify_stream(out_nals)
+    out = splice_annexb(data, leading, nals, out_nals, rows)
+    _atomic_write(out_path, out)
     return build_report(rows, header.policy, header.ordinals, leading, len(out))
 
 

@@ -1,5 +1,7 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selenc.bitstream import (
@@ -7,6 +9,8 @@ from selenc.bitstream import (
     BitWriter,
     NalHeader,
     NalUnit,
+    ReportRow,
+    VCL_TYPES,
     classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
@@ -16,6 +20,7 @@ from selenc.bitstream import (
     rbsp_to_ebsp,
     scan_annexb,
     serialize_annexb,
+    splice_annexb,
     split_annexb,
 )
 from selenc.errors import (
@@ -85,9 +90,8 @@ def escape_violation_loop(ebsp: bytes) -> int:
     return -1
 
 
-zero_heavy = st.lists(st.sampled_from([0, 0, 0, 0, 1, 2, 3, 3, 4, 0x80, 0xFF]), max_size=64).map(
-    bytes
-)
+ZERO_HEAVY = [0, 0, 0, 0, 1, 2, 3, 3, 4, 0x80, 0xFF]
+zero_heavy = st.lists(st.sampled_from(ZERO_HEAVY), max_size=64).map(bytes)
 
 
 class TestNalHeader:
@@ -234,6 +238,44 @@ class TestRoundTrip:
     def test_spec_shape_stream(self):
         data = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb")
         assert serialize_annexb(scan_annexb(data)) == data
+
+
+def annexb_units():
+    """Start codes of both widths, each followed by nothing (a header-less
+    unit), or by a header byte and a payload that is escaped or raw."""
+    payload = st.one_of(zero_heavy.map(rbsp_to_ebsp), zero_heavy, st.binary(max_size=40))
+    unit = st.tuples(
+        st.sampled_from((b"\x00\x00\x01", b"\x00\x00\x00\x01")),
+        st.one_of(st.none(), st.integers(0, 255)),
+        payload,
+    )
+    return st.lists(unit, min_size=1, max_size=8).map(
+        lambda units: b"".join(sc + (b"" if h is None else bytes((h,)) + p) for sc, h, p in units)
+    )
+
+
+class TestSplice:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=6), annexb_units(), st.booleans(), st.data())
+    def test_matches_serialize(self, garbage, body, rows_of_output, data):
+        stream = garbage + body
+        leading, nals = split_annexb(stream)
+        out_nals = [
+            n if n.header is None or not data.draw(st.booleans())
+            # A re-escaped replacement may be longer or shorter than the
+            # payload it replaces; a raw one may break the escaping rule.
+            else replace(n, ebsp=data.draw(st.one_of(zero_heavy.map(rbsp_to_ebsp), zero_heavy)))
+            for n in nals
+        ]
+        rows = classify_stream(out_nals if rows_of_output else nals)
+        try:
+            want = serialize_annexb(out_nals, leading)
+        except EscapingViolation as exc:
+            with pytest.raises(EscapingViolation) as got:
+                splice_annexb(stream, leading, nals, out_nals, rows)
+            assert str(got.value) == str(exc)
+        else:
+            assert splice_annexb(stream, leading, nals, out_nals, rows) == want
 
 
 class TestEscaping:
@@ -480,3 +522,102 @@ class TestClassify:
         nal = NalUnit(0, 4, parse_nal_header(0x65), rbsp_to_ebsp(b"\x88\x00\x00\x00\x07"))
         row = classify_stream([nal])[0]
         assert row.size == 6 and row.rbsp_size == 5
+
+
+def classify_reference(nals):
+    """classify_stream before its shortcuts: every payload is unescaped in
+    full, its length is the RBSP size and a slice header is parsed from it."""
+    rows = []
+    for nal in nals:
+        if nal.header is None:
+            rows.append(ReportRow(nal.ordinal, -1, "empty", 0, 0, None, False, False, False))
+            continue
+        t = nal.header.nal_unit_type
+        try:
+            rbsp = ebsp_to_rbsp(nal.ebsp)
+        except MalformedEscape:
+            rbsp = None
+        info = None
+        unparsed = False
+        if t in VCL_TYPES:
+            if rbsp is None:
+                unparsed = True
+            else:
+                try:
+                    info = parse_slice_info(rbsp)
+                except (OutOfBits, OutOfRange):
+                    unparsed = True
+        rows.append(
+            ReportRow(
+                ordinal=nal.ordinal,
+                nal_type=t,
+                type_name=nal_type_name(t),
+                size=len(nal.ebsp),
+                rbsp_size=len(rbsp) if rbsp is not None else len(nal.ebsp),
+                slice_info=info,
+                unparsed=unparsed,
+                forbidden_bit=bool(nal.header.forbidden_zero_bit),
+                malformed_escape=rbsp is None,
+            )
+        )
+    return rows
+
+
+def slice_payload(first_mb, slice_type, filler=b""):
+    w = BitWriter()
+    w.write_ue(first_mb)
+    w.write_ue(slice_type)
+    return rbsp_to_ebsp(w.to_bytes() + filler)
+
+
+# first_mb_in_slice + 1 = 2**207 - 2**21 codes as 206 zeros, 186 ones and 21
+# zeros, so the codeword ends just past a 00 00 03 at payload offsets 61-63,
+# the end of the header prefix; slice_type is then read from the bytes after
+# that 03, which a prefix read must not take from the kept 03 itself.
+CUT_FIRST_MB = (1 << 207) - (1 << 21) - 1
+
+
+@st.composite
+def classify_payloads(draw):
+    """Zero-heavy payloads from 0 to about 200 bytes: slice headers with short
+    or long ue(v) codewords (zero runs that outlast the 64-byte prefix) and
+    slice_type up to 12, escaped or raw, with 00 00 03 forced at the prefix
+    end, at the payload end, or before a byte above 0x03."""
+    # Long codewords shaped as CUT_FIRST_MB's: `width` zeros, then
+    # width + 1 - tail ones and tail zeros, ending around the prefix end.
+    width, tail = draw(st.integers(195, 215)), draw(st.integers(0, 30))
+    long_code = (1 << width + 1) - (1 << tail) - 1
+    first_mb = draw(st.one_of(st.integers(0, 40), st.just(long_code)))
+    filler = draw(st.lists(st.sampled_from(ZERO_HEAVY), max_size=100).map(bytes))
+    ebsp = bytearray(slice_payload(first_mb, draw(st.integers(0, 12)), filler))
+    if draw(st.booleans()):
+        ebsp = bytearray(draw(zero_heavy)) + ebsp[: draw(st.integers(0, 100))]
+    force = draw(st.sampled_from(["none", "cut", "end", "kept"]))
+    if force == "cut":
+        at = draw(st.integers(58, 64))
+        ebsp[at : at + 4] = b"\x00\x00\x03" + bytes([draw(st.sampled_from(ZERO_HEAVY))])
+    elif force == "end":
+        ebsp += b"\x00\x00\x03"
+    elif force == "kept":
+        at = draw(st.integers(0, len(ebsp)))
+        ebsp[at:at] = b"\x00\x00\x03" + bytes([draw(st.integers(4, 255))])
+    return bytes(ebsp)
+
+
+class TestClassifyEquivalence:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1, 5, 6, 7]), classify_payloads()), max_size=4))
+    @example([(5, slice_payload(CUT_FIRST_MB, t, b"\xa5" * 8)) for t in (3, 6, 11)])
+    @example([(7, b"\x42\x00\x00\x03"), (1, b"\x88" + b"\x00\x00\x03\xff" * 20)])
+    def test_matches_reference(self, cases):
+        nals = [NalUnit(i, 4, parse_nal_header(0x60 | t), e) for i, (t, e) in enumerate(cases)]
+        nals.append(NalUnit(len(nals), 3, None, b""))
+        assert classify_stream(nals) == classify_reference(nals)
+
+    def test_cut_example_reads_past_the_prefix(self):
+        ebsp = slice_payload(CUT_FIRST_MB, 3, b"\xa5" * 8)
+        assert ebsp[61:65] == b"\x00\x00\x03\x01"
+        assert parse_slice_info(ebsp_to_rbsp(ebsp[:64])).slice_type == 2
+        assert classify_stream([NalUnit(0, 4, parse_nal_header(0x65), ebsp)])[0].slice_info == (
+            parse_slice_info(ebsp_to_rbsp(ebsp))
+        )

@@ -103,6 +103,15 @@ class TestEncryptDecrypt:
                    "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "33" * 8) == 0
         assert capsys.readouterr().err == ""
 
+    def test_bad_key_is_not_echoed(self, stream_file, tmp_path, capsys):
+        key = "000102030405060708090a0b0c0d0e0g"
+        rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),
+                 "--meta", str(tmp_path / "m.seh"), "--key", key)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert key not in err
+        assert err == "selenc: error: raw key has a non-hex character at position 31\n"
+
     @pytest.mark.parametrize("nonce", ["xyz", ""])
     def test_bad_nonce(self, stream_file, tmp_path, capsys, nonce):
         rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),
@@ -139,6 +148,21 @@ class TestInspect:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["nals"]) == 14
         assert doc["nals"][0]["name"] == "SPS"
+
+    def test_policy_flag(self, tmp_path, capsys):
+        # SPS, PPS, an IDR slice, a non-IDR I slice and a P slice; 0x88 is
+        # first_mb_in_slice 0 then slice_type 7, 0xe0 slice_type 0.
+        stream = tmp_path / "intra.264"
+        stream.write_bytes(bytes.fromhex(
+            "0000000167aa" "0000000168bb" "0000000165881f" "0000000141881f" "0000000141e01f"
+        ))
+        selected = {}
+        for policy in ("idr", "all-i"):
+            assert run("inspect", "--in", str(stream), "--policy", policy, "--json") == 0
+            selected[policy] = json.loads(capsys.readouterr().out)["selected_ordinals"]
+        assert selected == {"idr": [2], "all-i": [2, 3]}
+        assert run("inspect", "--in", str(stream), "--json") == 0
+        assert json.loads(capsys.readouterr().out)["selected_ordinals"] == [2]
 
     def test_empty_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.264"

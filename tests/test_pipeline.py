@@ -10,6 +10,7 @@ from selenc.bitstream import classify_stream, scan_annexb
 from selenc.errors import (
     BadHex,
     EmptyPassphrase,
+    EscapingViolation,
     MalformedHeader,
     NoStartCode,
     WrongKey,
@@ -257,6 +258,21 @@ class TestFileCommands:
             cmd_encrypt(empty, enc, meta, KEY)
         assert not enc.exists() and not meta.exists()
 
+    def test_escaping_violation_writes_nothing(self, tmp_path):
+        plain, enc, meta, out = self.make_files(tmp_path)
+        bad_sps = b"\x00\x00\x00\x01\x67\x42\x00\x00\x02\x1e"
+        dirty = tmp_path / "dirty.264"
+        dirty.write_bytes(bad_sps + plain.read_bytes())
+        with pytest.raises(EscapingViolation, match="^NAL 0: 00 00 02 at payload offset 1$"):
+            cmd_encrypt(dirty, enc, meta, KEY, nonce=b"\x0a" * 8)
+        assert not enc.exists() and not meta.exists()
+        # The same NAL after the last ciphered one stops decryption too.
+        cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x0a" * 8)
+        enc.write_bytes(enc.read_bytes() + bad_sps)
+        with pytest.raises(EscapingViolation, match="^NAL 14: 00 00 02 at payload offset 1$"):
+            cmd_decrypt(enc, meta, out, KEY)
+        assert not out.exists()
+
     def test_wrong_key(self, tmp_path):
         plain, enc, meta, out = self.make_files(tmp_path)
         cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x04" * 8)
@@ -310,8 +326,10 @@ class TestFileCommands:
 
 
 class TestOnePass:
-    """Each command classifies its stream once: every NAL with a header is
-    unescaped once, plus once more for each NAL it ciphers."""
+    """Each command classifies its stream once. Classification unescapes
+    one payload per slice NAL (a header prefix, or the whole payload when it
+    is short or breaks the count) and no parameter set with a regular
+    payload; ciphering unescapes each ciphered NAL once more."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -337,19 +355,20 @@ class TestOnePass:
         # The trailing bare start code is a NAL without a header byte.
         data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
         plain.write_bytes(data + b"\x00\x00\x00\x01")
-        with_header = sum(n.header is not None for n in scan_annexb(plain.read_bytes()))
-        assert with_header == 14
+        nals = scan_annexb(plain.read_bytes())
+        slices = sum(n.header is not None and n.header.nal_unit_type in (1, 5) for n in nals)
+        assert (slices, sum(n.header is not None for n in nals)) == (12, 14)
 
         report = cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x09" * 8)
         ciphered = len(report.selected_ordinals)
         assert ciphered == 3
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": with_header + ciphered}
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices + ciphered}
 
         counts.clear()
         cmd_decrypt(enc, meta, out, KEY)
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": with_header + ciphered}
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices + ciphered}
         assert out.read_bytes() == plain.read_bytes()
 
         counts.clear()
         cmd_inspect(plain, policy)
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": with_header}
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices}
