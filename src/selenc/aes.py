@@ -21,9 +21,10 @@ forward fast enough for real work:
   integer. AddRoundKey and SubBytes are one ``bytes.translate`` per slab
   through an import-time table of SBOX[x ^ k] for that slab's round-key byte
   k, ShiftRows is the order in which the slabs are joined into rows, and
-  MixColumns XORs whole rows. The counter-mode keystream (ctr_keystream) is
-  built on it. This is the byte-level variant of bitsliced AES (Kasper &
-  Schwabe, CHES 2009).
+  MixColumns XORs whole rows. This is the byte-level variant of bitsliced
+  AES (Kasper & Schwabe, CHES 2009). The counter-mode keystream
+  (ctr_keystream) makes one pass per stream: the counter blocks of every
+  ciphered NAL share its calls, a chunk at a time.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in encrypt_block are indexed by secret-dependent bytes, and encrypt_blocks
@@ -383,27 +384,37 @@ MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 _CHUNK_BLOCKS = 2048
 
 
-def ctr_keystream(ks: KeySchedule, nonce: bytes, nal_ordinal: int, nbytes: int) -> bytes:
-    """First ``nbytes`` of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
-
-    Deterministic in all inputs; applying the same keystream twice by XOR
-    restores the plaintext. The counter blocks go through encrypt_blocks in
-    chunks of _CHUNK_BLOCKS.
+def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
+    """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
+    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
+    Counter blocks are independent (NIST SP 800-38A, 6.5), so all spans queue
+    in one buffer that encrypt_blocks takes a _CHUNK_BLOCKS chunk at a time.
+    An ordinal may appear once: two NALs on one keystream would leak their XOR.
     """
-    if nbytes < 0:
-        raise ValueError("nbytes must be nonnegative")
-    if nbytes > MAX_KEYSTREAM_BYTES:
-        raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
-    if nbytes == 0:
-        return b""
-    prefix = CounterBlock(nonce, nal_ordinal, 0).to_bytes()[:12]
-    nblocks = -(-nbytes // BLOCK_SIZE)
-    chunks = []
-    for first in range(0, nblocks, _CHUNK_BLOCKS):
-        count = min(_CHUNK_BLOCKS, nblocks - first)
-        counters = struct.pack(f">{count}I", *range(first, first + count))
-        blocks = bytearray(prefix + bytes(4)) * count
-        for k in range(4):
-            blocks[12 + k :: 16] = counters[k::4]
-        chunks.append(encrypt_blocks(blocks, ks))
-    return b"".join(chunks)[:nbytes]
+    if len({ordinal for ordinal, _ in spans}) < len(spans):
+        raise ValueError("a repeated NAL ordinal would reuse its keystream")
+    pending, done, cuts, start = bytearray(), bytearray(), [], 0
+    for ordinal, nbytes in spans:
+        if nbytes < 0:
+            raise ValueError("nbytes must be nonnegative")
+        if nbytes > MAX_KEYSTREAM_BYTES:
+            raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
+        prefix = CounterBlock(nonce, ordinal, 0).to_bytes()[:12]
+        nblocks, first = -(-nbytes // BLOCK_SIZE), 0
+        cuts.append((start, nbytes))
+        start += BLOCK_SIZE * nblocks
+        while first < nblocks:
+            count = min(nblocks - first, _CHUNK_BLOCKS - len(pending) // BLOCK_SIZE)
+            counters = struct.pack(f">{count}I", *range(first, first + count))
+            piece = bytearray(prefix + bytes(4)) * count
+            for k in range(4):
+                piece[12 + k :: 16] = counters[k::4]
+            pending += piece
+            first += count
+            if len(pending) == BLOCK_SIZE * _CHUNK_BLOCKS:
+                done += encrypt_blocks(pending, ks)
+                pending = bytearray()
+    if pending:
+        done += encrypt_blocks(pending, ks)
+    view = memoryview(done)
+    return b"".join([view[s : s + n] for s, n in cuts])

@@ -132,7 +132,7 @@ def _warn_clear_intra_candidates(report: StreamReport) -> None:
     if left:
         print(
             f"selenc: warning: all-i left {len(left)} slice(s) in the clear whose header "
-            f"did not parse, at VCL ordinals {', '.join(map(str, left))}",
+            f"did not parse, at NAL ordinals {', '.join(map(str, left))}",
             file=sys.stderr,
         )
 

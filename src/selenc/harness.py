@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,7 +26,7 @@ from .bitstream import (
 )
 from .errors import MalformedEscape, WrongKey
 from .pipeline import KeySource, derive_key, gen_test_stream
-from .selective import EncryptionPolicy, decrypt_stream, encrypt_nal, encrypt_stream, select
+from .selective import EncryptionPolicy, decrypt_stream, encrypt_stream, select
 
 _BENCH_NONCE = bytes(range(8))
 
@@ -53,8 +53,8 @@ class BenchResult:
 def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) -> BenchResult:
     """Encrypt the same stream selectively and naively and account the work.
 
-    The naive pass runs encrypt_nal, the selective pass's per-NAL transform,
-    over every NAL payload, parameter sets included. Block counts are exact
+    The naive pass runs encrypt_stream, the selective pass's path, with every
+    NAL payload selected, parameter sets included. Block counts are exact
     arithmetic; wall times depend on the machine and are informative only.
     """
     rows = classify_stream(nals)
@@ -64,10 +64,9 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     encrypt_stream(nals, ks, result, _BENCH_NONCE)
     wall_selective = time.perf_counter() - t0
 
+    everything = tuple(n.ordinal for n in nals if n.header is not None)
     t0 = time.perf_counter()
-    for nal in nals:
-        if nal.header is not None:
-            encrypt_nal(nal, ks, _BENCH_NONCE)
+    encrypt_stream(nals, ks, replace(result, selected_ordinals=everything), _BENCH_NONCE)
     wall_naive = time.perf_counter() - t0
 
     total = sum(n.wire_size() for n in nals)
@@ -248,25 +247,26 @@ def _check_cipher_composition(rng: random.Random) -> str:
 def _check_ctr_keystream(rng: random.Random) -> str:
     ks = key_expansion(rng.randbytes(16))
     nonce = rng.randbytes(8)
-    first = ctr_keystream(ks, nonce, 7, 16)
+
+    def per_block(ordinal: int, nbytes: int) -> bytes:
+        counters = (CounterBlock(nonce, ordinal, j).to_bytes() for j in range(-(-nbytes // 16)))
+        return b"".join(aes.encrypt_block(c, ks) for c in counters)[:nbytes]
+
+    first = ctr_keystream(ks, nonce, [(7, 16)])
     assert first == aes.encrypt_block(CounterBlock(nonce, 7, 0).to_bytes(), ks)
-    long = ctr_keystream(ks, nonce, 7, 40)
+    long = ctr_keystream(ks, nonce, [(7, 40)])
     assert long[:16] == first and len(long) == 40
-    blocks = b"".join(aes.encrypt_block(CounterBlock(nonce, 7, j).to_bytes(), ks) for j in range(3))
-    assert long == blocks[:40], "batched keystream diverges from encrypt_block"
-    # Past one engine chunk: the sizes the pipeline ciphers a slice at.
-    nblocks = aes._CHUNK_BLOCKS + 3
-    chunked = ctr_keystream(ks, nonce, 9, 16 * nblocks - 5)
-    blocks = b"".join(
-        aes.encrypt_block(CounterBlock(nonce, 9, j).to_bytes(), ks) for j in range(nblocks)
-    )
-    assert chunked == blocks[:-5], "chunked keystream diverges from encrypt_block"
-    assert ctr_keystream(ks, nonce, 7, 0) == b""
+    # Several NALs in one pass, one of them past an engine chunk, so a chunk
+    # holds the end of one NAL's counters and the start of the next.
+    spans = [(7, 40), (9, 0), (3, 16 * aes._CHUNK_BLOCKS + 5), (2**32 - 1, 17)]
+    joined = b"".join(per_block(o, n) for o, n in spans)
+    assert ctr_keystream(ks, nonce, spans) == joined, "multi-NAL keystream diverges"
+    assert ctr_keystream(ks, nonce, []) == ctr_keystream(ks, nonce, [(7, 0)]) == b""
     for _ in range(50):
         data = rng.randbytes(rng.randrange(0, 200))
-        mask = ctr_keystream(ks, nonce, 3, len(data))
+        mask = ctr_keystream(ks, nonce, [(3, len(data))])
         assert xor_bytes(xor_bytes(data, mask), mask) == data
-    return "counter layout, agreement with encrypt_block, prefix property and XOR symmetry"
+    return "counter layout, agreement with encrypt_block for one and several NALs, XOR symmetry"
 
 
 def _check_escaping_round_trip(rng: random.Random) -> str:

@@ -75,22 +75,33 @@ def select(rows: Iterable[ReportRow], policy: EncryptionPolicy) -> SelectionResu
     return SelectionResult(policy, tuple(chosen), selected_bytes, total_payload, tuple(unparsed))
 
 
-def encrypt_nal(nal: NalUnit, ks: KeySchedule, nonce: bytes) -> NalUnit:
-    """Cipher one payload: unescape, XOR the per-NAL keystream, re-escape.
+def encrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
+    """Cipher one payload: XOR its keystream ``mask`` into its RBSP ``rbsp``, re-escape.
 
     The header byte stays in the clear; ordinal and start-code length are
     untouched. The escaped length may grow or shrink when the ciphered bytes
     trigger different emulation prevention, but the RBSP length is preserved.
     """
-    rbsp = ebsp_to_rbsp(nal.ebsp)
-    mask = ctr_keystream(ks, nonce, nal.ordinal, len(rbsp))
     return replace(nal, ebsp=rbsp_to_ebsp(xor_bytes(rbsp, mask)))
 
 
-def decrypt_nal(nal: NalUnit, ks: KeySchedule, nonce: bytes) -> NalUnit:
+def decrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
     """Invert encrypt_nal. The counter-mode XOR is symmetric, so the same
-    unescape/XOR/re-escape pass restores the original payload byte-exactly."""
-    return encrypt_nal(nal, ks, nonce)
+    XOR/re-escape pass restores the original payload byte-exactly."""
+    return encrypt_nal(nal, rbsp, mask)
+
+
+def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
+    """Apply ``transform`` to the NALs whose ordinal is listed, each with
+    its unescaped payload and its cut of one ctr_keystream call."""
+    chosen = frozenset(ordinals)
+    picked = [(i, ebsp_to_rbsp(n.ebsp)) for i, n in enumerate(nals) if n.ordinal in chosen]
+    keystream = ctr_keystream(ks, nonce, [(nals[i].ordinal, len(r)) for i, r in picked])
+    out, pos = list(nals), 0
+    for i, rbsp in picked:
+        out[i] = transform(nals[i], rbsp, keystream[pos : pos + len(rbsp)])
+        pos += len(rbsp)
+    return out
 
 
 def key_check_value(ks: KeySchedule) -> bytes:
@@ -158,11 +169,10 @@ def encrypt_stream(
     selection: SelectionResult,
     nonce: bytes,
 ) -> "tuple[list[NalUnit], CipherHeader]":
-    """Encrypt the selected ordinals, leaving everything else untouched."""
+    """Encrypt the selected ordinals in one keystream pass, leaving the rest untouched."""
     if len(nonce) != 8:
         raise ValueError("nonce must be 8 bytes")
-    chosen = frozenset(selection.selected_ordinals)
-    out = [encrypt_nal(n, ks, nonce) if n.ordinal in chosen else n for n in nals]
+    out = _cipher_nals(nals, ks, nonce, selection.selected_ordinals, encrypt_nal)
     header = CipherHeader(selection.policy, key_check_value(ks), nonce, selection.selected_ordinals)
     return out, header
 
@@ -181,5 +191,4 @@ def decrypt_stream(
     for o in header.ordinals:
         if o >= count:
             raise OrdinalOutOfRange(f"sidecar lists NAL {o} but the stream has {count}")
-    chosen = frozenset(header.ordinals)
-    return [decrypt_nal(n, ks, header.nonce) if n.ordinal in chosen else n for n in nals]
+    return _cipher_nals(nals, ks, header.nonce, header.ordinals, decrypt_nal)

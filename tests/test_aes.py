@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selenc import aes
@@ -294,43 +295,54 @@ class TestCounterMode:
 
     def test_empty_keystream(self):
         ks = key_expansion(b"\x00" * 16)
-        assert ctr_keystream(ks, b"\x00" * 8, 0, 0) == b""
+        assert ctr_keystream(ks, b"\x00" * 8, [(0, 0)]) == b""
+        assert ctr_keystream(ks, b"\x00" * 8, []) == b""
 
     def test_first_block_is_encrypted_counter(self):
         ks = key_expansion(bytes(range(16)))
         nonce = b"\xab" * 8
-        first = ctr_keystream(ks, nonce, 3, 16)
+        first = ctr_keystream(ks, nonce, [(3, 16)])
         assert first == encrypt_block(CounterBlock(nonce, 3, 0).to_bytes(), ks)
 
     def test_prefix_property(self):
         ks = key_expansion(bytes(range(16)))
-        short = ctr_keystream(ks, b"\x00" * 8, 9, 16)
-        long = ctr_keystream(ks, b"\x00" * 8, 9, 40)
+        short = ctr_keystream(ks, b"\x00" * 8, [(9, 16)])
+        long = ctr_keystream(ks, b"\x00" * 8, [(9, 40)])
         assert long[:16] == short
         assert len(long) == 40
 
     def test_partial_block_lengths(self):
         ks = key_expansion(bytes(range(16)))
         for n in (1, 15, 17, 33):
-            assert len(ctr_keystream(ks, b"\x00" * 8, 0, n)) == n
+            assert len(ctr_keystream(ks, b"\x00" * 8, [(0, n)])) == n
 
     def test_distinct_ordinals_distinct_streams(self):
         ks = key_expansion(bytes(range(16)))
-        a = ctr_keystream(ks, b"\x00" * 8, 0, 32)
-        b = ctr_keystream(ks, b"\x00" * 8, 1, 32)
+        a = ctr_keystream(ks, b"\x00" * 8, [(0, 32)])
+        b = ctr_keystream(ks, b"\x00" * 8, [(1, 32)])
         assert a != b
 
     def test_counter_overflow(self):
         ks = key_expansion(b"\x00" * 16)
         with pytest.raises(CounterOverflow):
-            ctr_keystream(ks, b"\x00" * 8, 0, (1 << 32) * 16 + 1)
+            ctr_keystream(ks, b"\x00" * 8, [(0, (1 << 32) * 16 + 1)])
         with pytest.raises(ValueError):
-            ctr_keystream(ks, b"\x00" * 8, 0, -1)
+            ctr_keystream(ks, b"\x00" * 8, [(0, -1)])
+
+    @pytest.mark.parametrize(
+        "spans", [[(3, 16), (3, 16)], [(3, 16), (4, 8), (3, 0)], [(0, 0), (0, 0)]]
+    )
+    def test_repeated_ordinal_would_reuse_keystream(self, spans):
+        # Two NALs under one (nonce, ordinal) would share a keystream, so
+        # XORing their ciphertexts would cancel it.
+        ks = key_expansion(b"\x00" * 16)
+        with pytest.raises(ValueError, match="reuse"):
+            ctr_keystream(ks, b"\x00" * 8, spans)
 
     @given(st.binary(max_size=100))
     def test_xor_symmetry(self, data):
         ks = key_expansion(b"\x42" * 16)
-        mask = ctr_keystream(ks, b"\x10" * 8, 2, len(data))
+        mask = ctr_keystream(ks, b"\x10" * 8, [(2, len(data))])
         assert xor_bytes(xor_bytes(data, mask), mask) == data
 
     def test_xor_bytes_length_check(self):
@@ -372,7 +384,7 @@ class TestBatchedEngine:
         rng = random.Random(nbytes ^ ordinal)
         ks = key_expansion(rng.randbytes(16))
         nonce = rng.randbytes(8)
-        assert ctr_keystream(ks, nonce, ordinal, nbytes) == per_block_keystream(
+        assert ctr_keystream(ks, nonce, [(ordinal, nbytes)]) == per_block_keystream(
             ks, nonce, ordinal, nbytes
         )
 
@@ -382,16 +394,65 @@ class TestBatchedEngine:
         ks = key_expansion(key)
         want = cryptography_keystream(key, nonce, 2**32 - 1, 4096)
         for nbytes in range(4097):
-            assert ctr_keystream(ks, nonce, 2**32 - 1, nbytes) == want[:nbytes], nbytes
+            assert ctr_keystream(ks, nonce, [(2**32 - 1, nbytes)]) == want[:nbytes], nbytes
 
     @pytest.mark.parametrize("ordinal", [0, 2**32 - 1])
     def test_keystream_matches_cryptography_across_chunks(self, ordinal):
         rng = random.Random(ordinal + 1)
         key, nonce = rng.randbytes(16), rng.randbytes(8)
-        got = ctr_keystream(key_expansion(key), nonce, ordinal, MULTI_CHUNK_BYTES)
+        got = ctr_keystream(key_expansion(key), nonce, [(ordinal, MULTI_CHUNK_BYTES)])
         assert got == cryptography_keystream(key, nonce, ordinal, MULTI_CHUNK_BYTES)
 
     @pytest.mark.parametrize("size", [1, 15, 17, 31])
     def test_encrypt_blocks_rejects_partial_blocks(self, size):
         with pytest.raises(ValueError):
             aes.encrypt_blocks(b"\x00" * size, key_expansion(b"\x00" * 16))
+
+
+# Span lists for one keystream pass: distinct ordinals, sizes with partial
+# blocks, from empty to past one engine chunk.
+SPAN_ORDINALS = (0, 1, 2, 7, 1000, 2**32 - 1)
+PAST_ONE_CHUNK = 16 * aes._CHUNK_BLOCKS + 40
+SPAN_LISTS = st.lists(
+    st.tuples(
+        st.sampled_from(SPAN_ORDINALS),
+        st.integers(0, 80) | st.integers(0, PAST_ONE_CHUNK),
+    ),
+    max_size=6,
+    unique_by=lambda span: span[0],
+)
+PASS_KEY, PASS_NONCE = bytes(range(16, 32)), b"\x5a" * 8
+PASS_KS = key_expansion(PASS_KEY)
+
+
+@functools.lru_cache(maxsize=None)
+def longest_per_block_keystream(ordinal: int) -> bytes:
+    # per_block_keystream(..., n) is this one's first n bytes by construction,
+    # so each ordinal's encrypt_block calls are made once for every example.
+    return per_block_keystream(PASS_KS, PASS_NONCE, ordinal, PAST_ONE_CHUNK)
+
+
+class TestOnePassKeystream:
+    @settings(max_examples=60, deadline=None)
+    @given(SPAN_LISTS)
+    def test_matches_per_span_keystreams(self, spans):
+        want = b"".join(longest_per_block_keystream(o)[:n] for o, n in spans)
+        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
+
+    def test_matches_cryptography_across_a_chunk_boundary(self):
+        # The first span ends in a partial block one block short of a chunk,
+        # so the second span's counters straddle two engine calls.
+        spans = [(5, 16 * (aes._CHUNK_BLOCKS - 2) + 3), (6, 100), (2**32 - 1, 33), (0, 0)]
+        want = b"".join(cryptography_keystream(PASS_KEY, PASS_NONCE, o, n) for o, n in spans)
+        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
+
+    def test_one_engine_call_per_chunk(self, monkeypatch):
+        calls = []
+        real = aes.encrypt_blocks
+        monkeypatch.setattr(aes, "encrypt_blocks", lambda d, k: calls.append(len(d)) or real(d, k))
+        spans = [(o, 16 * aes._CHUNK_BLOCKS // 3 + 1) for o in range(7)]
+        ctr_keystream(PASS_KS, PASS_NONCE, spans)
+        blocks = 7 * (aes._CHUNK_BLOCKS // 3 + 1)
+        assert calls == [16 * aes._CHUNK_BLOCKS] * (blocks // aes._CHUNK_BLOCKS) + [
+            16 * (blocks % aes._CHUNK_BLOCKS)
+        ]

@@ -94,6 +94,8 @@ class TestEncryptDecrypt:
         err = capsys.readouterr().err
         assert err.startswith("selenc: warning:") and err.count("\n") == 1
         assert err.rstrip().endswith(" 14")  # ordinal of the appended slice
+        # The ordinals are NAL ordinals, the ``ord`` column of ``selenc inspect``.
+        assert "at NAL ordinals 14" in err
         assert 14 not in CipherHeader.from_bytes(meta.read_bytes()).ordinals
 
     def test_idr_policy_does_not_warn(self, stream_file, tmp_path, capsys):

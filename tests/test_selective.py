@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selenc.aes import key_expansion
+from selenc import aes, selective
+from selenc.aes import ctr_keystream, key_expansion
 from selenc.bitstream import (
     BitWriter,
     NalUnit,
@@ -122,6 +124,12 @@ def selection(nals, policy):
     return select(classify_stream(nals), policy)
 
 
+def masked(nal, nonce=NONCE):
+    """encrypt_nal's arguments for one NAL: the NAL, its RBSP and its keystream."""
+    rbsp = ebsp_to_rbsp(nal.ebsp)
+    return nal, rbsp, ctr_keystream(KS, nonce, [(nal.ordinal, len(rbsp))])
+
+
 class TestSelect:
     def test_idr_only_picks_type5(self):
         p = slice_rbsp(0, b"\x55" * 6)
@@ -186,11 +194,11 @@ class TestSelect:
 class TestEncryptNal:
     def test_empty_payload_unchanged(self):
         nal = make_nal(0, 0x65, b"")
-        assert encrypt_nal(nal, KS, NONCE) == nal
+        assert encrypt_nal(*masked(nal)) == nal
 
     def test_metadata_preserved(self):
         nal = make_nal(3, 0x65, slice_rbsp(7, b"\x00" * 20), scl=3)
-        enc = encrypt_nal(nal, KS, NONCE)
+        enc = encrypt_nal(*masked(nal))
         assert (enc.ordinal, enc.start_code_len, enc.header) == (3, 3, nal.header)
         assert enc.ebsp != nal.ebsp
 
@@ -202,14 +210,14 @@ class TestEncryptNal:
                 p = rng.randrange(0, len(rbsp))
                 rbsp[p : p + 3] = b"\x00\x00\x00"
             nal = make_nal(rng.randrange(100), 0x65, bytes(rbsp))
-            enc = encrypt_nal(nal, KS, NONCE)
+            enc = encrypt_nal(*masked(nal))
             assert find_escape_violation(enc.ebsp) == -1
-            assert decrypt_nal(enc, KS, NONCE) == nal
+            assert decrypt_nal(*masked(enc)) == nal
 
     def test_rbsp_length_preserved_ebsp_may_grow(self):
         rbsp = slice_rbsp(7, bytes(30))  # long zero run escapes to more bytes
         nal = make_nal(0, 0x65, rbsp)
-        enc = encrypt_nal(nal, KS, NONCE)
+        enc = encrypt_nal(*masked(nal))
         enc_rbsp = ebsp_to_rbsp(enc.ebsp)
         assert len(enc_rbsp) == len(rbsp)
         # escaped-length delta is exactly the number of 0x03 bytes inserted
@@ -217,15 +225,15 @@ class TestEncryptNal:
 
     def test_wrong_nonce_scrambles(self):
         nal = make_nal(0, 0x65, slice_rbsp(7, b"\x44" * 40))
-        enc = encrypt_nal(nal, KS, NONCE)
-        assert decrypt_nal(enc, KS, b"\x78" * 8) != nal
+        enc = encrypt_nal(*masked(nal))
+        assert decrypt_nal(*masked(enc, b"\x78" * 8)) != nal
 
     def test_confidentiality_smoke(self):
         rng = random.Random(3)
         for _ in range(10):
             rbsp = slice_rbsp(7, rng.randbytes(63))
             nal = make_nal(rng.randrange(50), 0x65, rbsp)
-            enc_rbsp = ebsp_to_rbsp(encrypt_nal(nal, KS, NONCE).ebsp)
+            enc_rbsp = ebsp_to_rbsp(encrypt_nal(*masked(nal)).ebsp)
             differing = sum(a != b for a, b in zip(rbsp, enc_rbsp))
             assert differing >= len(rbsp) // 4
 
@@ -333,6 +341,20 @@ class TestStreamEncryption:
         with pytest.raises(ValueError):
             encrypt_stream([], KS, selection([], EncryptionPolicy.IDR_ONLY), b"\x00" * 7)
 
+    def test_one_engine_call_per_chunk(self, monkeypatch):
+        # 200 short IDR slices share one keystream pass: one encrypt_blocks
+        # call per _CHUNK_BLOCKS counter blocks, not one per NAL.
+        nals = scan_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))
+        sel = selection(nals, EncryptionPolicy.IDR_ONLY)
+        blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
+        calls = []
+        real = aes.encrypt_blocks
+        monkeypatch.setattr(aes, "encrypt_blocks", lambda d, k: calls.append(len(d)) or real(d, k))
+        encrypt_stream(nals, KS, sel, NONCE)
+        assert len(sel.selected_ordinals) == 200
+        assert len(calls) == -(-blocks // aes._CHUNK_BLOCKS)
+        assert sum(calls) == 16 * blocks
+
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_round_trip_generated_streams(self, policy):
         for seed in range(4):
@@ -392,6 +414,24 @@ class TestDecryptStream:
         other = key_expansion(b"\x42" * 16)
         with pytest.raises(WrongKey):
             decrypt_stream(enc, other, header)
+
+    def test_wrong_key_does_no_payload_work(self, monkeypatch):
+        # The key check must fire before any NAL is unescaped or any
+        # keystream block is computed.
+        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
+        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        calls = Counter()
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
+        with pytest.raises(WrongKey):
+            decrypt_stream(enc, key_expansion(b"\x42" * 16), header)
+        assert calls == {}
+        # The same watch sees the work of a decrypt with the right key.
+        decrypt_stream(enc, KS, header)
+        assert calls["ebsp_to_rbsp"] == len(header.ordinals) and calls["encrypt_blocks"] == 1
 
     def test_ordinal_out_of_range(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=8, payload_size=32, seed=7))
