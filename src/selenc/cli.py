@@ -125,10 +125,7 @@ def _print_table(report: StreamReport) -> None:
 
 
 def _warn_clear_intra_candidates(report: StreamReport) -> None:
-    # Under all-i a slice whose header did not parse cannot be classified as
-    # intra, so it stays in the clear; say so rather than leave it to a flag.
-    chosen = frozenset(report.selected_ordinals)
-    left = [r.ordinal for r in report.rows if r.unparsed and r.ordinal not in chosen]
+    left = report.unparsed_ordinals
     if left:
         print(
             f"selenc: warning: all-i left {len(left)} slice(s) in the clear whose header "
@@ -140,18 +137,16 @@ def _warn_clear_intra_candidates(report: StreamReport) -> None:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "encrypt":
         nonce = _parse_nonce(args.nonce) if args.nonce is not None else None
-        policy = _POLICY_NAMES[args.policy]
         report = cmd_encrypt(
             args.in_path,
             args.out_path,
             args.meta_path,
             _key_source(args),
-            policy,
+            _POLICY_NAMES[args.policy],
             nonce,
         )
         _print_summary(report)
-        if policy is EncryptionPolicy.ALL_INTRA:
-            _warn_clear_intra_candidates(report)
+        _warn_clear_intra_candidates(report)
     elif args.command == "decrypt":
         report = cmd_decrypt(args.in_path, args.meta_path, args.out_path, _key_source(args))
         _print_summary(report)

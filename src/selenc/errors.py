@@ -14,7 +14,8 @@ class EscapingViolation(SelencError):
 
 
 class MalformedEscape(SelencError):
-    """An escaped payload contains 0x00 0x00 followed by 0x00, 0x01 or 0x02."""
+    """An escaped payload contains 0x00 0x00 followed by 0x00, 0x01 or 0x02,
+    or a payload to cipher keeps a 00 00 03 that re-escaping would double."""
 
 
 class OutOfBits(SelencError):

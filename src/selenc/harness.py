@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,7 +26,7 @@ from .bitstream import (
 )
 from .errors import MalformedEscape, WrongKey
 from .pipeline import KeySource, derive_key, gen_test_stream
-from .selective import EncryptionPolicy, decrypt_stream, encrypt_stream, select
+from .selective import EncryptionPolicy, SelectionResult, decrypt_stream, encrypt_stream, select
 
 _BENCH_NONCE = bytes(range(8))
 
@@ -59,19 +59,19 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     """
     rows = classify_stream(nals)
     result = select(rows, policy)
+    everything = tuple(n.ordinal for n in nals if n.header is not None)
 
     t0 = time.perf_counter()
     encrypt_stream(nals, ks, result, _BENCH_NONCE)
     wall_selective = time.perf_counter() - t0
 
-    everything = tuple(n.ordinal for n in nals if n.header is not None)
     t0 = time.perf_counter()
-    encrypt_stream(nals, ks, replace(result, selected_ordinals=everything), _BENCH_NONCE)
+    encrypt_stream(nals, ks, SelectionResult(policy, everything), _BENCH_NONCE)
     wall_naive = time.perf_counter() - t0
 
     total = sum(n.wire_size() for n in nals)
     selective = pipeline.build_report(rows, policy, result.selected_ordinals, b"", total)
-    naive = pipeline.build_report(rows, policy, [r.ordinal for r in rows], b"", total)
+    naive = pipeline.build_report(rows, policy, everything, b"", total)
     vcl = selective.vcl_payload_bytes
     return BenchResult(
         total_bytes=total,
@@ -171,6 +171,12 @@ def unrolled_encrypt(block: bytes, ks: KeySchedule) -> bytes:
     return s.to_block()
 
 
+def per_block_keystream(ks: KeySchedule, nonce: bytes, ordinal: int, nbytes: int) -> bytes:
+    """Counter-mode keystream of one NAL, one encrypt_block call per block."""
+    counters = (CounterBlock(nonce, ordinal, j).to_bytes() for j in range(-(-nbytes // 16)))
+    return b"".join(aes.encrypt_block(c, ks) for c in counters)[:nbytes]
+
+
 def kdf_oracle(passphrase: str, iterations: int) -> bytes:
     """Straight-line restatement of the key-stretching definition, kept
     independent of pipeline._kdf on purpose."""
@@ -247,11 +253,6 @@ def _check_cipher_composition(rng: random.Random) -> str:
 def _check_ctr_keystream(rng: random.Random) -> str:
     ks = key_expansion(rng.randbytes(16))
     nonce = rng.randbytes(8)
-
-    def per_block(ordinal: int, nbytes: int) -> bytes:
-        counters = (CounterBlock(nonce, ordinal, j).to_bytes() for j in range(-(-nbytes // 16)))
-        return b"".join(aes.encrypt_block(c, ks) for c in counters)[:nbytes]
-
     first = ctr_keystream(ks, nonce, [(7, 16)])
     assert first == aes.encrypt_block(CounterBlock(nonce, 7, 0).to_bytes(), ks)
     long = ctr_keystream(ks, nonce, [(7, 40)])
@@ -259,7 +260,7 @@ def _check_ctr_keystream(rng: random.Random) -> str:
     # Several NALs in one pass, one of them past an engine chunk, so a chunk
     # holds the end of one NAL's counters and the start of the next.
     spans = [(7, 40), (9, 0), (3, 16 * aes._CHUNK_BLOCKS + 5), (2**32 - 1, 17)]
-    joined = b"".join(per_block(o, n) for o, n in spans)
+    joined = b"".join(per_block_keystream(ks, nonce, o, n) for o, n in spans)
     assert ctr_keystream(ks, nonce, spans) == joined, "multi-NAL keystream diverges"
     assert ctr_keystream(ks, nonce, []) == ctr_keystream(ks, nonce, [(7, 0)]) == b""
     for _ in range(50):

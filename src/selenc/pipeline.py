@@ -135,6 +135,9 @@ class StreamReport:
     selected_bytes: int
     encrypted_fraction: float
     aes_blocks: int
+    # Slices all-i left in the clear because their header did not parse; the
+    # CLI warns about them rather than leave them to a row flag.
+    unparsed_ordinals: "tuple[int, ...]"
 
     def to_dict(self) -> dict:
         return {
@@ -177,6 +180,8 @@ def build_report(
     vcl_payload = sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES)
     selected_bytes = sum(by_ordinal[o].rbsp_size for o in chosen if o in by_ordinal)
     blocks = sum(-(-by_ordinal[o].rbsp_size // 16) for o in chosen if o in by_ordinal)
+    all_intra = policy is EncryptionPolicy.ALL_INTRA
+    unparsed = tuple(r.ordinal for r in rows if all_intra and r.unparsed and r.ordinal not in chosen)
     return StreamReport(
         rows=tuple(rows),
         policy=policy,
@@ -187,6 +192,7 @@ def build_report(
         selected_bytes=selected_bytes,
         encrypted_fraction=selected_bytes / total_bytes if total_bytes else 0.0,
         aes_blocks=blocks,
+        unparsed_ordinals=unparsed,
     )
 
 

@@ -20,13 +20,12 @@ from typing import Iterable, Sequence
 from .aes import KeySchedule, ctr_keystream, encrypt_block, xor_bytes
 from .bitstream import (
     NAL_IDR,
-    VCL_TYPES,
     NalUnit,
     ReportRow,
     ebsp_to_rbsp,
     rbsp_to_ebsp,
 )
-from .errors import BadMagic, BadVersion, MalformedHeader, OrdinalOutOfRange, WrongKey
+from .errors import BadMagic, BadVersion, MalformedEscape, MalformedHeader, OrdinalOutOfRange, WrongKey
 
 SIDECAR_MAGIC = b"SEH1"
 SIDECAR_VERSION = 1
@@ -41,38 +40,21 @@ class EncryptionPolicy(Enum):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of applying a policy to a classified stream."""
+    """The ordinals a policy picks from a classified stream."""
 
     policy: EncryptionPolicy
     selected_ordinals: "tuple[int, ...]"
-    selected_bytes: int  # RBSP bytes that will be ciphered
-    total_payload_bytes: int  # RBSP bytes across all slice NALs
-    unparsed_ordinals: "tuple[int, ...]" = ()
 
 
 def select(rows: Iterable[ReportRow], policy: EncryptionPolicy) -> SelectionResult:
-    """Pick the ordinals the policy covers from classify_stream's rows.
-
-    Non-VCL NALs (SPS/PPS/SEI/...) are never selected. Under ALL_INTRA a
-    non-IDR slice whose header cannot be parsed counts as non-intra and is
-    reported in unparsed_ordinals.
-    """
+    """Pick the ordinals the policy covers from classify_stream's rows: every
+    IDR slice and, under ALL_INTRA, every slice whose header parsed as intra.
+    Only slice rows carry slice_info, so non-VCL NALs are never picked."""
     all_intra = policy is EncryptionPolicy.ALL_INTRA
-    chosen = []
-    unparsed = []
-    selected_bytes = 0
-    total_payload = 0
-    for r in rows:
-        if r.nal_type not in VCL_TYPES:
-            continue
-        total_payload += r.rbsp_size
-        intra = r.slice_info is not None and r.slice_info.is_intra
-        if r.nal_type == NAL_IDR or (all_intra and intra):
-            chosen.append(r.ordinal)
-            selected_bytes += r.rbsp_size
-        elif all_intra and r.unparsed:
-            unparsed.append(r.ordinal)
-    return SelectionResult(policy, tuple(chosen), selected_bytes, total_payload, tuple(unparsed))
+    return SelectionResult(policy, tuple(
+        r.ordinal for r in rows
+        if r.nal_type == NAL_IDR or (all_intra and r.slice_info is not None and r.slice_info.is_intra)
+    ))
 
 
 def encrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
@@ -96,6 +78,10 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     its unescaped payload and its cut of one ctr_keystream call."""
     chosen = frozenset(ordinals)
     picked = [(i, ebsp_to_rbsp(n.ebsp)) for i, n in enumerate(nals) if n.ordinal in chosen]
+    for i, rbsp in picked:
+        # A 00 00 03 that unescaping keeps would be re-escaped to 00 00 03 03.
+        if len(rbsp) != len(nals[i].ebsp) - nals[i].ebsp.count(b"\x00\x00\x03"):
+            raise MalformedEscape(f"NAL {nals[i].ordinal}: kept 00 00 03 would not round-trip")
     keystream = ctr_keystream(ks, nonce, [(nals[i].ordinal, len(r)) for i, r in picked])
     out, pos = list(nals), 0
     for i, rbsp in picked:

@@ -23,7 +23,12 @@ from selenc.aes import (
     xor_bytes,
 )
 from selenc.errors import BadKeyLength, CounterOverflow
-from selenc.harness import EXPANSION_ANCHORS, KNOWN_ANSWERS, unrolled_encrypt
+from selenc.harness import (
+    EXPANSION_ANCHORS,
+    KNOWN_ANSWERS,
+    per_block_keystream,
+    unrolled_encrypt,
+)
 
 
 def gf_mul_oracle(a: int, b: int) -> int:
@@ -348,13 +353,6 @@ class TestCounterMode:
     def test_xor_bytes_length_check(self):
         with pytest.raises(ValueError):
             xor_bytes(b"\x00", b"\x00\x00")
-
-
-def per_block_keystream(ks, nonce: bytes, ordinal: int, nbytes: int) -> bytes:
-    """Counter-mode keystream one encrypt_block call at a time."""
-    nblocks = -(-nbytes // 16)
-    blocks = (encrypt_block(CounterBlock(nonce, ordinal, j).to_bytes(), ks) for j in range(nblocks))
-    return b"".join(blocks)[:nbytes]
 
 
 def cryptography_keystream(key: bytes, nonce: bytes, ordinal: int, nbytes: int) -> bytes:

@@ -6,16 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selenc import bitstream, harness, pipeline, selective
-from selenc.bitstream import classify_stream, scan_annexb
+from selenc.bitstream import (
+    BitWriter,
+    NalUnit,
+    classify_stream,
+    parse_nal_header,
+    rbsp_to_ebsp,
+    scan_annexb,
+    serialize_annexb,
+)
 from selenc.errors import (
     BadHex,
     EmptyPassphrase,
     EscapingViolation,
+    MalformedEscape,
     MalformedHeader,
     NoStartCode,
     WrongKey,
 )
-from selenc.harness import KDF_VECTORS, LONG_KDF_VECTORS, kdf_oracle
+from selenc.harness import KDF_VECTORS, kdf_oracle
 from selenc.pipeline import (
     KeySource,
     build_report,
@@ -61,7 +70,8 @@ class TestDeriveKey:
         with pytest.raises(EmptyPassphrase):
             derive_key(KeySource.from_passphrase(""))
 
-    @pytest.mark.parametrize("phrase,iters,expected", KDF_VECTORS + LONG_KDF_VECTORS)
+    # LONG_KDF_VECTORS are checked once, by acceptance criterion 8.
+    @pytest.mark.parametrize("phrase,iters,expected", KDF_VECTORS)
     def test_frozen_vectors(self, phrase, iters, expected):
         assert derive_key(KeySource.from_passphrase(phrase, iterations=iters)).hex() == expected
 
@@ -180,6 +190,14 @@ def report_of(data, policy):
     return build_report(rows, policy, select(rows, policy).selected_ordinals, b"", len(data))
 
 
+def slice_nal(ordinal, header_byte, slice_type, extra=b""):
+    """A slice NAL whose RBSP starts first_mb_in_slice = 0, slice_type."""
+    w = BitWriter()
+    w.write_ue(0)
+    w.write_ue(slice_type)
+    return NalUnit(ordinal, 4, parse_nal_header(header_byte), rbsp_to_ebsp(w.to_bytes() + extra))
+
+
 class TestReport:
     def test_aggregates_match_rows(self):
         data = gen_test_stream(None, gop=3, frames=9, payload_size=56, seed=2)
@@ -196,6 +214,39 @@ class TestReport:
         )
         assert report.total_bytes == sum(n.wire_size() for n in nals)
         assert 0.0 <= report.encrypted_fraction <= 1.0
+
+    def test_byte_accounting(self):
+        idr = slice_nal(1, 0x65, 7, b"\x11" * 31)  # 32 rbsp bytes
+        p = [slice_nal(o, 0x41, 0, b"\x22" * 15) for o in (2, 3)]  # 16 rbsp bytes each
+        sps = NalUnit(0, 4, parse_nal_header(0x67), b"\x42\x00")
+        report = report_of(serialize_annexb([sps, idr, *p]), EncryptionPolicy.IDR_ONLY)
+        assert report.selected_bytes == 32
+        assert report.vcl_payload_bytes == 32 + 16 + 16
+
+    def test_nothing_selected(self):
+        sps = NalUnit(0, 4, parse_nal_header(0x67), b"\x42")
+        nals = [sps, slice_nal(1, 0x41, 0), slice_nal(2, 0x41, 1)]
+        report = report_of(serialize_annexb(nals), EncryptionPolicy.ALL_INTRA)
+        assert report.selected_ordinals == ()
+        assert report.selected_bytes == 0
+
+    def test_unparseable_type1_reported_not_selected(self):
+        nals = [slice_nal(0, 0x65, 7), NalUnit(1, 4, parse_nal_header(0x41), b"")]
+        report = report_of(serialize_annexb(nals), EncryptionPolicy.ALL_INTRA)
+        assert report.selected_ordinals == (0,)
+        assert report.unparsed_ordinals == (1,)
+
+    @pytest.mark.parametrize(
+        "policy,unparsed", [(EncryptionPolicy.ALL_INTRA, (14,)), (EncryptionPolicy.IDR_ONLY, ())]
+    )
+    def test_encrypt_and_decrypt_report_unparsed_slices(self, tmp_path, policy, unparsed):
+        # A trailing non-IDR slice of zero bytes has no readable header.
+        plain, enc, meta, out = (tmp_path / n for n in ("p.264", "e.264", "m.seh", "o.264"))
+        data = gen_test_stream(None, gop=4, frames=12, payload_size=64, seed=3)
+        plain.write_bytes(data + b"\x00\x00\x00\x01\x41\x00\x00")
+        report = cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x33" * 8)
+        assert report.unparsed_ordinals == unparsed
+        assert cmd_decrypt(enc, meta, out, KEY).unparsed_ordinals == unparsed
 
     def test_to_dict_round_trips_through_json(self):
         import json
@@ -272,6 +323,17 @@ class TestFileCommands:
         with pytest.raises(EscapingViolation, match="^NAL 14: 00 00 02 at payload offset 1$"):
             cmd_decrypt(enc, meta, out, KEY)
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload", ["88aa9abc80000003", "88aa000003051122"])
+    def test_kept_escape_in_ciphered_nal_writes_nothing(self, tmp_path, payload):
+        # Unescaping keeps these 00 00 03 runs, and re-escaping the ciphertext
+        # would double them, so the round trip would gain a byte.
+        plain, enc, meta, _ = self.make_files(tmp_path)
+        dirty = tmp_path / "dirty.264"
+        dirty.write_bytes(plain.read_bytes() + b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload))
+        with pytest.raises(MalformedEscape, match="^NAL 14: kept 00 00 03"):
+            cmd_encrypt(dirty, enc, meta, KEY, nonce=b"\x0b" * 8)
+        assert not enc.exists() and not meta.exists()
 
     def test_wrong_key(self, tmp_path):
         plain, enc, meta, out = self.make_files(tmp_path)

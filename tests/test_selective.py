@@ -1,8 +1,9 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selenc import aes, selective
@@ -29,7 +30,7 @@ from selenc.errors import (
     OutOfRange,
     WrongKey,
 )
-from selenc.pipeline import gen_test_stream
+from selenc.pipeline import build_report, gen_test_stream
 from selenc.selective import (
     CipherHeader,
     EncryptionPolicy,
@@ -66,11 +67,10 @@ def make_stream(types_and_rbsp) -> list:
 
 def select_reference(nals, policy):
     """Per-NAL selection that unescapes and parses each slice itself; the
-    behaviour select must keep now that it reads classify_stream's rows."""
+    behaviour select must keep now that it reads classify_stream's rows.
+    Returns the selection and the slices all-i leaves unparsed."""
     chosen = []
     unparsed = []
-    selected_bytes = 0
-    total_payload = 0
     for nal in nals:
         if nal.header is None or nal.header.nal_unit_type not in (1, 5):
             continue
@@ -78,8 +78,6 @@ def select_reference(nals, policy):
             rbsp = ebsp_to_rbsp(nal.ebsp)
         except MalformedEscape:
             rbsp = None
-        rbsp_len = len(rbsp) if rbsp is not None else len(nal.ebsp)
-        total_payload += rbsp_len
         take = False
         if nal.header.nal_unit_type == 5:
             take = True
@@ -93,8 +91,7 @@ def select_reference(nals, policy):
                     unparsed.append(nal.ordinal)
         if take:
             chosen.append(nal.ordinal)
-            selected_bytes += rbsp_len
-    return SelectionResult(policy, tuple(chosen), selected_bytes, total_payload, tuple(unparsed))
+    return SelectionResult(policy, tuple(chosen)), tuple(unparsed)
 
 
 # Header bytes: types 1, 5, 6, 7, 8 and others, forbidden bit set or clear.
@@ -158,7 +155,6 @@ class TestSelect:
         nals = make_stream([(7, b"\x42"), (1, slice_rbsp(0)), (1, slice_rbsp(1))])
         res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == ()
-        assert res.selected_bytes == 0
 
     def test_non_vcl_never_selected(self):
         # SEI/SPS/PPS carry slice-looking payloads but must never be picked.
@@ -170,15 +166,6 @@ class TestSelect:
         nals = make_stream([(5, slice_rbsp(7)), (1, b"")])
         res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == (0,)
-        assert res.unparsed_ordinals == (1,)
-
-    def test_byte_accounting(self):
-        idr = slice_rbsp(7, b"\x11" * 31)  # 32 rbsp bytes
-        p = slice_rbsp(0, b"\x22" * 15)  # 16 rbsp bytes
-        nals = make_stream([(7, b"\x42\x00"), (5, idr), (1, p), (1, p)])
-        res = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
-        assert res.selected_bytes == 32
-        assert res.total_payload_bytes == 32 + 16 + 16
 
     @given(st.lists(st.one_of(st.none(), st.tuples(HEADER_BYTES, PAYLOADS)), max_size=12))
     def test_matches_per_nal_reference(self, units):
@@ -188,7 +175,20 @@ class TestSelect:
         ]
         rows = classify_stream(nals)
         for policy in EncryptionPolicy:
-            assert select(rows, policy) == select_reference(nals, policy)
+            want, unparsed = select_reference(nals, policy)
+            assert select(rows, policy) == want
+            report = build_report(rows, policy, want.selected_ordinals, b"", 0)
+            assert report.unparsed_ordinals == unparsed
+
+
+# Escaped payloads with no forbidden 00 00 0X (X <= 2). Unescaping keeps a
+# 00 00 03 that precedes a byte above 0x03 or ends the payload.
+VALID_EBSP = (
+    st.lists(st.sampled_from([b"\x00\x00\x03", b"\x00", b"\x01", b"\x03", b"\x04", b"\xff"]),
+             max_size=12)
+    .map(b"".join)
+    .filter(lambda e: find_escape_violation(e) == -1)
+)
 
 
 class TestEncryptNal:
@@ -394,6 +394,20 @@ class TestStreamEncryption:
                 lost.append(seed)
         assert lost == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(VALID_EBSP)
+    @example(bytes.fromhex("88aa9abc80000003"))  # cabac_zero_word tail
+    @example(bytes.fromhex("88aa000003051122"))  # 00 00 03 before 0x05
+    def test_refuses_exactly_what_would_not_round_trip(self, ebsp):
+        nals = [NalUnit(0, 4, parse_nal_header(0x65), ebsp)]
+        sel = selection(nals, EncryptionPolicy.IDR_ONLY)
+        if rbsp_to_ebsp(ebsp_to_rbsp(ebsp)) == ebsp:
+            enc, header = encrypt_stream(nals, KS, sel, NONCE)
+            assert decrypt_stream(enc, KS, header) == nals
+        else:
+            with pytest.raises(MalformedEscape, match="^NAL 0: kept 00 00 03"):
+                encrypt_stream(nals, KS, sel, NONCE)
+
     def test_compliance_rescan(self):
         for policy in EncryptionPolicy:
             data = gen_test_stream(None, gop=4, frames=9, payload_size=72, seed=5)
@@ -432,6 +446,14 @@ class TestDecryptStream:
         # The same watch sees the work of a decrypt with the right key.
         decrypt_stream(enc, KS, header)
         assert calls["ebsp_to_rbsp"] == len(header.ordinals) and calls["encrypt_blocks"] == 1
+
+    def test_tampered_ciphertext_refused(self):
+        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
+        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        o = header.ordinals[-1]
+        enc[o] = replace(enc[o], ebsp=enc[o].ebsp + b"\x11\x00\x00\x03\x05")
+        with pytest.raises(MalformedEscape, match=f"^NAL {o}: kept 00 00 03"):
+            decrypt_stream(enc, KS, header)
 
     def test_ordinal_out_of_range(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=8, payload_size=32, seed=7))
