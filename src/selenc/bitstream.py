@@ -194,37 +194,37 @@ def scan_annexb(stream: bytes) -> "list[NalUnit]":
     return split_annexb(stream)[1]
 
 
-def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
-    """Concatenate start codes, header bytes and payloads back into a stream.
-
-    Each payload is checked against the escaping invariant first; a violation
-    would let payload bytes mimic a start code and desynchronize any reader.
-    Given the input bytes, splice_annexb makes the same stream with less work.
-    """
-    out = bytearray(leading)
+def check_escaping(nals: Iterable[NalUnit]) -> None:
+    """Raise EscapingViolation naming the first NAL whose payload holds a 00
+    00 0X run (X <= 2), which would mimic a start code to any reader."""
     for nal in nals:
         v = find_escape_violation(nal.ebsp)
         if v != -1:
             raise EscapingViolation(
                 f"NAL {nal.ordinal}: 00 00 {nal.ebsp[v + 2]:02x} at payload offset {v}"
             )
-        out += nal.to_bytes()
-    return bytes(out)
+
+
+def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
+    """Concatenate start codes, header bytes and payloads back into a stream
+    once check_escaping passes them. Given the input bytes, splice_annexb
+    makes the same stream with less work."""
+    nals = list(nals)
+    check_escaping(nals)
+    return b"".join([leading, *(nal.to_bytes() for nal in nals)])
 
 
 def splice_annexb(
-    data: bytes, leading: bytes, nals: Sequence[NalUnit], out_nals: Sequence[NalUnit],
-    rows: Sequence[ReportRow],
+    data: bytes, leading: bytes, nals: Sequence[NalUnit], out_nals: Sequence[NalUnit]
 ) -> bytes:
     """serialize_annexb(out_nals, leading), where split_annexb(data) gave
-    (leading, nals): NALs that out_nals kept are copied from ``data``, and
-    only replaced ones and those that ``rows`` (classify_stream of either
-    list) flag as malformed_escape pass serialize_annexb's escaping check."""
+    (leading, nals): NALs that out_nals kept are copied from ``data``
+    unchecked, and only replaced ones pass serialize_annexb's check."""
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)
-    for nal, out, row in zip(nals, out_nals, rows):
-        if out is not nal or row.malformed_escape:
+    for nal, out in zip(nals, out_nals):
+        if out is not nal:
             parts += (view[copied:pos], serialize_annexb((out,)))
             copied = pos + nal.wire_size()
         pos += nal.wire_size()

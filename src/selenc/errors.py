@@ -10,7 +10,7 @@ class NoStartCode(SelencError):
 
 
 class EscapingViolation(SelencError):
-    """A payload offered for serialization contains a forbidden 00 00 0X run."""
+    """A payload to serialize, or in a stream to cipher, holds a forbidden 00 00 0X run."""
 
 
 class MalformedEscape(SelencError):
@@ -39,7 +39,7 @@ class WrongKey(SelencError):
 
 
 class OrdinalOutOfRange(SelencError):
-    """Sidecar lists a NAL ordinal the stream does not contain."""
+    """A sidecar or a selection lists a NAL ordinal the stream does not contain."""
 
 
 class BadMagic(SelencError):

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ from .bitstream import (
     BitWriter,
     NalUnit,
     ReportRow,
+    check_escaping,
     classify_stream,
     parse_nal_header,
     rbsp_to_ebsp,
@@ -176,10 +178,9 @@ def build_report(
     """Assemble a StreamReport from classify_stream's rows, the ordinals
     that were (or would be) ciphered and the stream's size in bytes."""
     chosen = frozenset(selected_ordinals)
-    by_ordinal = {r.ordinal: r for r in rows}
     vcl_payload = sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES)
-    selected_bytes = sum(by_ordinal[o].rbsp_size for o in chosen if o in by_ordinal)
-    blocks = sum(-(-by_ordinal[o].rbsp_size // 16) for o in chosen if o in by_ordinal)
+    selected_bytes = sum(rows[o].rbsp_size for o in chosen)
+    blocks = sum(-(-rows[o].rbsp_size // 16) for o in chosen)
     all_intra = policy is EncryptionPolicy.ALL_INTRA
     unparsed = tuple(r.ordinal for r in rows if all_intra and r.unparsed and r.ordinal not in chosen)
     return StreamReport(
@@ -196,20 +197,23 @@ def build_report(
     )
 
 
-def _atomic_write(path, data: bytes) -> None:
-    # Write-then-rename in the destination directory so a crash never leaves
-    # a half-written file at the target path.
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _atomic_write(*files) -> None:
+    # Write each (path, data) pair to a temporary file in its destination
+    # directory, then rename them in the order given: a failed write replaces
+    # no target, and a crash never leaves a half-written file at a target path.
+    staged = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files:
+            fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
+            staged.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp in staged:
+            with suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -232,28 +236,32 @@ def cmd_encrypt(
     """Encrypt a stream file to out_path and write the sidecar to meta_path.
 
     With an explicit nonce the run is fully deterministic; otherwise eight
-    random bytes are drawn and recorded in the sidecar.
+    random bytes are drawn and recorded in the sidecar. A NAL that breaks
+    escaping is refused before any key work.
     """
     data, leading, nals = _read_stream(in_path)
     rows = classify_stream(nals)
+    check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
     ks = key_expansion(derive_key(key))
     if nonce is None:
         nonce = os.urandom(8)
     out_nals, header = encrypt_stream(nals, ks, select(rows, policy), nonce)
-    _atomic_write(out_path, splice_annexb(data, leading, nals, out_nals, rows))
-    _atomic_write(meta_path, header.to_bytes())
+    out = splice_annexb(data, leading, nals, out_nals)
+    # Sidecar first: a stream written over its input must keep its nonce.
+    _atomic_write((meta_path, header.to_bytes()), (out_path, out))
     return build_report(rows, policy, header.ordinals, leading, len(data))
 
 
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> StreamReport:
-    """Decrypt a stream file using its sidecar; inverse of cmd_encrypt."""
+    """Decrypt a stream file using its sidecar; inverse of cmd_encrypt. The
+    report's rows describe the file read, its total_bytes the one written."""
     data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
+    rows = classify_stream(nals)
+    check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
     ks = key_expansion(derive_key(key))
-    out_nals = decrypt_stream(nals, ks, header)
-    rows = classify_stream(out_nals)
-    out = splice_annexb(data, leading, nals, out_nals, rows)
-    _atomic_write(out_path, out)
+    out = splice_annexb(data, leading, nals, decrypt_stream(nals, ks, header))
+    _atomic_write((out_path, out))
     return build_report(rows, header.policy, header.ordinals, leading, len(out))
 
 
@@ -330,5 +338,5 @@ def gen_test_stream(
         add(4 if i else 3, 0x65 if idr else 0x41, head + _slice_filler(rng, payload_size - len(head)))
     data = serialize_annexb(nals)
     if out_path is not None:
-        _atomic_write(out_path, data)
+        _atomic_write((out_path, data))
     return data

@@ -74,18 +74,20 @@ def decrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
 
 
 def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
-    """Apply ``transform`` to the NALs whose ordinal is listed, each with
+    """Apply ``transform`` to nals[o] for each listed ordinal o, each with
     its unescaped payload and its cut of one ctr_keystream call."""
-    chosen = frozenset(ordinals)
-    picked = [(i, ebsp_to_rbsp(n.ebsp)) for i, n in enumerate(nals) if n.ordinal in chosen]
-    for i, rbsp in picked:
+    for o in ordinals:
+        if not 0 <= o < len(nals):
+            raise OrdinalOutOfRange(f"NAL {o} is listed but the stream has {len(nals)}")
+    picked = [(o, ebsp_to_rbsp(nals[o].ebsp)) for o in ordinals]
+    for o, rbsp in picked:
         # A 00 00 03 that unescaping keeps would be re-escaped to 00 00 03 03.
-        if len(rbsp) != len(nals[i].ebsp) - nals[i].ebsp.count(b"\x00\x00\x03"):
-            raise MalformedEscape(f"NAL {nals[i].ordinal}: kept 00 00 03 would not round-trip")
-    keystream = ctr_keystream(ks, nonce, [(nals[i].ordinal, len(r)) for i, r in picked])
+        if len(rbsp) != len(nals[o].ebsp) - nals[o].ebsp.count(b"\x00\x00\x03"):
+            raise MalformedEscape(f"NAL {o}: kept 00 00 03 would not round-trip")
+    keystream = ctr_keystream(ks, nonce, [(o, len(rbsp)) for o, rbsp in picked])
     out, pos = list(nals), 0
-    for i, rbsp in picked:
-        out[i] = transform(nals[i], rbsp, keystream[pos : pos + len(rbsp)])
+    for o, rbsp in picked:
+        out[o] = transform(nals[o], rbsp, keystream[pos : pos + len(rbsp)])
         pos += len(rbsp)
     return out
 
@@ -150,17 +152,11 @@ class CipherHeader:
 
 
 def encrypt_stream(
-    nals: Sequence[NalUnit],
-    ks: KeySchedule,
-    selection: SelectionResult,
-    nonce: bytes,
+    nals: Sequence[NalUnit], ks: KeySchedule, selection: SelectionResult, nonce: bytes
 ) -> "tuple[list[NalUnit], CipherHeader]":
     """Encrypt the selected ordinals in one keystream pass, leaving the rest untouched."""
-    if len(nonce) != 8:
-        raise ValueError("nonce must be 8 bytes")
-    out = _cipher_nals(nals, ks, nonce, selection.selected_ordinals, encrypt_nal)
     header = CipherHeader(selection.policy, key_check_value(ks), nonce, selection.selected_ordinals)
-    return out, header
+    return _cipher_nals(nals, ks, nonce, header.ordinals, encrypt_nal), header
 
 
 def decrypt_stream(
@@ -173,8 +169,4 @@ def decrypt_stream(
     """
     if header.key_check != key_check_value(ks):
         raise WrongKey("sidecar key check does not match the supplied key")
-    count = len(nals)
-    for o in header.ordinals:
-        if o >= count:
-            raise OrdinalOutOfRange(f"sidecar lists NAL {o} but the stream has {count}")
     return _cipher_nals(nals, ks, header.nonce, header.ordinals, decrypt_nal)

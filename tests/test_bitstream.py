@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selenc.bitstream import (
@@ -242,8 +242,8 @@ class TestRoundTrip:
 
 def annexb_units():
     """Start codes of both widths, each followed by nothing (a header-less
-    unit), or by a header byte and a payload that is escaped or raw."""
-    payload = st.one_of(zero_heavy.map(rbsp_to_ebsp), zero_heavy, st.binary(max_size=40))
+    unit), or by a header byte and an escaped payload."""
+    payload = st.one_of(zero_heavy, st.binary(max_size=40)).map(rbsp_to_ebsp)
     unit = st.tuples(
         st.sampled_from((b"\x00\x00\x01", b"\x00\x00\x00\x01")),
         st.one_of(st.none(), st.integers(0, 255)),
@@ -256,10 +256,14 @@ def annexb_units():
 
 class TestSplice:
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=6), annexb_units(), st.booleans(), st.data())
-    def test_matches_serialize(self, garbage, body, rows_of_output, data):
+    @given(st.binary(max_size=6), annexb_units(), st.data())
+    def test_matches_serialize(self, garbage, body, data):
+        # splice_annexb copies kept NALs unchecked, so it is only defined on
+        # streams whose NALs all escape cleanly; the cipher commands refuse
+        # any other stream before they splice (see TestFileCommands).
         stream = garbage + body
         leading, nals = split_annexb(stream)
+        assume(all(find_escape_violation(n.ebsp) == -1 for n in nals))
         out_nals = [
             n if n.header is None or not data.draw(st.booleans())
             # A re-escaped replacement may be longer or shorter than the
@@ -267,15 +271,14 @@ class TestSplice:
             else replace(n, ebsp=data.draw(st.one_of(zero_heavy.map(rbsp_to_ebsp), zero_heavy)))
             for n in nals
         ]
-        rows = classify_stream(out_nals if rows_of_output else nals)
         try:
             want = serialize_annexb(out_nals, leading)
         except EscapingViolation as exc:
             with pytest.raises(EscapingViolation) as got:
-                splice_annexb(stream, leading, nals, out_nals, rows)
+                splice_annexb(stream, leading, nals, out_nals)
             assert str(got.value) == str(exc)
         else:
-            assert splice_annexb(stream, leading, nals, out_nals, rows) == want
+            assert splice_annexb(stream, leading, nals, out_nals) == want
 
 
 class TestEscaping:

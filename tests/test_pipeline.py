@@ -309,20 +309,58 @@ class TestFileCommands:
             cmd_encrypt(empty, enc, meta, KEY)
         assert not enc.exists() and not meta.exists()
 
-    def test_escaping_violation_writes_nothing(self, tmp_path):
+    def test_escaping_violation_writes_nothing(self, tmp_path, monkeypatch):
+        # A NAL holding a forbidden 00 00 0X, ciphered or not, is refused by
+        # name before any key work, and no file is written.
         plain, enc, meta, out = self.make_files(tmp_path)
+        clean = plain.read_bytes()
         bad_sps = b"\x00\x00\x00\x01\x67\x42\x00\x00\x02\x1e"
+        bad_idr = b"\x00\x00\x00\x01\x65\x88\x00\x00\x02\x11"
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        refusal = "^NAL {}: 00 00 02 at payload offset 1$"
         dirty = tmp_path / "dirty.264"
-        dirty.write_bytes(bad_sps + plain.read_bytes())
-        with pytest.raises(EscapingViolation, match="^NAL 0: 00 00 02 at payload offset 1$"):
-            cmd_encrypt(dirty, enc, meta, KEY, nonce=b"\x0a" * 8)
-        assert not enc.exists() and not meta.exists()
-        # The same NAL after the last ciphered one stops decryption too.
-        cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x0a" * 8)
-        enc.write_bytes(enc.read_bytes() + bad_sps)
-        with pytest.raises(EscapingViolation, match="^NAL 14: 00 00 02 at payload offset 1$"):
-            cmd_decrypt(enc, meta, out, KEY)
-        assert not out.exists()
+        for policy in EncryptionPolicy:
+            cases = ((bad_sps + clean, 0), (clean + bad_sps, 14), (clean + bad_idr, 14))
+            for stream, ordinal in cases:
+                dirty.write_bytes(stream)
+                with pytest.raises(EscapingViolation, match=refusal.format(ordinal)):
+                    cmd_encrypt(dirty, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
+                assert not enc.exists() and not meta.exists() and keyed == []
+            # Decryption refuses a clear SPS after the last ciphered NAL, and an
+            # IDR in place of NAL 14, which the sidecar lists as ciphered.
+            dirty.write_bytes(clean + b"\x00\x00\x00\x01\x65\x88\x44\x55\x66\x11")
+            cmd_encrypt(dirty, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
+            assert 14 in CipherHeader.from_bytes(meta.read_bytes()).ordinals
+            data = enc.read_bytes()
+            cut = data[: data.rindex(b"\x00\x00\x00\x01")]
+            keyed.clear()
+            for stream, ordinal in ((data + bad_sps, 15), (cut + bad_idr, 14)):
+                enc.write_bytes(stream)
+                with pytest.raises(EscapingViolation, match=refusal.format(ordinal)):
+                    cmd_decrypt(enc, meta, out, KEY)
+                assert not out.exists() and keyed == []
+            enc.unlink()
+            meta.unlink()
+
+    def test_sidecar_written_before_stream(self, tmp_path):
+        # Encrypting a file in place with an unwritable sidecar path must
+        # leave the plaintext as it was, not replace it with a ciphertext
+        # whose random nonce is lost.
+        plain, enc, meta, _ = self.make_files(tmp_path)
+        before = plain.read_bytes()
+        with pytest.raises(OSError):
+            cmd_encrypt(plain, plain, tmp_path / "missing" / "m.seh", KEY)
+        assert plain.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.264"]
+        # Nor may an unwritable stream path replace the sidecar of an
+        # earlier ciphertext.
+        cmd_encrypt(plain, enc, meta, KEY)
+        sidecar = meta.read_bytes()
+        with pytest.raises(OSError):
+            cmd_encrypt(plain, tmp_path / "missing" / "e.264", meta, KEY)
+        assert meta.read_bytes() == sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["enc.264", "meta.seh", "plain.264"]
 
     @pytest.mark.parametrize("payload", ["88aa9abc80000003", "88aa000003051122"])
     def test_kept_escape_in_ciphered_nal_writes_nothing(self, tmp_path, payload):

@@ -341,6 +341,21 @@ class TestStreamEncryption:
         with pytest.raises(ValueError):
             encrypt_stream([], KS, selection([], EncryptionPolicy.IDR_ONLY), b"\x00" * 7)
 
+    def test_absent_ordinal_refused_before_payload_work(self, monkeypatch):
+        # NAL 99 is not in the stream: no sidecar may list it, and nothing is
+        # unescaped or keyed before the refusal.
+        nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
+        calls = Counter()
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
+        for policy in EncryptionPolicy:
+            with pytest.raises(OrdinalOutOfRange, match="^NAL 99 is listed but the stream has 10$"):
+                encrypt_stream(nals, KS, SelectionResult(policy, (2, 99)), NONCE)
+        assert calls == {}
+
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # 200 short IDR slices share one keystream pass: one encrypt_blocks
         # call per _CHUNK_BLOCKS counter blocks, not one per NAL.
