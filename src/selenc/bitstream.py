@@ -106,36 +106,38 @@ class NalUnit:
         return self.start_code_len + (0 if self.header is None else 1 + len(self.ebsp))
 
 
-# Emulation prevention (H.264 7.4.1) as three byte patterns. In an escaped
-# payload a 0x03 after two zero bytes is an emulation-prevention byte when a
-# byte <= 0x03 follows it; two zero bytes followed by 0x00-0x02 must never
-# occur. Escaping inserts 0x03 after every two zero bytes that precede a
-# byte <= 0x03; matches do not overlap, so 00 00 00 00 becomes 00 00 03 00 00.
-_EPB_STRIP = re.compile(b"\x00\x00\x03(?=[\x00-\x03])")
+# Emulation prevention (H.264 7.3.1, 7.4.1). Unescaping drops the 03 of every
+# 00 00 03. An escaped payload must never hold 00 00 followed by 00, 01 or 02,
+# nor 00 00 03 followed by a byte above 03. Escaping inserts 0x03 after every
+# two zero bytes that precede a byte <= 0x03; matches do not overlap, so
+# 00 00 00 00 becomes 00 00 03 00 00.
 _EPB_INSERT = re.compile(b"\x00\x00(?=[\x00-\x03])")
-_EPB_VIOLATION = re.compile(b"\x00\x00[\x00-\x02]")
-# What classify_stream's 00 00 03 count cannot size: a violation, or a 00 00 03
-# that _EPB_STRIP keeps. Once 7.3.1 strips every 00 00 03, it is _EPB_VIOLATION.
-_EPB_IRREGULAR = re.compile(_EPB_VIOLATION.pattern + b"|\x00\x00\x03(?![\x00-\x03])")
+_EPB_VIOLATION = re.compile(b"\x00\x00(?:[\x00-\x02]|\x03[\x04-\xff])")
 
 
 def find_escape_violation(ebsp: bytes) -> int:
-    """Offset of the first forbidden 00 00 0X (X <= 2) run, or -1 if clean."""
+    """Offset of the first forbidden run, 00 00 0X (X <= 2) or 00 00 03 0Y
+    (Y > 3), or -1 if clean."""
     m = _EPB_VIOLATION.search(ebsp)
     return -1 if m is None else m.start()
 
 
-def ebsp_to_rbsp(ebsp: bytes) -> bytes:
-    """Strip emulation-prevention 0x03 bytes from an escaped payload.
+def _violation(ebsp: bytes) -> Optional[str]:
+    """The first forbidden run and its offset, as error text; None if clean."""
+    m = _EPB_VIOLATION.search(ebsp)
+    return None if m is None else f"{m.group().hex(' ')} at payload offset {m.start()}"
 
-    A 0x03 is dropped exactly when it follows two zero bytes and precedes a
-    byte <= 0x03. Raises MalformedEscape when two zero bytes are followed by
-    0x00, 0x01 or 0x02, which a properly escaped payload can never contain.
+
+def ebsp_to_rbsp(ebsp: bytes) -> bytes:
+    """Strip emulation-prevention bytes: the 03 of every 00 00 03 goes.
+
+    Raises MalformedEscape on a run that find_escape_violation finds, which
+    a properly escaped payload can never contain.
     """
-    v = find_escape_violation(ebsp)
-    if v != -1:
-        raise MalformedEscape(f"unescaped 00 00 {ebsp[v + 2]:02x} at payload offset {v}")
-    return _EPB_STRIP.sub(b"\x00\x00", ebsp)
+    bad = _violation(ebsp)
+    if bad is not None:
+        raise MalformedEscape(f"unescaped {bad}")
+    return ebsp.replace(b"\x00\x00\x03", b"\x00\x00")
 
 
 def rbsp_to_ebsp(rbsp: bytes) -> bytes:
@@ -195,14 +197,13 @@ def scan_annexb(stream: bytes) -> "list[NalUnit]":
 
 
 def check_escaping(nals: Iterable[NalUnit]) -> None:
-    """Raise EscapingViolation naming the first NAL whose payload holds a 00
-    00 0X run (X <= 2), which would mimic a start code to any reader."""
+    """Raise EscapingViolation naming the first NAL whose payload holds a run
+    that find_escape_violation finds: 00 00 0X (X <= 2) would mimic a start
+    code to any reader, and 00 00 03 0Y (Y > 3) is no escape at all."""
     for nal in nals:
-        v = find_escape_violation(nal.ebsp)
-        if v != -1:
-            raise EscapingViolation(
-                f"NAL {nal.ordinal}: 00 00 {nal.ebsp[v + 2]:02x} at payload offset {v}"
-            )
+        bad = _violation(nal.ebsp)
+        if bad is not None:
+            raise EscapingViolation(f"NAL {nal.ordinal}: {bad}")
 
 
 def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
@@ -317,9 +318,14 @@ class SliceInfo:
 
 
 def parse_slice_info(rbsp: bytes) -> SliceInfo:
-    """Read first_mb_in_slice and slice_type from the start of a slice RBSP."""
+    """Read first_mb_in_slice and slice_type from the start of a slice RBSP.
+    A field out of range raises OutOfRange, so an accepted header takes at
+    most 35 + 7 = 42 bits: first_mb_in_slice < PicSizeInMbs <= 139,264 (7.4.3
+    and the largest MaxFS in Table A-1), slice_type <= 9."""
     r = BitReader(rbsp)
     first_mb = r.read_ue()
+    if first_mb >= 139_264:
+        raise OutOfRange(f"first_mb_in_slice {first_mb} outside [0, 139263]")
     slice_type = r.read_ue()
     if slice_type > 9:
         raise OutOfRange(f"slice_type {slice_type} outside [0, 9]")
@@ -338,24 +344,14 @@ class ReportRow:
     slice_info: Optional[SliceInfo]
     unparsed: bool  # slice NAL whose header could not be read
     forbidden_bit: bool
-    malformed_escape: bool  # payload holds a forbidden 00 00 0X (X <= 2)
-
-
-def _parse_slice_header(ebsp: bytes, rbsp: Optional[bytes]) -> SliceInfo:
-    # The first 64 payload bytes, less the three unescaped bytes a 00 00 03 cut
-    # there can change, hold most headers; the rest are read from the whole RBSP.
-    if rbsp is None and len(ebsp) > 64:
-        try:
-            return parse_slice_info(ebsp_to_rbsp(ebsp[:64])[:-3])
-        except OutOfBits:
-            pass
-    return parse_slice_info(ebsp_to_rbsp(ebsp) if rbsp is None else rbsp)
+    malformed_escape: bool  # payload holds a run find_escape_violation finds
 
 
 def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
-    """One inspection row per NAL; never raises on corrupt payloads. Only a
-    payload that _EPB_IRREGULAR matches is unescaped whole (the others are
-    sized by their 00 00 03 count); slice headers are read from a prefix."""
+    """One inspection row per NAL; never raises on corrupt payloads. A clean
+    payload is sized by its 00 00 03 count, and a slice header is read from
+    its first 16 bytes: they unescape to a prefix of the RBSP of at least 88
+    bits, more than parse_slice_info reads from any header it accepts."""
     rows = []
     for nal in nals:
         if nal.header is None:
@@ -363,19 +359,11 @@ def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
             continue
         t = nal.header.nal_unit_type
         ebsp = nal.ebsp
-        rbsp: Optional[bytes] = None
-        malformed = False
-        rbsp_size = len(ebsp) - ebsp.count(b"\x00\x00\x03")
-        if _EPB_IRREGULAR.search(ebsp) is not None:
-            try:
-                rbsp = ebsp_to_rbsp(ebsp)
-            except MalformedEscape:
-                malformed = True
-            rbsp_size = len(ebsp) if malformed else len(rbsp)
+        malformed = _EPB_VIOLATION.search(ebsp) is not None
         info = None
         if t in VCL_TYPES and not malformed:
             try:
-                info = _parse_slice_header(ebsp, rbsp)
+                info = parse_slice_info(ebsp_to_rbsp(ebsp[:16]))
             except (OutOfBits, OutOfRange):
                 pass
         rows.append(
@@ -384,7 +372,7 @@ def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
                 nal_type=t,
                 type_name=nal_type_name(t),
                 size=len(ebsp),
-                rbsp_size=rbsp_size,
+                rbsp_size=len(ebsp) if malformed else len(ebsp) - ebsp.count(b"\x00\x00\x03"),
                 slice_info=info,
                 unparsed=t in VCL_TYPES and info is None,
                 forbidden_bit=bool(nal.header.forbidden_zero_bit),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .aes import key_expansion
@@ -115,6 +116,8 @@ def _print_table(report: StreamReport) -> None:
             flags.append("unparsed")
         if r.forbidden_bit:
             flags.append("forbidden")
+        if r.malformed_escape:
+            flags.append("malformed")
         print(
             f"{r.ordinal:>4} {r.nal_type:>4} {r.type_name:<8} {r.size:>7} "
             f"{slice_kind:<8} {','.join(flags)}"
@@ -168,6 +171,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             for field, value in result.to_dict().items():
                 print(f"{field}={value}")
+    sys.stdout.flush()  # inside main's try, so a closed stdout fails there
     return 0
 
 
@@ -175,6 +179,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except BrokenPipeError:
+        # As the signal module's docs advise: the flush at exit must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SelencError, OSError, ValueError) as exc:
         print(f"selenc: error: {exc}", file=sys.stderr)
         return 1

@@ -10,12 +10,12 @@ class NoStartCode(SelencError):
 
 
 class EscapingViolation(SelencError):
-    """A payload to serialize, or in a stream to cipher, holds a forbidden 00 00 0X run."""
+    """A payload to serialize, or in a stream to cipher, holds a run that 7.4.1 forbids."""
 
 
 class MalformedEscape(SelencError):
-    """An escaped payload contains 0x00 0x00 followed by 0x00, 0x01 or 0x02,
-    or a payload to cipher keeps a 00 00 03 that re-escaping would double."""
+    """An escaped payload holds a run that 7.4.1 forbids, or a payload to
+    cipher ends in 00 00 03, a 03 that re-escaping would not restore."""
 
 
 class OutOfBits(SelencError):

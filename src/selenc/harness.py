@@ -17,6 +17,7 @@ from .bitstream import (
     BitReader,
     BitWriter,
     NalUnit,
+    check_escaping,
     classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
@@ -54,10 +55,12 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     """Encrypt the same stream selectively and naively and account the work.
 
     The naive pass runs encrypt_stream, the selective pass's path, with every
-    NAL payload selected, parameter sets included. Block counts are exact
-    arithmetic; wall times depend on the machine and are informative only.
+    NAL payload selected, parameter sets included. It refuses a badly escaped
+    NAL as the cipher commands do. Block counts are exact arithmetic; wall
+    times depend on the machine and are informative only.
     """
     rows = classify_stream(nals)
+    check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
     result = select(rows, policy)
     everything = tuple(n.ordinal for n in nals if n.header is not None)
 
@@ -279,7 +282,7 @@ def _check_escaping_round_trip(rng: random.Random) -> str:
         ebsp = rbsp_to_ebsp(rbsp)
         assert find_escape_violation(ebsp) == -1, f"violation left in {ebsp.hex()}"
         assert ebsp_to_rbsp(ebsp) == rbsp, f"round trip broke on {rbsp.hex()}"
-    for bad in (b"\x00\x00\x00", b"\x00\x00\x01", b"\xaa\x00\x00\x02"):
+    for bad in (b"\x00\x00\x00", b"\x00\x00\x01", b"\xaa\x00\x00\x02", b"\x00\x00\x03\x04"):
         try:
             ebsp_to_rbsp(bad)
             raise AssertionError(f"{bad.hex()} accepted as escaped payload")

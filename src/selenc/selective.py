@@ -79,11 +79,10 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     for o in ordinals:
         if not 0 <= o < len(nals):
             raise OrdinalOutOfRange(f"NAL {o} is listed but the stream has {len(nals)}")
+        # Unescaping drops the 03 of a 00 00 03 tail, and re-escaping adds none back.
+        if nals[o].ebsp.endswith(b"\x00\x00\x03"):
+            raise MalformedEscape(f"NAL {o}: 00 00 03 at payload end would not round-trip")
     picked = [(o, ebsp_to_rbsp(nals[o].ebsp)) for o in ordinals]
-    for o, rbsp in picked:
-        # A 00 00 03 that unescaping keeps would be re-escaped to 00 00 03 03.
-        if len(rbsp) != len(nals[o].ebsp) - nals[o].ebsp.count(b"\x00\x00\x03"):
-            raise MalformedEscape(f"NAL {o}: kept 00 00 03 would not round-trip")
     keystream = ctr_keystream(ks, nonce, [(o, len(rbsp)) for o, rbsp in picked])
     out, pos = list(nals), 0
     for o, rbsp in picked:

@@ -10,6 +10,7 @@ from selenc.bitstream import (
     NalHeader,
     NalUnit,
     ReportRow,
+    SliceInfo,
     VCL_TYPES,
     classify_stream,
     ebsp_to_rbsp,
@@ -52,22 +53,17 @@ def bits_of(data: bytes) -> str:
 # Byte-at-a-time escaping, kept as the reference for the pattern-based
 # functions in selenc.bitstream.
 def ebsp_to_rbsp_loop(ebsp: bytes) -> bytes:
+    # The H.264 7.3.1 nal_unit() loop: where the next three bytes are
+    # 00 00 03, emit the two zero bytes and drop the emulation_prevention_three_byte.
     out = bytearray()
-    zeros = 0
     i = 0
-    n = len(ebsp)
-    while i < n:
-        b = ebsp[i]
-        if zeros >= 2:
-            if b <= 0x02:
-                raise MalformedEscape(f"unescaped 00 00 {b:02x} at payload offset {i - 2}")
-            if b == 0x03 and i + 1 < n and ebsp[i + 1] <= 0x03:
-                zeros = 0
-                i += 1
-                continue
-        out.append(b)
-        zeros = zeros + 1 if b == 0 else 0
-        i += 1
+    while i < len(ebsp):
+        if ebsp[i : i + 3] == b"\x00\x00\x03":
+            out += b"\x00\x00"
+            i += 3
+        else:
+            out.append(ebsp[i])
+            i += 1
     return bytes(out)
 
 
@@ -84,9 +80,12 @@ def rbsp_to_ebsp_loop(rbsp: bytes) -> bytes:
 
 
 def escape_violation_loop(ebsp: bytes) -> int:
+    # H.264 7.4.1: within a NAL payload, 00 00 must not precede 00, 01 or 02,
+    # and 00 00 03 must not precede a byte above 03.
     for i in range(len(ebsp) - 2):
-        if ebsp[i] == 0 and ebsp[i + 1] == 0 and ebsp[i + 2] <= 0x02:
-            return i
+        if ebsp[i] == 0 and ebsp[i + 1] == 0:
+            if ebsp[i + 2] <= 0x02 or ebsp[i + 2] == 0x03 and ebsp[i + 3 : i + 4] > b"\x03":
+                return i
     return -1
 
 
@@ -291,8 +290,7 @@ class TestEscaping:
             (b"\x00\x00\x03\x00\x01", b"\x00\x00\x00\x01"),
             (b"", b""),
             (b"\x00\x00", b"\x00\x00"),  # trailing pair is legal as-is
-            (b"\x00\x00\x03", b"\x00\x00\x03"),  # no following byte: 03 kept
-            (b"\x00\x00\x03\xff", b"\x00\x00\x03\xff"),  # 03 before >03 kept
+            (b"\x00\x00\x03", b"\x00\x00"),  # every 00 00 03 drops its 03
         ],
     )
     def test_unescape_vectors(self, ebsp, rbsp):
@@ -313,7 +311,16 @@ class TestEscaping:
     def test_escape_vectors(self, rbsp, ebsp):
         assert rbsp_to_ebsp(rbsp) == ebsp
 
-    @pytest.mark.parametrize("bad", [b"\x00\x00\x00", b"\x00\x00\x01", b"\xff\x00\x00\x02"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b"\x00\x00\x00",
+            b"\x00\x00\x01",
+            b"\xff\x00\x00\x02",
+            b"\x00\x00\x03\xff",  # 00 00 03 before a byte above 03
+            b"\x00\x00\x03\x04",
+        ],
+    )
     def test_malformed_escape(self, bad):
         with pytest.raises(MalformedEscape):
             ebsp_to_rbsp(bad)
@@ -321,8 +328,8 @@ class TestEscaping:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="the cabac_zero_word tail keeps its 03 on unescape and gains another on "
-        "re-escape (ROADMAP item 1)",
+        reason="the cabac_zero_word tail loses its 03 on unescape, and re-escaping adds "
+        "none at a payload end (ROADMAP item 1)",
     )
     def test_cabac_zero_word_tail_round_trips(self):
         ebsp = bytes.fromhex("9abc80000003")
@@ -341,21 +348,22 @@ class TestEscaping:
     def test_violation_finder(self):
         assert find_escape_violation(b"\xaa\x00\x00\x01") == 1
         assert find_escape_violation(b"\x00\x00\x03\x01") == -1
+        assert find_escape_violation(b"\x00\x00\x03") == -1
+        assert find_escape_violation(b"\xaa\x00\x00\x03\x05") == 1
         assert find_escape_violation(b"") == -1
 
     @settings(max_examples=500)
     @given(zero_heavy)
     def test_patterns_match_byte_loops(self, data):
         assert rbsp_to_ebsp(data) == rbsp_to_ebsp_loop(data)
-        assert find_escape_violation(data) == escape_violation_loop(data)
-        try:
-            want = ebsp_to_rbsp_loop(data)
-        except MalformedEscape as exc:
-            with pytest.raises(MalformedEscape) as got:
-                ebsp_to_rbsp(data)
-            assert str(got.value) == str(exc)
+        v = escape_violation_loop(data)
+        assert find_escape_violation(data) == v
+        if v == -1:
+            assert ebsp_to_rbsp(data) == ebsp_to_rbsp_loop(data)
         else:
-            assert ebsp_to_rbsp(data) == want
+            run = data[v : v + (4 if data[v + 2] == 0x03 else 3)].hex(" ")
+            with pytest.raises(MalformedEscape, match=f"^unescaped {run} at payload offset {v}$"):
+                ebsp_to_rbsp(data)
 
 
 class TestBitReader:
@@ -484,11 +492,19 @@ class TestSliceInfo:
             assert info.is_intra == (t % 5 == 2)
 
     def test_out_of_range(self):
+        # 139,264 is the largest PicSizeInMbs (MaxFS in Table A-1), which
+        # first_mb_in_slice must stay below.
+        for first_mb, slice_type in ((0, 10), (139_264, 7), (2**100 - 1, 7)):
+            w = BitWriter()
+            w.write_ue(first_mb)
+            w.write_ue(slice_type)
+            with pytest.raises(OutOfRange):
+                parse_slice_info(w.to_bytes())
         w = BitWriter()
-        w.write_ue(0)
-        w.write_ue(10)
-        with pytest.raises(OutOfRange):
-            parse_slice_info(w.to_bytes())
+        w.write_ue(139_263)
+        w.write_ue(9)
+        assert w.bit_length == 42
+        assert parse_slice_info(w.to_bytes()) == SliceInfo(139_263, 9)
 
     def test_out_of_bits(self):
         with pytest.raises(OutOfBits):
@@ -574,30 +590,33 @@ def slice_payload(first_mb, slice_type, filler=b""):
 
 
 # first_mb_in_slice + 1 = 2**207 - 2**21 codes as 206 zeros, 186 ones and 21
-# zeros, so the codeword ends just past a 00 00 03 at payload offsets 61-63,
-# the end of the header prefix; slice_type is then read from the bytes after
-# that 03, which a prefix read must not take from the kept 03 itself.
+# zeros, so the codeword runs far past the 16-byte header prefix and ends just
+# past a 00 00 03 at payload offsets 61-63. The value is far above the largest
+# legal one, so the slice is unparsed however much of it a read sees.
 CUT_FIRST_MB = (1 << 207) - (1 << 21) - 1
 
 
 @st.composite
 def classify_payloads(draw):
     """Zero-heavy payloads from 0 to about 200 bytes: slice headers with short
-    or long ue(v) codewords (zero runs that outlast the 64-byte prefix) and
-    slice_type up to 12, escaped or raw, with 00 00 03 forced at the prefix
-    end, at the payload end, or before a byte above 0x03."""
+    ue(v) codewords, first_mb_in_slice around its largest legal value, or
+    long codewords (zero runs that outlast the 16-byte prefix) and slice_type
+    up to 12, escaped or raw, with 00 00 03 forced around the prefix end, at
+    the payload end, or before a byte above 0x03."""
     # Long codewords shaped as CUT_FIRST_MB's: `width` zeros, then
-    # width + 1 - tail ones and tail zeros, ending around the prefix end.
+    # width + 1 - tail ones and tail zeros.
     width, tail = draw(st.integers(195, 215)), draw(st.integers(0, 30))
     long_code = (1 << width + 1) - (1 << tail) - 1
-    first_mb = draw(st.one_of(st.integers(0, 40), st.just(long_code)))
+    first_mb = draw(
+        st.one_of(st.integers(0, 40), st.integers(139_250, 139_280), st.just(long_code))
+    )
     filler = draw(st.lists(st.sampled_from(ZERO_HEAVY), max_size=100).map(bytes))
     ebsp = bytearray(slice_payload(first_mb, draw(st.integers(0, 12)), filler))
     if draw(st.booleans()):
         ebsp = bytearray(draw(zero_heavy)) + ebsp[: draw(st.integers(0, 100))]
     force = draw(st.sampled_from(["none", "cut", "end", "kept"]))
     if force == "cut":
-        at = draw(st.integers(58, 64))
+        at = draw(st.integers(8, 64))
         ebsp[at : at + 4] = b"\x00\x00\x03" + bytes([draw(st.sampled_from(ZERO_HEAVY))])
     elif force == "end":
         ebsp += b"\x00\x00\x03"
@@ -617,10 +636,20 @@ class TestClassifyEquivalence:
         nals.append(NalUnit(len(nals), 3, None, b""))
         assert classify_stream(nals) == classify_reference(nals)
 
-    def test_cut_example_reads_past_the_prefix(self):
-        ebsp = slice_payload(CUT_FIRST_MB, 3, b"\xa5" * 8)
-        assert ebsp[61:65] == b"\x00\x00\x03\x01"
-        assert parse_slice_info(ebsp_to_rbsp(ebsp[:64])).slice_type == 2
-        assert classify_stream([NalUnit(0, 4, parse_nal_header(0x65), ebsp)])[0].slice_info == (
-            parse_slice_info(ebsp_to_rbsp(ebsp))
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            zero_heavy.map(rbsp_to_ebsp),
+            zero_heavy.filter(lambda e: find_escape_violation(e) == -1),
         )
+    )
+    @example(b"\x00\x00\x03" * 6)
+    def test_unescaped_cut_is_a_prefix_of_the_rbsp(self, ebsp):
+        # Why classify_stream reads a slice header from ebsp[:16]: every cut
+        # unescapes to a prefix of the whole RBSP, and 16 bytes to at least
+        # 88 bits, past the 42 that parse_slice_info reads from a header it
+        # accepts.
+        rbsp = ebsp_to_rbsp(ebsp)
+        for k in range(len(ebsp) + 1):
+            assert rbsp.startswith(ebsp_to_rbsp(ebsp[:k]))
+        assert len(ebsp_to_rbsp(ebsp[:16])) >= min(11, len(rbsp))

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import os
 
 import pytest
 
@@ -17,6 +19,16 @@ def stream_file(tmp_path):
     path = tmp_path / "plain.264"
     assert run("gen-test", "--out", str(path), "--gop", "4", "--frames", "12",
                "--payload", "64", "--seed", "3") == 0
+    return path
+
+
+@pytest.fixture
+def bad_stream(tmp_path):
+    """A generated clip after an SPS whose payload holds 00 00 02."""
+    clip = tmp_path / "clip.264"
+    assert run("gen-test", "--out", str(clip), "--gop", "4", "--frames", "12", "--seed", "1") == 0
+    path = tmp_path / "bad.264"
+    path.write_bytes(b"\x00\x00\x00\x01\x67\x42\x00\x00\x02\x1e" + clip.read_bytes())
     return path
 
 
@@ -172,6 +184,21 @@ class TestInspect:
         assert run("inspect", "--in", str(empty)) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_flags_what_encrypt_refuses(self, bad_stream, capsys):
+        assert run("inspect", "--in", str(bad_stream)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["0", "7", "SPS", "5", "-", "malformed"]
+        assert not any("malformed" in line for line in lines[2:])
+        assert run("inspect", "--in", str(bad_stream), "--json") == 0
+        assert "malformed" not in capsys.readouterr().out
+
+    def test_closed_stdout_is_not_an_error(self, stream_file, capsys):
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w") as closed, contextlib.redirect_stdout(closed):
+            assert run("inspect", "--in", str(stream_file)) == 1
+        assert capsys.readouterr().err == ""
+
 
 class TestBench:
     def test_text_output(self, stream_file, capsys):
@@ -192,3 +219,8 @@ class TestBench:
         empty.write_bytes(b"")
         assert run("bench", "--in", str(empty), "--key", KEY) == 1
         assert capsys.readouterr().err == f"selenc: error: {empty}: input file is empty\n"
+
+    def test_names_a_badly_escaped_nal(self, bad_stream, capsys):
+        # The same refusal, word for word, as encrypt and decrypt give.
+        assert run("bench", "--in", str(bad_stream), "--key", KEY) == 1
+        assert capsys.readouterr().err == "selenc: error: NAL 0: 00 00 02 at payload offset 1\n"

@@ -363,15 +363,24 @@ class TestFileCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["enc.264", "meta.seh", "plain.264"]
 
     @pytest.mark.parametrize("payload", ["88aa9abc80000003", "88aa000003051122"])
-    def test_kept_escape_in_ciphered_nal_writes_nothing(self, tmp_path, payload):
-        # Unescaping keeps these 00 00 03 runs, and re-escaping the ciphertext
-        # would double them, so the round trip would gain a byte.
+    def test_kept_escape_in_ciphered_nal_writes_nothing(self, tmp_path, monkeypatch, payload):
+        # A cabac_zero_word tail loses its 03 on unescape, and re-escaping the
+        # ciphertext would not restore it, so ciphering refuses it. A 00 00 03
+        # before 0x05 breaks 7.4.1 and is refused before any key work.
+        refusals = {
+            "88aa9abc80000003": (MalformedEscape, "00 00 03 at payload end would not round-trip"),
+            "88aa000003051122": (EscapingViolation, "00 00 03 05 at payload offset 2"),
+        }
+        error, text = refusals[payload]
         plain, enc, meta, _ = self.make_files(tmp_path)
         dirty = tmp_path / "dirty.264"
         dirty.write_bytes(plain.read_bytes() + b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload))
-        with pytest.raises(MalformedEscape, match="^NAL 14: kept 00 00 03"):
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        with pytest.raises(error, match=f"^NAL 14: {text}$"):
             cmd_encrypt(dirty, enc, meta, KEY, nonce=b"\x0b" * 8)
         assert not enc.exists() and not meta.exists()
+        assert keyed == ([] if error is EscapingViolation else [KEY])
 
     def test_wrong_key(self, tmp_path):
         plain, enc, meta, out = self.make_files(tmp_path)
@@ -427,9 +436,8 @@ class TestFileCommands:
 
 class TestOnePass:
     """Each command classifies its stream once. Classification unescapes
-    one payload per slice NAL (a header prefix, or the whole payload when it
-    is short or breaks the count) and no parameter set with a regular
-    payload; ciphering unescapes each ciphered NAL once more."""
+    the 16-byte header prefix of each slice NAL and nothing of a parameter
+    set; ciphering unescapes each ciphered NAL once more."""
 
     @pytest.fixture
     def counts(self, monkeypatch):

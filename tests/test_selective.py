@@ -181,8 +181,8 @@ class TestSelect:
             assert report.unparsed_ordinals == unparsed
 
 
-# Escaped payloads with no forbidden 00 00 0X (X <= 2). Unescaping keeps a
-# 00 00 03 that precedes a byte above 0x03 or ends the payload.
+# Escaped payloads with no run that 7.4.1 forbids. A 00 00 03 that ends the
+# payload loses its 03 on unescape and gets none back on re-escape.
 VALID_EBSP = (
     st.lists(st.sampled_from([b"\x00\x00\x03", b"\x00", b"\x01", b"\x03", b"\x04", b"\xff"]),
              max_size=12)
@@ -409,10 +409,26 @@ class TestStreamEncryption:
                 lost.append(seed)
         assert lost == []
 
+    @pytest.mark.parametrize("policy", list(EncryptionPolicy))
+    def test_round_trip_payload_ending_in_zeros(self, policy):
+        # split_annexb leaves the zero bytes before a 4-byte start code with
+        # the payload before it, so the IDR's payload is 88 aa 00 00. A rule
+        # that appended 03 to an RBSP ending in 00 00 would break this.
+        data = (
+            b"\x00\x00\x00\x01\x67\x42" + b"\x00\x00\x00\x01\x68\xce"
+            + b"\x00\x00\x00\x01\x65\x88\xaa\x00\x00" + b"\x00\x00\x00\x01\x41\xe0\x11"
+        )
+        nals = scan_annexb(data)
+        assert nals[2].ebsp == b"\x88\xaa\x00\x00"
+        enc, header = encrypt_stream(nals, KS, selection(nals, policy), NONCE)
+        assert header.ordinals == (2,)
+        dec = decrypt_stream(scan_annexb(serialize_annexb(enc)), KS, header)
+        assert serialize_annexb(dec) == data
+
     @settings(max_examples=200, deadline=None)
     @given(VALID_EBSP)
     @example(bytes.fromhex("88aa9abc80000003"))  # cabac_zero_word tail
-    @example(bytes.fromhex("88aa000003051122"))  # 00 00 03 before 0x05
+    @example(bytes.fromhex("88aa000003000003"))  # the same after an escaped 00
     def test_refuses_exactly_what_would_not_round_trip(self, ebsp):
         nals = [NalUnit(0, 4, parse_nal_header(0x65), ebsp)]
         sel = selection(nals, EncryptionPolicy.IDR_ONLY)
@@ -420,7 +436,7 @@ class TestStreamEncryption:
             enc, header = encrypt_stream(nals, KS, sel, NONCE)
             assert decrypt_stream(enc, KS, header) == nals
         else:
-            with pytest.raises(MalformedEscape, match="^NAL 0: kept 00 00 03"):
+            with pytest.raises(MalformedEscape, match="^NAL 0: 00 00 03 at payload end"):
                 encrypt_stream(nals, KS, sel, NONCE)
 
     def test_compliance_rescan(self):
@@ -467,7 +483,11 @@ class TestDecryptStream:
         enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         o = header.ordinals[-1]
         enc[o] = replace(enc[o], ebsp=enc[o].ebsp + b"\x11\x00\x00\x03\x05")
-        with pytest.raises(MalformedEscape, match=f"^NAL {o}: kept 00 00 03"):
+        with pytest.raises(MalformedEscape, match="^unescaped 00 00 03 05 at payload offset"):
+            decrypt_stream(enc, KS, header)
+        # A ciphertext never ends in 00 00 03, so such a tail is tampering too.
+        enc[o] = replace(enc[o], ebsp=enc[o].ebsp[:-5] + b"\x11\x00\x00\x03")
+        with pytest.raises(MalformedEscape, match=f"^NAL {o}: 00 00 03 at payload end"):
             decrypt_stream(enc, KS, header)
 
     def test_ordinal_out_of_range(self):
