@@ -13,6 +13,7 @@ from .harness import bench
 from .pipeline import (
     DEFAULT_KDF_ITERATIONS,
     KeySource,
+    RunSummary,
     StreamReport,
     _read_stream,
     cmd_decrypt,
@@ -96,9 +97,9 @@ def _parse_nonce(text: str) -> bytes:
     return nonce
 
 
-def _print_summary(report: StreamReport) -> None:
+def _print_summary(report: RunSummary | StreamReport) -> None:
     print(
-        f"nals={len(report.rows)} total_bytes={report.total_bytes} "
+        f"nals={report.nal_count} total_bytes={report.total_bytes} "
         f"selected={len(report.selected_ordinals)} selected_bytes={report.selected_bytes} "
         f"fraction={report.encrypted_fraction:.4f} aes_blocks={report.aes_blocks}"
     )
@@ -127,7 +128,7 @@ def _print_table(report: StreamReport) -> None:
     _print_summary(report)
 
 
-def _warn_clear_intra_candidates(report: StreamReport) -> None:
+def _warn_clear_intra_candidates(report: RunSummary) -> None:
     left = report.unparsed_ordinals
     if left:
         print(

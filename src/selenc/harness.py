@@ -61,7 +61,7 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     """
     rows = classify_stream(nals)
     check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
-    result = select(rows, policy)
+    result = select(nals, policy)
     everything = tuple(n.ordinal for n in nals if n.header is not None)
 
     t0 = time.perf_counter()
@@ -328,7 +328,7 @@ def _check_stream_compliance(rng: random.Random) -> str:
                                    seed=rng.randrange(1 << 30))
             nals = scan_annexb(data)
             nonce = rng.randbytes(8)
-            selection = select(classify_stream(nals), policy)
+            selection = select(nals, policy)
             enc_nals, header = encrypt_stream(nals, ks, selection, nonce)
             for n in enc_nals:
                 assert find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} escaping violated"

@@ -125,8 +125,27 @@ def estimate_passphrase_bits(passphrase: str) -> PassphraseStrength:
 
 
 @dataclass(frozen=True)
+class RunSummary:
+    """What a command did to a stream: the fields of the CLI's summary line
+    and of its all-i warning. It holds no NAL and no payload bytes."""
+
+    policy: EncryptionPolicy
+    nal_count: int
+    leading_garbage: int
+    total_bytes: int
+    selected_ordinals: "tuple[int, ...]"
+    selected_bytes: int
+    encrypted_fraction: float
+    aes_blocks: int
+    # Slices all-i left in the clear because their header did not parse; the
+    # CLI warns about them rather than leave them to a row flag.
+    unparsed_ordinals: "tuple[int, ...]"
+
+
+@dataclass(frozen=True)
 class StreamReport:
-    """Per-NAL rows plus the aggregate byte and work accounting."""
+    """One classify_stream row per NAL plus RunSummary's fields: what
+    inspect and bench report."""
 
     rows: "tuple[ReportRow, ...]"
     policy: EncryptionPolicy
@@ -137,9 +156,11 @@ class StreamReport:
     selected_bytes: int
     encrypted_fraction: float
     aes_blocks: int
-    # Slices all-i left in the clear because their header did not parse; the
-    # CLI warns about them rather than leave them to a row flag.
     unparsed_ordinals: "tuple[int, ...]"
+
+    @property
+    def nal_count(self) -> int:
+        return len(self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -168,6 +189,22 @@ class StreamReport:
         }
 
 
+def _summary_fields(policy, rbsp_sizes, unparsed, leading, total_bytes) -> dict:
+    # rbsp_sizes maps each selected ordinal to its RBSP size. The one place
+    # that counts a selection's bytes and its ceil(n/16) AES blocks.
+    selected_bytes = sum(rbsp_sizes.values())
+    return dict(
+        policy=policy,
+        leading_garbage=len(leading),
+        total_bytes=total_bytes,
+        selected_ordinals=tuple(sorted(rbsp_sizes)),
+        selected_bytes=selected_bytes,
+        encrypted_fraction=selected_bytes / total_bytes if total_bytes else 0.0,
+        aes_blocks=sum(-(-n // 16) for n in rbsp_sizes.values()),
+        unparsed_ordinals=tuple(unparsed),
+    )
+
+
 def build_report(
     rows: Sequence[ReportRow],
     policy: EncryptionPolicy,
@@ -178,23 +215,43 @@ def build_report(
     """Assemble a StreamReport from classify_stream's rows, the ordinals
     that were (or would be) ciphered and the stream's size in bytes."""
     chosen = frozenset(selected_ordinals)
-    vcl_payload = sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES)
-    selected_bytes = sum(rows[o].rbsp_size for o in chosen)
-    blocks = sum(-(-rows[o].rbsp_size // 16) for o in chosen)
     all_intra = policy is EncryptionPolicy.ALL_INTRA
-    unparsed = tuple(r.ordinal for r in rows if all_intra and r.unparsed and r.ordinal not in chosen)
     return StreamReport(
         rows=tuple(rows),
-        policy=policy,
-        selected_ordinals=tuple(sorted(chosen)),
-        leading_garbage=len(leading),
-        total_bytes=total_bytes,
-        vcl_payload_bytes=vcl_payload,
-        selected_bytes=selected_bytes,
-        encrypted_fraction=selected_bytes / total_bytes if total_bytes else 0.0,
-        aes_blocks=blocks,
-        unparsed_ordinals=unparsed,
+        vcl_payload_bytes=sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES),
+        **_summary_fields(
+            policy,
+            {o: rows[o].rbsp_size for o in chosen},
+            (r.ordinal for r in rows if all_intra and r.unparsed and r.ordinal not in chosen),
+            leading,
+            total_bytes,
+        ),
     )
+
+
+def summarize(
+    nals: Sequence[NalUnit],
+    policy: EncryptionPolicy,
+    selected_ordinals: Sequence[int],
+    leading: bytes,
+    total_bytes: int,
+) -> RunSummary:
+    """build_report's summary, read from the NALs themselves once
+    check_escaping has passed them: only a selected NAL is sized, and only a
+    slice all-i left in the clear has its header read."""
+    chosen = frozenset(selected_ordinals)
+    all_intra = policy is EncryptionPolicy.ALL_INTRA
+    return RunSummary(nal_count=len(nals), **_summary_fields(
+        policy,
+        {o: nals[o].rbsp_size for o in chosen},
+        (
+            n.ordinal for n in nals
+            if all_intra and n.ordinal not in chosen and n.header is not None
+            and n.header.nal_unit_type in VCL_TYPES and n.slice_info is None
+        ),
+        leading,
+        total_bytes,
+    ))
 
 
 def _atomic_write(*files) -> None:
@@ -232,7 +289,7 @@ def cmd_encrypt(
     key: KeySource,
     policy: EncryptionPolicy = EncryptionPolicy.IDR_ONLY,
     nonce: Optional[bytes] = None,
-) -> StreamReport:
+) -> RunSummary:
     """Encrypt a stream file to out_path and write the sidecar to meta_path.
 
     With an explicit nonce the run is fully deterministic; otherwise eight
@@ -240,36 +297,35 @@ def cmd_encrypt(
     escaping is refused before any key work.
     """
     data, leading, nals = _read_stream(in_path)
-    rows = classify_stream(nals)
-    check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
+    check_escaping(nals)
     ks = key_expansion(derive_key(key))
     if nonce is None:
         nonce = os.urandom(8)
-    out_nals, header = encrypt_stream(nals, ks, select(rows, policy), nonce)
+    out_nals, header = encrypt_stream(nals, ks, select(nals, policy), nonce)
     out = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
     _atomic_write((meta_path, header.to_bytes()), (out_path, out))
-    return build_report(rows, policy, header.ordinals, leading, len(data))
+    return summarize(nals, policy, header.ordinals, leading, len(data))
 
 
-def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> StreamReport:
+def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     """Decrypt a stream file using its sidecar; inverse of cmd_encrypt. The
-    report's rows describe the file read, its total_bytes the one written."""
+    summary's total_bytes is the size of the file written."""
     data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
-    rows = classify_stream(nals)
-    check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
+    check_escaping(nals)
     ks = key_expansion(derive_key(key))
     out = splice_annexb(data, leading, nals, decrypt_stream(nals, ks, header))
     _atomic_write((out_path, out))
-    return build_report(rows, header.policy, header.ordinals, leading, len(out))
+    # Ciphering keeps each RBSP's length, so the ciphertext sizes the selection.
+    return summarize(nals, header.policy, header.ordinals, leading, len(out))
 
 
 def cmd_inspect(in_path, policy: EncryptionPolicy = EncryptionPolicy.IDR_ONLY) -> StreamReport:
     """Report a stream's NAL layout without modifying anything."""
     data, leading, nals = _read_stream(in_path)
     rows = classify_stream(nals)
-    return build_report(rows, policy, select(rows, policy).selected_ordinals, leading, len(data))
+    return build_report(rows, policy, select(nals, policy).selected_ordinals, leading, len(data))
 
 
 def _noise(rng: random.Random, n: int, nonzero_tail: bool = False) -> bytearray:

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 from .aes import KeySchedule, ctr_keystream, encrypt_block, xor_bytes
 from .bitstream import (
     NAL_IDR,
+    NAL_NON_IDR,
     NalUnit,
-    ReportRow,
     ebsp_to_rbsp,
     rbsp_to_ebsp,
 )
@@ -40,21 +40,25 @@ class EncryptionPolicy(Enum):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """The ordinals a policy picks from a classified stream."""
+    """The ordinals a policy picks from a stream."""
 
     policy: EncryptionPolicy
     selected_ordinals: "tuple[int, ...]"
 
 
-def select(rows: Iterable[ReportRow], policy: EncryptionPolicy) -> SelectionResult:
-    """Pick the ordinals the policy covers from classify_stream's rows: every
-    IDR slice and, under ALL_INTRA, every slice whose header parsed as intra.
-    Only slice rows carry slice_info, so non-VCL NALs are never picked."""
+def select(nals: Iterable[NalUnit], policy: EncryptionPolicy) -> SelectionResult:
+    """Pick the ordinals the policy covers: every IDR slice, by its header
+    byte, and under ALL_INTRA every non-IDR slice whose slice_info parsed as
+    intra. No other NAL is read past its header byte."""
     all_intra = policy is EncryptionPolicy.ALL_INTRA
-    return SelectionResult(policy, tuple(
-        r.ordinal for r in rows
-        if r.nal_type == NAL_IDR or (all_intra and r.slice_info is not None and r.slice_info.is_intra)
-    ))
+    picked = []
+    for n in nals:
+        t = -1 if n.header is None else n.header.nal_unit_type
+        if t == NAL_IDR or (
+            all_intra and t == NAL_NON_IDR and n.slice_info is not None and n.slice_info.is_intra
+        ):
+            picked.append(n.ordinal)
+    return SelectionResult(policy, tuple(picked))
 
 
 def encrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
@@ -82,7 +86,12 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
         # Unescaping drops the 03 of a 00 00 03 tail, and re-escaping adds none back.
         if nals[o].ebsp.endswith(b"\x00\x00\x03"):
             raise MalformedEscape(f"NAL {o}: 00 00 03 at payload end would not round-trip")
-    picked = [(o, ebsp_to_rbsp(nals[o].ebsp)) for o in ordinals]
+    picked = []
+    for o in ordinals:
+        try:
+            picked.append((o, ebsp_to_rbsp(nals[o].ebsp)))
+        except MalformedEscape as exc:
+            raise MalformedEscape(f"NAL {o}: {exc}") from exc
     keystream = ctr_keystream(ks, nonce, [(o, len(rbsp)) for o, rbsp in picked])
     out, pos = list(nals), 0
     for o, rbsp in picked:

@@ -29,7 +29,6 @@ from selenc.aes import (
 from selenc.bitstream import (
     BitReader,
     BitWriter,
-    classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
@@ -147,7 +146,7 @@ def test_criterion_5_syntactic_compliance():
             for policy in EncryptionPolicy:
                 data = gen_test_stream(None, gop=gop, frames=frames, seed=gop * 100 + frames)
                 nals = scan_annexb(data)
-                selection = select(classify_stream(nals), policy)
+                selection = select(nals, policy)
                 enc_nals, _ = encrypt_stream(nals, ks, selection, b"\x21" * 8)
                 for n in enc_nals:
                     assert find_escape_violation(n.ebsp) == -1
@@ -178,7 +177,7 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         monkeypatch.setattr(
             aes, "encrypt_blocks", lambda d, k: blocks.append(len(d) // 16) or real(d, k)
         )
-        selection = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
+        selection = select(nals, EncryptionPolicy.IDR_ONLY)
         encrypt_stream(nals, ks, selection, b"\x22" * 8)
         monkeypatch.undo()
         sizes = {n.ordinal: len(ebsp_to_rbsp(n.ebsp)) for n in nals}
@@ -200,7 +199,7 @@ def test_criterion_7_wrong_key_behavior(monkeypatch):
         data = gen_test_stream(None, gop=3, frames=6, payload_size=64, seed=1007)
         nals = scan_annexb(data)
         right = key_expansion(rng.randbytes(16))
-        selection = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
+        selection = select(nals, EncryptionPolicy.IDR_ONLY)
         enc, header = encrypt_stream(nals, right, selection, rng.randbytes(8))
 
         touched = []

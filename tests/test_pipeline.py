@@ -24,6 +24,7 @@ from selenc.errors import (
     NoStartCode,
     WrongKey,
 )
+from selenc.cli import _print_summary
 from selenc.harness import KDF_VECTORS, kdf_oracle
 from selenc.pipeline import (
     KeySource,
@@ -186,8 +187,9 @@ class TestGenerator:
 
 
 def report_of(data, policy):
-    rows = classify_stream(scan_annexb(data))
-    return build_report(rows, policy, select(rows, policy).selected_ordinals, b"", len(data))
+    nals = scan_annexb(data)
+    rows = classify_stream(nals)
+    return build_report(rows, policy, select(nals, policy).selected_ordinals, b"", len(data))
 
 
 def slice_nal(ordinal, header_byte, slice_type, extra=b""):
@@ -281,7 +283,7 @@ class TestFileCommands:
         plain, enc, meta, _ = self.make_files(tmp_path, gop=12, frames=60)
         report = cmd_encrypt(plain, enc, meta, KEY, EncryptionPolicy.IDR_ONLY, nonce=b"\x02" * 8)
         header = CipherHeader.from_bytes(meta.read_bytes())
-        idr_rows = [r for r in report.rows if r.nal_type == 5]
+        idr_rows = [r for r in cmd_inspect(plain).rows if r.nal_type == 5]
         assert len(header.ordinals) == len(idr_rows) == 5
         assert report.selected_ordinals == header.ordinals
 
@@ -435,9 +437,10 @@ class TestFileCommands:
 
 
 class TestOnePass:
-    """Each command classifies its stream once. Classification unescapes
-    the 16-byte header prefix of each slice NAL and nothing of a parameter
-    set; ciphering unescapes each ciphered NAL once more."""
+    """Only inspect classifies. It unescapes the 16-byte header prefix of
+    each slice NAL once, and nothing of a parameter set. The cipher commands
+    unescape each ciphered NAL once and, under all-i, the header prefix of
+    each non-IDR slice; an IDR is picked by its header byte."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -470,13 +473,80 @@ class TestOnePass:
         report = cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x09" * 8)
         ciphered = len(report.selected_ordinals)
         assert ciphered == 3
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices + ciphered}
+        headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
+        assert counts == {"ebsp_to_rbsp": headers + ciphered}
 
         counts.clear()
         cmd_decrypt(enc, meta, out, KEY)
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices + ciphered}
+        assert counts == {"ebsp_to_rbsp": headers + ciphered}
         assert out.read_bytes() == plain.read_bytes()
 
         counts.clear()
         cmd_inspect(plain, policy)
         assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices}
+
+
+SUMMARY_FIELDS = (
+    "policy",
+    "nal_count",
+    "leading_garbage",
+    "total_bytes",
+    "selected_ordinals",
+    "selected_bytes",
+    "encrypted_fraction",
+    "aes_blocks",
+    "unparsed_ordinals",
+)
+
+
+def _multislice_stream():
+    """Pictures of two or three slices, every slice after the first behind a
+    3-byte start code: an IDR picture, an intra picture, a P picture and a
+    mixed one."""
+    nals = [
+        NalUnit(0, 4, parse_nal_header(0x67), b"\x42\xc0\x1e\x11"),
+        NalUnit(1, 3, parse_nal_header(0x68), b"\xce\x38\x80"),
+    ]
+    pictures = ((0x65, (7, 7)), (0x41, (2, 7, 2)), (0x41, (0, 5)), (0x41, (2, 0, 7)))
+    for p, (header_byte, slice_types) in enumerate(pictures):
+        for i, slice_type in enumerate(slice_types):
+            w = BitWriter()
+            w.write_ue(40 * i)  # first_mb_in_slice
+            w.write_ue(slice_type)
+            filler = bytes((p * 37 + i * 11 + k * 5) % 256 | 1 for k in range(60 + 9 * i))
+            scl = 4 if i == 0 else 3
+            nals.append(NalUnit(len(nals), scl, parse_nal_header(header_byte),
+                                rbsp_to_ebsp(w.to_bytes() + filler)))
+    return serialize_annexb(nals)
+
+
+@pytest.mark.parametrize("policy", list(EncryptionPolicy))
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xde\xad\xbe" + gen_test_stream(None, gop=3, frames=9, payload_size=64, seed=2),
+        # A trailing non-IDR slice of zero bytes has no readable header.
+        gen_test_stream(None, gop=4, frames=12, payload_size=64, seed=3) + b"\x00\x00\x00\x01\x41\x00\x00",
+        _multislice_stream(),
+    ],
+    ids=["leading_garbage", "unparsed_slice", "multislice"],
+)
+def test_cipher_summaries_match_inspect(tmp_path, capsys, data, policy):
+    # encrypt and decrypt report, and print, the summary inspect gives for the plain stream.
+    plain, enc, meta, out = (tmp_path / n for n in ("p.264", "e.264", "m.seh", "o.264"))
+    plain.write_bytes(data)
+    reports = [
+        cmd_inspect(plain, policy),
+        cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x0b" * 8),
+        cmd_decrypt(enc, meta, out, KEY),
+    ]
+    assert out.read_bytes() == data
+    want = tuple(getattr(reports[0], name) for name in SUMMARY_FIELDS)
+    assert want[3], "the stream must have a selection to count"
+    for report in reports[1:]:
+        assert tuple(getattr(report, name) for name in SUMMARY_FIELDS) == want
+    capsys.readouterr()
+    for report in reports:
+        _print_summary(report)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0] == lines[1] == lines[2]

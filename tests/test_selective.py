@@ -30,7 +30,7 @@ from selenc.errors import (
     OutOfRange,
     WrongKey,
 )
-from selenc.pipeline import build_report, gen_test_stream
+from selenc.pipeline import build_report, gen_test_stream, summarize
 from selenc.selective import (
     CipherHeader,
     EncryptionPolicy,
@@ -67,8 +67,8 @@ def make_stream(types_and_rbsp) -> list:
 
 def select_reference(nals, policy):
     """Per-NAL selection that unescapes and parses each slice itself; the
-    behaviour select must keep now that it reads classify_stream's rows.
-    Returns the selection and the slices all-i leaves unparsed."""
+    behaviour select must keep now that it reads slice headers from a
+    prefix. Returns the selection and the slices all-i leaves unparsed."""
     chosen = []
     unparsed = []
     for nal in nals:
@@ -117,10 +117,6 @@ PAYLOADS = st.one_of(
 )
 
 
-def selection(nals, policy):
-    return select(classify_stream(nals), policy)
-
-
 def masked(nal, nonce=NONCE):
     """encrypt_nal's arguments for one NAL: the NAL, its RBSP and its keystream."""
     rbsp = ebsp_to_rbsp(nal.ebsp)
@@ -133,7 +129,7 @@ class TestSelect:
         nals = make_stream(
             [(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, b"\x11" * 6)), (1, p), (1, p), (1, p)]
         )
-        res = select(classify_stream(nals), EncryptionPolicy.IDR_ONLY)
+        res = select(nals, EncryptionPolicy.IDR_ONLY)
         assert res.selected_ordinals == (2,)
 
     def test_all_intra_with_p_slices_matches_idr_only(self):
@@ -141,42 +137,52 @@ class TestSelect:
         nals = make_stream(
             [(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, b"\x11" * 6)), (1, p), (1, p), (1, p)]
         )
-        res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
+        res = select(nals, EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == (2,)
 
     def test_all_intra_picks_intra_type1(self):
         nals = make_stream(
             [(5, slice_rbsp(7)), (1, slice_rbsp(2, b"\x10")), (1, slice_rbsp(0, b"\x10"))]
         )
-        assert select(classify_stream(nals), EncryptionPolicy.ALL_INTRA).selected_ordinals == (0, 1)
-        assert select(classify_stream(nals), EncryptionPolicy.IDR_ONLY).selected_ordinals == (0,)
+        assert select(nals, EncryptionPolicy.ALL_INTRA).selected_ordinals == (0, 1)
+        assert select(nals, EncryptionPolicy.IDR_ONLY).selected_ordinals == (0,)
 
     def test_nothing_selected(self):
         nals = make_stream([(7, b"\x42"), (1, slice_rbsp(0)), (1, slice_rbsp(1))])
-        res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
+        res = select(nals, EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == ()
 
     def test_non_vcl_never_selected(self):
         # SEI/SPS/PPS carry slice-looking payloads but must never be picked.
         nals = make_stream([(6, slice_rbsp(7)), (7, slice_rbsp(7)), (8, slice_rbsp(7))])
         for policy in EncryptionPolicy:
-            assert select(classify_stream(nals), policy).selected_ordinals == ()
+            assert select(nals, policy).selected_ordinals == ()
 
     def test_unparseable_type1_reported_not_selected(self):
         nals = make_stream([(5, slice_rbsp(7)), (1, b"")])
-        res = select(classify_stream(nals), EncryptionPolicy.ALL_INTRA)
+        res = select(nals, EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == (0,)
 
     @given(st.lists(st.one_of(st.none(), st.tuples(HEADER_BYTES, PAYLOADS)), max_size=12))
     def test_matches_per_nal_reference(self, units):
-        nals = [
-            NalUnit(i, 4, None, b"") if u is None else NalUnit(i, 4, parse_nal_header(u[0]), u[1])
-            for i, u in enumerate(units)
-        ]
-        rows = classify_stream(nals)
+        def fresh():
+            return [
+                NalUnit(i, 4, None, b"") if u is None else NalUnit(i, 4, parse_nal_header(u[0]), u[1])
+                for i, u in enumerate(units)
+            ]
+
+        # NalUnit.slice_info has two writers: its own lazy read and
+        # classify_stream. Each list below is read through one of them only.
+        lazy, classified = fresh(), fresh()
         for policy in EncryptionPolicy:
-            want, unparsed = select_reference(nals, policy)
-            assert select(rows, policy) == want
+            want, unparsed = select_reference(lazy, policy)
+            assert select(lazy, policy) == want
+            assert summarize(lazy, policy, want.selected_ordinals, b"", 0).unparsed_ordinals == unparsed
+        rows = classify_stream(classified)
+        assert [r.slice_info for r in rows] == [n.slice_info for n in fresh()]
+        for policy in EncryptionPolicy:
+            want, unparsed = select_reference(classified, policy)
+            assert select(classified, policy) == want
             report = build_report(rows, policy, want.selected_ordinals, b"", 0)
             assert report.unparsed_ordinals == unparsed
 
@@ -311,17 +317,17 @@ class TestCipherHeader:
 
 class TestStreamEncryption:
     def test_empty_stream(self):
-        out, header = encrypt_stream([], KS, selection([], EncryptionPolicy.IDR_ONLY), NONCE)
+        out, header = encrypt_stream([], KS, select([], EncryptionPolicy.IDR_ONLY), NONCE)
         assert out == [] and header.ordinals == ()
 
     def test_gop12_sixty_frames_counts_five(self):
         nals = scan_annexb(gen_test_stream(None, gop=12, frames=60, payload_size=64, seed=1))
-        _, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        _, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         assert len(header.ordinals) == 5
 
     def test_non_selected_untouched(self):
         nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
-        out, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        out, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         chosen = set(header.ordinals)
         for before, after in zip(nals, out):
             if before.ordinal in chosen:
@@ -331,15 +337,15 @@ class TestStreamEncryption:
 
     def test_header_records_inputs(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3))
-        _, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.ALL_INTRA), NONCE)
+        _, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.ALL_INTRA), NONCE)
         assert header.nonce == NONCE
         assert header.policy is EncryptionPolicy.ALL_INTRA
         assert header.key_check == key_check_value(KS)
-        assert header.ordinals == selection(nals, EncryptionPolicy.ALL_INTRA).selected_ordinals
+        assert header.ordinals == select(nals, EncryptionPolicy.ALL_INTRA).selected_ordinals
 
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
-            encrypt_stream([], KS, selection([], EncryptionPolicy.IDR_ONLY), b"\x00" * 7)
+            encrypt_stream([], KS, select([], EncryptionPolicy.IDR_ONLY), b"\x00" * 7)
 
     def test_absent_ordinal_refused_before_payload_work(self, monkeypatch):
         # NAL 99 is not in the stream: no sidecar may list it, and nothing is
@@ -360,7 +366,7 @@ class TestStreamEncryption:
         # 200 short IDR slices share one keystream pass: one encrypt_blocks
         # call per _CHUNK_BLOCKS counter blocks, not one per NAL.
         nals = scan_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))
-        sel = selection(nals, EncryptionPolicy.IDR_ONLY)
+        sel = select(nals, EncryptionPolicy.IDR_ONLY)
         blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
         calls = []
         real = aes.encrypt_blocks
@@ -375,7 +381,7 @@ class TestStreamEncryption:
         for seed in range(4):
             data = gen_test_stream(None, gop=3, frames=10, payload_size=80, seed=seed)
             nals = scan_annexb(data)
-            enc, header = encrypt_stream(nals, KS, selection(nals, policy), NONCE)
+            enc, header = encrypt_stream(nals, KS, select(nals, policy), NONCE)
             dec = decrypt_stream(enc, KS, header)
             assert serialize_annexb(dec) == data
 
@@ -385,7 +391,7 @@ class TestStreamEncryption:
              (1, slice_rbsp(2, b"\x00\x00\x00\x07")), (1, slice_rbsp(0, b"\x99" * 9))]
         )
         data = serialize_annexb(nals)
-        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.ALL_INTRA), NONCE)
+        enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.ALL_INTRA), NONCE)
         assert header.ordinals == (2, 3)
         assert serialize_annexb(decrypt_stream(enc, KS, header)) == data
 
@@ -402,7 +408,7 @@ class TestStreamEncryption:
             nals = make_stream([(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, rng.randbytes(40)))])
             nals.append(make_nal(3, 0x65, slice_rbsp(7, rng.randbytes(40)), scl=3))
             data = serialize_annexb(nals)
-            sel = selection(nals, EncryptionPolicy.IDR_ONLY)
+            sel = select(nals, EncryptionPolicy.IDR_ONLY)
             enc, header = encrypt_stream(nals, KS, sel, rng.randbytes(8))
             dec = decrypt_stream(scan_annexb(serialize_annexb(enc)), KS, header)
             if serialize_annexb(dec) != data:
@@ -420,7 +426,7 @@ class TestStreamEncryption:
         )
         nals = scan_annexb(data)
         assert nals[2].ebsp == b"\x88\xaa\x00\x00"
-        enc, header = encrypt_stream(nals, KS, selection(nals, policy), NONCE)
+        enc, header = encrypt_stream(nals, KS, select(nals, policy), NONCE)
         assert header.ordinals == (2,)
         dec = decrypt_stream(scan_annexb(serialize_annexb(enc)), KS, header)
         assert serialize_annexb(dec) == data
@@ -431,7 +437,7 @@ class TestStreamEncryption:
     @example(bytes.fromhex("88aa000003000003"))  # the same after an escaped 00
     def test_refuses_exactly_what_would_not_round_trip(self, ebsp):
         nals = [NalUnit(0, 4, parse_nal_header(0x65), ebsp)]
-        sel = selection(nals, EncryptionPolicy.IDR_ONLY)
+        sel = select(nals, EncryptionPolicy.IDR_ONLY)
         if rbsp_to_ebsp(ebsp_to_rbsp(ebsp)) == ebsp:
             enc, header = encrypt_stream(nals, KS, sel, NONCE)
             assert decrypt_stream(enc, KS, header) == nals
@@ -443,7 +449,7 @@ class TestStreamEncryption:
         for policy in EncryptionPolicy:
             data = gen_test_stream(None, gop=4, frames=9, payload_size=72, seed=5)
             nals = scan_annexb(data)
-            enc, _ = encrypt_stream(nals, KS, selection(nals, policy), NONCE)
+            enc, _ = encrypt_stream(nals, KS, select(nals, policy), NONCE)
             rescan = scan_annexb(serialize_annexb(enc))
             assert len(rescan) == len(nals)
             for a, b in zip(nals, rescan):
@@ -455,7 +461,7 @@ class TestStreamEncryption:
 class TestDecryptStream:
     def test_wrong_key_rejected_before_decrypting(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
-        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         other = key_expansion(b"\x42" * 16)
         with pytest.raises(WrongKey):
             decrypt_stream(enc, other, header)
@@ -464,7 +470,7 @@ class TestDecryptStream:
         # The key check must fire before any NAL is unescaped or any
         # keystream block is computed.
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
-        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         calls = Counter()
         for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
             real = getattr(module, name)
@@ -480,11 +486,16 @@ class TestDecryptStream:
 
     def test_tampered_ciphertext_refused(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
-        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         o = header.ordinals[-1]
+        offset = len(enc[o].ebsp) + 1
         enc[o] = replace(enc[o], ebsp=enc[o].ebsp + b"\x11\x00\x00\x03\x05")
-        with pytest.raises(MalformedEscape, match="^unescaped 00 00 03 05 at payload offset"):
+        # Called directly, with no check_escaping ahead, each names the NAL.
+        refusal = f"^NAL {o}: unescaped 00 00 03 05 at payload offset {offset}$"
+        with pytest.raises(MalformedEscape, match=refusal):
             decrypt_stream(enc, KS, header)
+        with pytest.raises(MalformedEscape, match=refusal):
+            encrypt_stream(enc, KS, SelectionResult(EncryptionPolicy.IDR_ONLY, (o,)), NONCE)
         # A ciphertext never ends in 00 00 03, so such a tail is tampering too.
         enc[o] = replace(enc[o], ebsp=enc[o].ebsp[:-5] + b"\x11\x00\x00\x03")
         with pytest.raises(MalformedEscape, match=f"^NAL {o}: 00 00 03 at payload end"):
@@ -498,7 +509,7 @@ class TestDecryptStream:
 
     def test_decrypts_exactly_listed_ordinals(self):
         nals = scan_annexb(gen_test_stream(None, gop=1, frames=4, payload_size=32, seed=8))
-        enc, header = encrypt_stream(nals, KS, selection(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         partial = CipherHeader(header.policy, header.key_check, header.nonce, header.ordinals[:1])
         dec = decrypt_stream(enc, KS, partial)
         assert dec[header.ordinals[0]] == nals[header.ordinals[0]]
