@@ -63,17 +63,18 @@ class NalHeader:
         return (self.forbidden_zero_bit << 7) | (self.nal_ref_idc << 5) | self.nal_unit_type
 
 
+# Every field comes from the low 8 bits, so one NalHeader per byte value
+# serves any int; split_annexb reads one per NAL.
+_NAL_HEADERS = tuple(NalHeader((b >> 7) & 0x1, (b >> 5) & 0x3, b & 0x1F) for b in range(256))
+
+
 def parse_nal_header(b: int) -> NalHeader:
     """Split one header byte into forbidden bit, ref idc and unit type.
 
     A set forbidden bit is reported through the field, never raised, so
     corrupt captures stay inspectable.
     """
-    return NalHeader(
-        forbidden_zero_bit=(b >> 7) & 0x1,
-        nal_ref_idc=(b >> 5) & 0x3,
-        nal_unit_type=b & 0x1F,
-    )
+    return _NAL_HEADERS[b & 0xFF]
 
 
 _UNREAD = object()  # a NalUnit cache not yet filled
@@ -85,13 +86,15 @@ class NalUnit:
 
     ``header`` is None only in the degenerate case of a start code with no
     byte after it (truncated capture); such units serialize back to the bare
-    start code.
+    start code. split_annexb gives ``ebsp`` as a read-only memoryview of its
+    input, which the unit keeps alive; a ciphered unit holds bytes. Both
+    compare and hash by content.
     """
 
     ordinal: int
     start_code_len: int
     header: Optional[NalHeader]
-    ebsp: bytes
+    ebsp: "bytes | memoryview"
     # slice_info, kept from its first read (classify_stream fills it from
     # the header it reads for its row), so that a slice header is parsed at
     # most once. A plain field costs less to fill than
@@ -116,7 +119,7 @@ class NalUnit:
     @property
     def rbsp_size(self) -> int:
         """RBSP bytes of a clean payload: its size less its 00 00 03 count."""
-        return len(self.ebsp) - self.ebsp.count(b"\x00\x00\x03")
+        return len(self.ebsp) - bytes(self.ebsp).count(b"\x00\x00\x03")
 
     @property
     def slice_info(self) -> "Optional[SliceInfo]":
@@ -166,7 +169,7 @@ def ebsp_to_rbsp(ebsp: bytes) -> bytes:
     bad = _violation(ebsp)
     if bad is not None:
         raise MalformedEscape(f"unescaped {bad}")
-    return ebsp.replace(b"\x00\x00\x03", b"\x00\x00")
+    return bytes(ebsp).replace(b"\x00\x00\x03", b"\x00\x00")
 
 
 def rbsp_to_ebsp(rbsp: bytes) -> bytes:
@@ -194,22 +197,27 @@ def split_annexb(stream: bytes) -> "tuple[bytes, list[NalUnit]]":
 
     Empty input yields (b"", []). A nonempty stream without any start code
     raises NoStartCode. The final NAL extends to the end of the stream.
+    Each payload is a read-only view of the stream, not a copy; input that
+    is not ``bytes`` is copied once first, so no view aliases a buffer the
+    caller can still write.
     """
+    if type(stream) is not bytes:
+        stream = bytes(stream)
     if len(stream) == 0:
         return b"", []
     pos, scl = _next_start_code(stream, 0)
     if pos == -1:
         raise NoStartCode("no 00 00 01 start-code prefix in stream")
-    leading = bytes(stream[:pos])
+    leading = stream[:pos]
+    view = memoryview(stream)
     nals: "list[NalUnit]" = []
     ordinal = 0
     while True:
         body_start = pos + scl
         nxt, nxt_len = _next_start_code(stream, body_start)
         body_end = len(stream) if nxt == -1 else nxt
-        body = stream[body_start:body_end]
-        header = parse_nal_header(body[0]) if body else None
-        nals.append(NalUnit(ordinal, scl, header, bytes(body[1:])))
+        header = parse_nal_header(stream[body_start]) if body_start < body_end else None
+        nals.append(NalUnit(ordinal, scl, header, view[body_start + 1 : body_end]))
         ordinal += 1
         if nxt == -1:
             return leading, nals
@@ -238,7 +246,7 @@ def check_escaping(nals: Iterable[NalUnit]) -> None:
 def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
     """Concatenate start codes, header bytes and payloads back into a stream
     once check_escaping passes them. Given the input bytes, splice_annexb
-    makes the same stream with less work."""
+    makes the same stream, as parts, with less work."""
     nals = list(nals)
     check_escaping(nals)
     return b"".join([leading, *(nal.to_bytes() for nal in nals)])
@@ -246,20 +254,21 @@ def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
 
 def splice_annexb(
     data: bytes, leading: bytes, nals: Sequence[NalUnit], out_nals: Sequence[NalUnit]
-) -> bytes:
-    """serialize_annexb(out_nals, leading), where split_annexb(data) gave
-    (leading, nals): NALs that out_nals kept are copied from ``data``
-    unchecked, and only replaced ones pass serialize_annexb's check."""
+) -> "list[bytes | memoryview]":
+    """serialize_annexb(out_nals, leading) as parts to write in order, where
+    split_annexb(data) gave (leading, nals): each run of NALs that out_nals
+    kept is one unchecked view of ``data``, and each replaced NAL is its
+    serialize_annexb bytes, checked there. Nothing is joined."""
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)
-    for nal, out in zip(nals, out_nals):
+    for nal, out in zip(nals, out_nals, strict=True):
         if out is not nal:
             parts += (view[copied:pos], serialize_annexb((out,)))
             copied = pos + nal.wire_size()
         pos += nal.wire_size()
     parts.append(view[copied:])
-    return b"".join(parts)
+    return parts
 
 
 class BitReader:

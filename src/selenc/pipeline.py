@@ -255,16 +255,17 @@ def summarize(
 
 
 def _atomic_write(*files) -> None:
-    # Write each (path, data) pair to a temporary file in its destination
-    # directory, then rename them in the order given: a failed write replaces
-    # no target, and a crash never leaves a half-written file at a target path.
+    # Write each (path, parts) pair, parts being a sequence of buffers, to a
+    # temporary file in its destination directory, then rename them in the
+    # order given: a failed write replaces no target, and a crash never
+    # leaves a half-written file at a target path.
     staged = []
     try:
-        for path, data in files:
+        for path, parts in files:
             fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
             staged.append(tmp)
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                fh.writelines(parts)
         for tmp, (path, _) in zip(staged, files):
             os.replace(tmp, path)
     except BaseException:
@@ -302,9 +303,9 @@ def cmd_encrypt(
     if nonce is None:
         nonce = os.urandom(8)
     out_nals, header = encrypt_stream(nals, ks, select(nals, policy), nonce)
-    out = splice_annexb(data, leading, nals, out_nals)
+    parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
-    _atomic_write((meta_path, header.to_bytes()), (out_path, out))
+    _atomic_write((meta_path, [header.to_bytes()]), (out_path, parts))
     return summarize(nals, policy, header.ordinals, leading, len(data))
 
 
@@ -315,10 +316,10 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
     check_escaping(nals)
     ks = key_expansion(derive_key(key))
-    out = splice_annexb(data, leading, nals, decrypt_stream(nals, ks, header))
-    _atomic_write((out_path, out))
+    parts = splice_annexb(data, leading, nals, decrypt_stream(nals, ks, header))
+    _atomic_write((out_path, parts))
     # Ciphering keeps each RBSP's length, so the ciphertext sizes the selection.
-    return summarize(nals, header.policy, header.ordinals, leading, len(out))
+    return summarize(nals, header.policy, header.ordinals, leading, sum(map(len, parts)))
 
 
 def cmd_inspect(in_path, policy: EncryptionPolicy = EncryptionPolicy.IDR_ONLY) -> StreamReport:
@@ -394,5 +395,5 @@ def gen_test_stream(
         add(4 if i else 3, 0x65 if idr else 0x41, head + _slice_filler(rng, payload_size - len(head)))
     data = serialize_annexb(nals)
     if out_path is not None:
-        _atomic_write((out_path, data))
+        _atomic_write((out_path, [data]))
     return data

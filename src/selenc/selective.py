@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .aes import KeySchedule, ctr_keystream, encrypt_block, xor_bytes
+from .aes import _CHUNK_BLOCKS, BLOCK_SIZE, KeySchedule, ctr_keystream, encrypt_block, xor_bytes
 from .bitstream import (
     NAL_IDR,
     NAL_NON_IDR,
@@ -79,24 +79,35 @@ def decrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
 
 def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     """Apply ``transform`` to nals[o] for each listed ordinal o, each with
-    its unescaped payload and its cut of one ctr_keystream call."""
+    its unescaped payload and its cut of the keystream.
+
+    The listed NALs are taken in stream order, in groups that end once they
+    reach _CHUNK_BLOCKS counter blocks: each group is unescaped, keyed by
+    one ctr_keystream call and ciphered before the next is unescaped, so one
+    group's payloads and keystream are held at a time. ``ordinals`` come
+    from a CipherHeader, strictly increasing, so no two groups share one.
+    """
     for o in ordinals:
         if not 0 <= o < len(nals):
             raise OrdinalOutOfRange(f"NAL {o} is listed but the stream has {len(nals)}")
         # Unescaping drops the 03 of a 00 00 03 tail, and re-escaping adds none back.
-        if nals[o].ebsp.endswith(b"\x00\x00\x03"):
+        if nals[o].ebsp[-3:] == b"\x00\x00\x03":
             raise MalformedEscape(f"NAL {o}: 00 00 03 at payload end would not round-trip")
-    picked = []
-    for o in ordinals:
+    out, group, blocks = list(nals), [], 0
+    for k, o in enumerate(ordinals, 1):
         try:
-            picked.append((o, ebsp_to_rbsp(nals[o].ebsp)))
+            rbsp = ebsp_to_rbsp(nals[o].ebsp)
         except MalformedEscape as exc:
             raise MalformedEscape(f"NAL {o}: {exc}") from exc
-    keystream = ctr_keystream(ks, nonce, [(o, len(rbsp)) for o, rbsp in picked])
-    out, pos = list(nals), 0
-    for o, rbsp in picked:
-        out[o] = transform(nals[o], rbsp, keystream[pos : pos + len(rbsp)])
-        pos += len(rbsp)
+        group.append((o, rbsp))
+        blocks += -(-len(rbsp) // BLOCK_SIZE)
+        if blocks < _CHUNK_BLOCKS and k < len(ordinals):
+            continue
+        keystream, pos = ctr_keystream(ks, nonce, [(g, len(r)) for g, r in group]), 0
+        for g, r in group:
+            out[g] = transform(nals[g], r, keystream[pos : pos + len(r)])
+            pos += len(r)
+        group, blocks = [], 0
     return out
 
 

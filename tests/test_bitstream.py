@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,7 @@ from selenc.errors import (
     OutOfBits,
     OutOfRange,
 )
+from selenc.pipeline import gen_test_stream
 
 
 def ue_decode_oracle(bits: str):
@@ -112,6 +114,13 @@ class TestNalHeader:
     def test_round_trip(self, byte):
         assert parse_nal_header(byte).to_byte() == byte
 
+    @pytest.mark.parametrize("values", [range(256), (-1, -0x9B, 0x165, 0x1FF, 1 << 40)])
+    def test_table_matches_masks(self, values):
+        # parse_nal_header reads a table built at import; any int, in range
+        # or not, must give the fields its low 8 bits give.
+        for b in values:
+            assert parse_nal_header(b) == NalHeader((b >> 7) & 0x1, (b >> 5) & 0x3, b & 0x1F), b
+
     def test_field_validation(self):
         with pytest.raises(ValueError):
             NalHeader(0, 4, 1)
@@ -168,6 +177,38 @@ class TestScan:
         nals = scan_annexb(b"\x00\x00\x01\x41\xaa\x00\x00\x01")
         assert len(nals) == 2
         assert nals[1].header is None and nals[1].ebsp == b""
+
+    def test_payloads_are_read_only_views(self):
+        data = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bbcc")
+        leading, nals = split_annexb(data)
+        for nal in nals:
+            assert isinstance(nal.ebsp, memoryview) and nal.ebsp.readonly
+            assert nal.ebsp.obj is data
+        assert type(leading) is bytes
+
+    def test_views_never_alias_a_writable_buffer(self):
+        # The split copies a buffer the caller can still write, so a later
+        # write leaves the NALs as they were, and they hash like NALs whose
+        # payloads are bytes.
+        data = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bbcc")
+        buf = bytearray(data)
+        leading, nals = split_annexb(buf)
+        buf[-2:] = b"\x11\x22"
+        twins = [replace(n, ebsp=bytes(n.ebsp)) for n in split_annexb(data)[1]]
+        assert nals == twins
+        assert [hash(n) for n in nals] == [hash(t) for t in twins]
+        assert nals[1].ebsp == b"\xbb\xcc"
+
+    def test_split_holds_no_payload_copies(self):
+        # 4.22 MB in 502 NALs: the split keeps views and small objects only.
+        data = gen_test_stream(None, gop=1, frames=500, payload_size=8192, seed=3)
+        tracemalloc.start()
+        try:
+            split_annexb(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_payload_zeros_stay_with_payload_before_4byte_code(self):
         # EBSP may end with up to two zeros; the following 4-byte start code
@@ -277,7 +318,15 @@ class TestSplice:
                 splice_annexb(stream, leading, nals, out_nals)
             assert str(got.value) == str(exc)
         else:
-            assert splice_annexb(stream, leading, nals, out_nals) == want
+            assert b"".join(splice_annexb(stream, leading, nals, out_nals)) == want
+
+    @pytest.mark.parametrize("drop", [1, -1])
+    def test_refuses_a_nal_list_of_another_length(self, drop):
+        stream = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb")
+        leading, nals = split_annexb(stream)
+        out_nals = nals[:drop] if drop > 0 else nals + nals[:1]
+        with pytest.raises(ValueError):
+            splice_annexb(stream, leading, nals, out_nals)
 
 
 class TestEscaping:

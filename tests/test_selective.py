@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -375,6 +376,40 @@ class TestStreamEncryption:
         assert len(sel.selected_ordinals) == 200
         assert len(calls) == -(-blocks // aes._CHUNK_BLOCKS)
         assert sum(calls) == 16 * blocks
+
+    def test_groups_are_ciphered_before_the_next_is_unescaped(self, monkeypatch):
+        # 12 IDR slices of 512 blocks each: groups of 4 reach _CHUNK_BLOCKS,
+        # and each is unescaped, keyed once and ciphered in turn. The output
+        # equals each NAL ciphered on its own.
+        nals = scan_annexb(gen_test_stream(None, gop=1, frames=12, payload_size=8192, seed=4))
+        sel = select(nals, EncryptionPolicy.IDR_ONLY)
+        events = []
+        for name in ("ebsp_to_rbsp", "ctr_keystream", "encrypt_nal"):
+            real = getattr(selective, name)
+            monkeypatch.setattr(
+                selective, name, lambda *a, real=real, name=name: events.append(name) or real(*a)
+            )
+        enc, _ = encrypt_stream(nals, KS, sel, NONCE)
+        group = ["ebsp_to_rbsp"] * 4 + ["ctr_keystream"] + ["encrypt_nal"] * 4
+        assert aes._CHUNK_BLOCKS == 4 * 512
+        assert events == group * 3
+        monkeypatch.undo()
+        for o in sel.selected_ordinals:
+            assert enc[o] == encrypt_nal(*masked(nals[o]))
+
+    def test_cipher_pass_holds_one_group(self):
+        # 500 IDR slices, 4.22 MB: the pass holds the ciphered payloads it
+        # returns and one group's RBSPs and keystream, not every RBSP and the
+        # whole keystream at once.
+        nals = scan_annexb(gen_test_stream(None, gop=1, frames=500, payload_size=8192, seed=3))
+        sel = select(nals, EncryptionPolicy.IDR_ONLY)
+        tracemalloc.start()
+        try:
+            encrypt_stream(nals, KS, sel, NONCE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_000_000, peak
 
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_round_trip_generated_streams(self, policy):
