@@ -95,9 +95,8 @@ class NalUnit:
     start_code_len: int
     header: Optional[NalHeader]
     ebsp: "bytes | memoryview"
-    # slice_info, kept from its first read (classify_stream fills it from
-    # the header it reads for its row), so that a slice header is parsed at
-    # most once. A plain field costs less to fill than
+    # slice_info, kept from its first read so that a slice header is parsed
+    # at most once. A plain field costs less to fill than
     # functools.cached_property does, and inspect fills one per NAL.
     _slice_info: object = field(default=_UNREAD, init=False, repr=False, compare=False)
 
@@ -125,15 +124,21 @@ class NalUnit:
     def slice_info(self) -> "Optional[SliceInfo]":
         """The slice header of a slice NAL whose payload holds no run that
         check_escaping refuses; None for other NALs and for a header that
-        does not parse."""
+        does not parse. It is read from the first 16 payload bytes: they
+        unescape to a prefix of the RBSP of at least 88 bits, more than
+        parse_slice_info reads from any header it accepts."""
         info = self._slice_info
         if info is _UNREAD:
-            clean_slice = (
+            info = None
+            if (
                 self.header is not None
                 and self.header.nal_unit_type in VCL_TYPES
                 and _EPB_VIOLATION.search(self.ebsp) is None
-            )
-            info = _slice_header(self.ebsp) if clean_slice else None
+            ):
+                try:
+                    info = parse_slice_info(ebsp_to_rbsp(self.ebsp[:16]))
+                except (OutOfBits, OutOfRange):
+                    pass
             object.__setattr__(self, "_slice_info", info)
         return info
 
@@ -370,17 +375,6 @@ def parse_slice_info(rbsp: bytes) -> SliceInfo:
     return SliceInfo(first_mb, slice_type)
 
 
-def _slice_header(ebsp: bytes) -> Optional[SliceInfo]:
-    """A clean slice payload's header, read from its first 16 bytes: they
-    unescape to a prefix of the RBSP of at least 88 bits, more than
-    parse_slice_info reads from any header it accepts. None if it does not
-    parse."""
-    try:
-        return parse_slice_info(ebsp_to_rbsp(ebsp[:16]))
-    except (OutOfBits, OutOfRange):
-        return None
-
-
 @dataclass(frozen=True)
 class ReportRow:
     """Per-NAL inspection record."""
@@ -397,9 +391,8 @@ class ReportRow:
 
 
 def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
-    """One inspection row per NAL; never raises on corrupt payloads. Each
-    NAL keeps the header read for its row as its slice_info, so select does
-    not read it again."""
+    """One inspection row per NAL; never raises on corrupt payloads. A row's
+    slice header is its NAL's slice_info, so select does not read it again."""
     rows = []
     for nal in nals:
         if nal.header is None:
@@ -407,9 +400,9 @@ def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
             continue
         t = nal.header.nal_unit_type
         ebsp = nal.ebsp
-        malformed = _EPB_VIOLATION.search(ebsp) is not None
-        info = None if malformed or t not in VCL_TYPES else _slice_header(ebsp)
-        object.__setattr__(nal, "_slice_info", info)
+        info = nal.slice_info
+        # A slice_info was read from a payload with no forbidden run.
+        malformed = info is None and _EPB_VIOLATION.search(ebsp) is not None
         size = len(ebsp)
         rbsp_size = size if malformed else nal.rbsp_size
         unparsed = t in VCL_TYPES and info is None

@@ -14,11 +14,11 @@ from typing import Callable, Sequence
 from . import aes, pipeline
 from .aes import CounterBlock, KeySchedule, ctr_keystream, key_expansion, xor_bytes
 from .bitstream import (
+    VCL_TYPES,
     BitReader,
     BitWriter,
     NalUnit,
     check_escaping,
-    classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
@@ -59,23 +59,24 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     NAL as the cipher commands do. Block counts are exact arithmetic; wall
     times depend on the machine and are informative only.
     """
-    rows = classify_stream(nals)
-    check_escaping(nals[r.ordinal] for r in rows if r.malformed_escape)
+    check_escaping(nals)
     result = select(nals, policy)
-    everything = tuple(n.ordinal for n in nals if n.header is not None)
+    everything = SelectionResult(policy, tuple(n.ordinal for n in nals if n.header is not None))
 
     t0 = time.perf_counter()
     encrypt_stream(nals, ks, result, _BENCH_NONCE)
     wall_selective = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    encrypt_stream(nals, ks, SelectionResult(policy, everything), _BENCH_NONCE)
+    encrypt_stream(nals, ks, everything, _BENCH_NONCE)
     wall_naive = time.perf_counter() - t0
 
     total = sum(n.wire_size() for n in nals)
-    selective = pipeline.build_report(rows, policy, result.selected_ordinals, b"", total)
-    naive = pipeline.build_report(rows, policy, everything, b"", total)
-    vcl = selective.vcl_payload_bytes
+    selective = pipeline.summarize(nals, result, b"", total)
+    naive = pipeline.summarize(nals, everything, b"", total)
+    vcl = sum(
+        n.rbsp_size for n in nals if n.header is not None and n.header.nal_unit_type in VCL_TYPES
+    )
     return BenchResult(
         total_bytes=total,
         vcl_payload_bytes=vcl,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 import random
-import tempfile
+import stat
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +30,7 @@ from .errors import BadHex, EmptyPassphrase, NoStartCode
 from .selective import (
     CipherHeader,
     EncryptionPolicy,
+    SelectionResult,
     decrypt_stream,
     encrypt_stream,
     select,
@@ -137,9 +138,7 @@ class RunSummary:
     selected_bytes: int
     encrypted_fraction: float
     aes_blocks: int
-    # Slices all-i left in the clear because their header did not parse; the
-    # CLI warns about them rather than leave them to a row flag.
-    unparsed_ordinals: "tuple[int, ...]"
+    unparsed_ordinals: "tuple[int, ...]"  # copied from the SelectionResult
 
 
 @dataclass(frozen=True)
@@ -189,83 +188,63 @@ class StreamReport:
         }
 
 
-def _summary_fields(policy, rbsp_sizes, unparsed, leading, total_bytes) -> dict:
-    # rbsp_sizes maps each selected ordinal to its RBSP size. The one place
-    # that counts a selection's bytes and its ceil(n/16) AES blocks.
-    selected_bytes = sum(rbsp_sizes.values())
+def _summary_fields(selection, units, leading, total_bytes) -> dict:
+    # units[o].rbsp_size sizes selected ordinal o. The one place that counts
+    # a selection's bytes and its ceil(n/16) AES blocks.
+    sizes = [units[o].rbsp_size for o in selection.selected_ordinals]
+    selected_bytes = sum(sizes)
     return dict(
-        policy=policy,
+        policy=selection.policy,
         leading_garbage=len(leading),
         total_bytes=total_bytes,
-        selected_ordinals=tuple(sorted(rbsp_sizes)),
+        selected_ordinals=selection.selected_ordinals,
         selected_bytes=selected_bytes,
         encrypted_fraction=selected_bytes / total_bytes if total_bytes else 0.0,
-        aes_blocks=sum(-(-n // 16) for n in rbsp_sizes.values()),
-        unparsed_ordinals=tuple(unparsed),
+        aes_blocks=sum(-(-n // 16) for n in sizes),
+        unparsed_ordinals=selection.unparsed_ordinals,
     )
 
 
 def build_report(
-    rows: Sequence[ReportRow],
-    policy: EncryptionPolicy,
-    selected_ordinals: Sequence[int],
-    leading: bytes,
-    total_bytes: int,
+    rows: Sequence[ReportRow], selection: SelectionResult, leading: bytes, total_bytes: int
 ) -> StreamReport:
-    """Assemble a StreamReport from classify_stream's rows, the ordinals
-    that were (or would be) ciphered and the stream's size in bytes."""
-    chosen = frozenset(selected_ordinals)
-    all_intra = policy is EncryptionPolicy.ALL_INTRA
+    """Assemble a StreamReport from classify_stream's rows, the selection
+    that was (or would be) ciphered and the stream's size in bytes."""
     return StreamReport(
         rows=tuple(rows),
         vcl_payload_bytes=sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES),
-        **_summary_fields(
-            policy,
-            {o: rows[o].rbsp_size for o in chosen},
-            (r.ordinal for r in rows if all_intra and r.unparsed and r.ordinal not in chosen),
-            leading,
-            total_bytes,
-        ),
+        **_summary_fields(selection, rows, leading, total_bytes),
     )
 
 
 def summarize(
-    nals: Sequence[NalUnit],
-    policy: EncryptionPolicy,
-    selected_ordinals: Sequence[int],
-    leading: bytes,
-    total_bytes: int,
+    nals: Sequence[NalUnit], selection: SelectionResult, leading: bytes, total_bytes: int
 ) -> RunSummary:
     """build_report's summary, read from the NALs themselves once
-    check_escaping has passed them: only a selected NAL is sized, and only a
-    slice all-i left in the clear has its header read."""
-    chosen = frozenset(selected_ordinals)
-    all_intra = policy is EncryptionPolicy.ALL_INTRA
-    return RunSummary(nal_count=len(nals), **_summary_fields(
-        policy,
-        {o: nals[o].rbsp_size for o in chosen},
-        (
-            n.ordinal for n in nals
-            if all_intra and n.ordinal not in chosen and n.header is not None
-            and n.header.nal_unit_type in VCL_TYPES and n.slice_info is None
-        ),
-        leading,
-        total_bytes,
-    ))
+    check_escaping has passed them: only a selected NAL is sized."""
+    return RunSummary(
+        nal_count=len(nals), **_summary_fields(selection, nals, leading, total_bytes)
+    )
 
 
 def _atomic_write(*files) -> None:
     # Write each (path, parts) pair, parts being a sequence of buffers, to a
     # temporary file in its destination directory, then rename them in the
     # order given: a failed write replaces no target, and a crash never
-    # leaves a half-written file at a target path.
+    # leaves a half-written file at a target path. A file gets the mode
+    # open(path, "wb") would give it: a replaced one keeps its mode, and a
+    # new one is created 0666 less the umask.
     staged = []
     try:
         for path, parts in files:
-            fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
+            path = Path(path)
+            tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.writelines(parts)
+            with suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         for tmp, (path, _) in zip(staged, files):
             os.replace(tmp, path)
     except BaseException:
@@ -295,18 +274,23 @@ def cmd_encrypt(
 
     With an explicit nonce the run is fully deterministic; otherwise eight
     random bytes are drawn and recorded in the sidecar. A NAL that breaks
-    escaping is refused before any key work.
+    escaping is refused before any key work, and so is a sidecar path that
+    names the input or the output file: the stream would replace the
+    sidecar, and with it the nonce.
     """
+    if Path(meta_path).resolve() in (Path(in_path).resolve(), Path(out_path).resolve()):
+        raise ValueError(f"sidecar path {meta_path} names the input or the output file")
     data, leading, nals = _read_stream(in_path)
     check_escaping(nals)
     ks = key_expansion(derive_key(key))
     if nonce is None:
         nonce = os.urandom(8)
-    out_nals, header = encrypt_stream(nals, ks, select(nals, policy), nonce)
+    selection = select(nals, policy)
+    out_nals, header = encrypt_stream(nals, ks, selection, nonce)
     parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
     _atomic_write((meta_path, [header.to_bytes()]), (out_path, parts))
-    return summarize(nals, policy, header.ordinals, leading, len(data))
+    return summarize(nals, selection, leading, len(data))
 
 
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
@@ -318,15 +302,20 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     ks = key_expansion(derive_key(key))
     parts = splice_annexb(data, leading, nals, decrypt_stream(nals, ks, header))
     _atomic_write((out_path, parts))
-    # Ciphering keeps each RBSP's length, so the ciphertext sizes the selection.
-    return summarize(nals, header.policy, header.ordinals, leading, sum(map(len, parts)))
+    # The NALs the sidecar does not list are the plaintext's own, so select
+    # finds the slices all-i left in the clear among them. Ciphering keeps
+    # each RBSP's length, so the ciphertext sizes the selection.
+    listed = frozenset(header.ordinals)
+    gap = select((n for n in nals if n.ordinal not in listed), header.policy).unparsed_ordinals
+    selection = SelectionResult(header.policy, header.ordinals, gap)
+    return summarize(nals, selection, leading, sum(map(len, parts)))
 
 
 def cmd_inspect(in_path, policy: EncryptionPolicy = EncryptionPolicy.IDR_ONLY) -> StreamReport:
     """Report a stream's NAL layout without modifying anything."""
     data, leading, nals = _read_stream(in_path)
     rows = classify_stream(nals)
-    return build_report(rows, policy, select(nals, policy).selected_ordinals, leading, len(data))
+    return build_report(rows, select(nals, policy), leading, len(data))
 
 
 def _noise(rng: random.Random, n: int, nonzero_tail: bool = False) -> bytearray:

@@ -40,25 +40,33 @@ class EncryptionPolicy(Enum):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """The ordinals a policy picks from a stream."""
+    """The ordinals a policy picks from a stream, and the slices it left in
+    the clear because their header did not parse: the CLI warns about those
+    rather than leave them to a row flag."""
 
     policy: EncryptionPolicy
     selected_ordinals: "tuple[int, ...]"
+    unparsed_ordinals: "tuple[int, ...]" = ()
 
 
 def select(nals: Iterable[NalUnit], policy: EncryptionPolicy) -> SelectionResult:
     """Pick the ordinals the policy covers: every IDR slice, by its header
     byte, and under ALL_INTRA every non-IDR slice whose slice_info parsed as
-    intra. No other NAL is read past its header byte."""
+    intra; a non-IDR slice whose slice_info is None goes to
+    unparsed_ordinals. No other NAL is read past its header byte."""
     all_intra = policy is EncryptionPolicy.ALL_INTRA
-    picked = []
+    picked, unparsed = [], []
     for n in nals:
         t = -1 if n.header is None else n.header.nal_unit_type
-        if t == NAL_IDR or (
-            all_intra and t == NAL_NON_IDR and n.slice_info is not None and n.slice_info.is_intra
-        ):
+        if t == NAL_IDR:
             picked.append(n.ordinal)
-    return SelectionResult(policy, tuple(picked))
+        elif all_intra and t == NAL_NON_IDR:
+            info = n.slice_info
+            if info is None:
+                unparsed.append(n.ordinal)
+            elif info.is_intra:
+                picked.append(n.ordinal)
+    return SelectionResult(policy, tuple(picked), tuple(unparsed))
 
 
 def encrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:

@@ -117,6 +117,26 @@ class TestEncryptDecrypt:
                    "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "33" * 8) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("out", ["plain.264", "enc.264"])
+    def test_sidecar_over_the_input_is_refused(self, stream_file, tmp_path, capsys, out):
+        before = stream_file.read_bytes()
+        rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / out),
+                 "--meta", str(stream_file), "--key", KEY)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("selenc: error: sidecar path") and err.count("\n") == 1
+        assert stream_file.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.264"]
+
+    def test_sidecar_over_the_output_is_refused(self, stream_file, tmp_path, capsys):
+        enc = tmp_path / "enc.264"
+        rc = run("encrypt", "--in", str(stream_file), "--out", str(enc),
+                 "--meta", str(tmp_path / "." / "enc.264"), "--key", KEY)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("selenc: error: sidecar path") and err.count("\n") == 1
+        assert not enc.exists()
+
     def test_bad_key_is_not_echoed(self, stream_file, tmp_path, capsys):
         key = "000102030405060708090a0b0c0d0e0g"
         rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),

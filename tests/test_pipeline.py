@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from collections import Counter
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selenc import bitstream, harness, pipeline, selective
+from selenc.aes import key_expansion
 from selenc.bitstream import (
     BitWriter,
     NalUnit,
@@ -189,7 +192,7 @@ class TestGenerator:
 def report_of(data, policy):
     nals = scan_annexb(data)
     rows = classify_stream(nals)
-    return build_report(rows, policy, select(nals, policy).selected_ordinals, b"", len(data))
+    return build_report(rows, select(nals, policy), b"", len(data))
 
 
 def slice_nal(ordinal, header_byte, slice_type, extra=b""):
@@ -384,6 +387,58 @@ class TestFileCommands:
         assert not enc.exists() and not meta.exists()
         assert keyed == ([] if error is EscapingViolation else [KEY])
 
+    @pytest.mark.parametrize(
+        "out,meta",
+        [
+            ("plain.264", "plain.264"),
+            ("enc.264", "plain.264"),
+            ("enc.264", "./plain.264"),
+            ("enc.264", "enc.264"),
+            ("./enc.264", "sub/../enc.264"),
+        ],
+    )
+    def test_sidecar_naming_input_or_output_writes_nothing(self, tmp_path, monkeypatch, out, meta):
+        # The stream would replace the sidecar, and with it a random nonce.
+        # Paths that resolve to the same file are refused before any key work.
+        plain = self.make_files(tmp_path)[0]
+        before = plain.read_bytes()
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        with pytest.raises(ValueError, match="^sidecar path .* names the input or the output file$"):
+            cmd_encrypt("plain.264", out, meta, KEY)
+        assert keyed == [] and plain.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.264", "sub"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_files_get_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            plain, enc, meta, out = self.make_files(tmp_path)
+            cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x0c" * 8)
+            cmd_decrypt(enc, meta, out, KEY)
+        finally:
+            os.umask(old)
+        for path in (plain, enc, meta, out):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+    def test_replaced_files_keep_their_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            plain, _, meta, out = self.make_files(tmp_path)
+            before = plain.read_bytes()
+            out.write_bytes(b"")
+            os.chmod(plain, 0o640)
+            os.chmod(out, 0o604)
+            cmd_encrypt(plain, plain, meta, KEY, nonce=b"\x0d" * 8)  # in place
+            cmd_decrypt(plain, meta, out, KEY)
+        finally:
+            os.umask(old)
+        assert out.read_bytes() == before
+        modes = [stat.S_IMODE(p.stat().st_mode) for p in (plain, meta, out)]
+        assert modes == [0o640, 0o644, 0o604]
+
     def test_wrong_key(self, tmp_path):
         plain, enc, meta, out = self.make_files(tmp_path)
         cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x04" * 8)
@@ -439,8 +494,8 @@ class TestFileCommands:
 class TestOnePass:
     """Only inspect classifies. It unescapes the 16-byte header prefix of
     each slice NAL once, and nothing of a parameter set. The cipher commands
-    unescape each ciphered NAL once and, under all-i, the header prefix of
-    each non-IDR slice; an IDR is picked by its header byte."""
+    and bench unescape each ciphered NAL once and, under all-i, the header
+    prefix of each non-IDR slice; an IDR is picked by its header byte."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -484,6 +539,16 @@ class TestOnePass:
         counts.clear()
         cmd_inspect(plain, policy)
         assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices}
+
+    @pytest.mark.parametrize("policy", list(EncryptionPolicy))
+    def test_bench_classifies_nothing(self, counts, policy):
+        data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
+        nals = scan_annexb(data + b"\x00\x00\x00\x01")
+        result = harness.bench(nals, key_expansion(derive_key(KEY)), policy)
+        assert result.aes_blocks_selective == 3 * 6
+        # The naive pass unescapes each of the 14 NALs with a header byte.
+        headers = 9 if policy is EncryptionPolicy.ALL_INTRA else 0
+        assert counts == {"ebsp_to_rbsp": headers + 3 + 14}
 
 
 SUMMARY_FIELDS = (

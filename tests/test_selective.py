@@ -31,7 +31,7 @@ from selenc.errors import (
     OutOfRange,
     WrongKey,
 )
-from selenc.pipeline import build_report, gen_test_stream, summarize
+from selenc.pipeline import gen_test_stream
 from selenc.selective import (
     CipherHeader,
     EncryptionPolicy,
@@ -69,7 +69,7 @@ def make_stream(types_and_rbsp) -> list:
 def select_reference(nals, policy):
     """Per-NAL selection that unescapes and parses each slice itself; the
     behaviour select must keep now that it reads slice headers from a
-    prefix. Returns the selection and the slices all-i leaves unparsed."""
+    prefix, the slices all-i leaves unparsed included."""
     chosen = []
     unparsed = []
     for nal in nals:
@@ -92,7 +92,7 @@ def select_reference(nals, policy):
                     unparsed.append(nal.ordinal)
         if take:
             chosen.append(nal.ordinal)
-    return SelectionResult(policy, tuple(chosen)), tuple(unparsed)
+    return SelectionResult(policy, tuple(chosen), tuple(unparsed))
 
 
 # Header bytes: types 1, 5, 6, 7, 8 and others, forbidden bit set or clear.
@@ -163,6 +163,8 @@ class TestSelect:
         nals = make_stream([(5, slice_rbsp(7)), (1, b"")])
         res = select(nals, EncryptionPolicy.ALL_INTRA)
         assert res.selected_ordinals == (0,)
+        assert res.unparsed_ordinals == (1,)
+        assert select(nals, EncryptionPolicy.IDR_ONLY).unparsed_ordinals == ()
 
     @given(st.lists(st.one_of(st.none(), st.tuples(HEADER_BYTES, PAYLOADS)), max_size=12))
     def test_matches_per_nal_reference(self, units):
@@ -172,20 +174,14 @@ class TestSelect:
                 for i, u in enumerate(units)
             ]
 
-        # NalUnit.slice_info has two writers: its own lazy read and
-        # classify_stream. Each list below is read through one of them only.
+        # select reads slice_info lazily on one list, and after
+        # classify_stream has read it for its rows on the other.
         lazy, classified = fresh(), fresh()
-        for policy in EncryptionPolicy:
-            want, unparsed = select_reference(lazy, policy)
-            assert select(lazy, policy) == want
-            assert summarize(lazy, policy, want.selected_ordinals, b"", 0).unparsed_ordinals == unparsed
         rows = classify_stream(classified)
         assert [r.slice_info for r in rows] == [n.slice_info for n in fresh()]
         for policy in EncryptionPolicy:
-            want, unparsed = select_reference(classified, policy)
-            assert select(classified, policy) == want
-            report = build_report(rows, policy, want.selected_ordinals, b"", 0)
-            assert report.unparsed_ordinals == unparsed
+            for nals in (lazy, classified):
+                assert select(nals, policy) == select_reference(nals, policy)
 
 
 # Escaped payloads with no run that 7.4.1 forbids. A 00 00 03 that ends the
