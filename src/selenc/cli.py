@@ -97,7 +97,7 @@ def _parse_nonce(text: str) -> bytes:
     return nonce
 
 
-def _print_summary(report: RunSummary | StreamReport) -> None:
+def _print_summary(report: RunSummary) -> None:
     print(
         f"nals={report.nal_count} total_bytes={report.total_bytes} "
         f"selected={len(report.selected_ordinals)} selected_bytes={report.selected_bytes} "

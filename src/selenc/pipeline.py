@@ -136,30 +136,24 @@ class RunSummary:
     total_bytes: int
     selected_ordinals: "tuple[int, ...]"
     selected_bytes: int
-    encrypted_fraction: float
     aes_blocks: int
     unparsed_ordinals: "tuple[int, ...]"  # copied from the SelectionResult
 
+    @property
+    def encrypted_fraction(self) -> float:
+        return self.selected_bytes / self.total_bytes if self.total_bytes else 0.0
+
 
 @dataclass(frozen=True)
-class StreamReport:
-    """One classify_stream row per NAL plus RunSummary's fields: what
-    inspect and bench report."""
+class StreamReport(RunSummary):
+    """A RunSummary plus one classify_stream row per NAL: what inspect
+    reports."""
 
     rows: "tuple[ReportRow, ...]"
-    policy: EncryptionPolicy
-    selected_ordinals: "tuple[int, ...]"
-    leading_garbage: int
-    total_bytes: int
-    vcl_payload_bytes: int
-    selected_bytes: int
-    encrypted_fraction: float
-    aes_blocks: int
-    unparsed_ordinals: "tuple[int, ...]"
 
     @property
-    def nal_count(self) -> int:
-        return len(self.rows)
+    def vcl_payload_bytes(self) -> int:
+        return sum(r.rbsp_size for r in self.rows if r.nal_type in VCL_TYPES)
 
     def to_dict(self) -> dict:
         return {
@@ -188,18 +182,22 @@ class StreamReport:
         }
 
 
-def _summary_fields(selection, units, leading, total_bytes) -> dict:
-    # units[o].rbsp_size sizes selected ordinal o. The one place that counts
-    # a selection's bytes and its ceil(n/16) AES blocks.
+def summarize(
+    units: Sequence, selection: SelectionResult, leading: bytes, total_bytes: int
+) -> RunSummary:
+    """Count a selection over a cipher command's NALs or over
+    classify_stream's rows: units[o].rbsp_size sizes selected ordinal o (a
+    NAL's is exact once check_escaping has passed it), and each selected
+    NAL costs ceil(size / 16) AES blocks. The one place that counts a
+    selection."""
     sizes = [units[o].rbsp_size for o in selection.selected_ordinals]
-    selected_bytes = sum(sizes)
-    return dict(
+    return RunSummary(
         policy=selection.policy,
+        nal_count=len(units),
         leading_garbage=len(leading),
         total_bytes=total_bytes,
         selected_ordinals=selection.selected_ordinals,
-        selected_bytes=selected_bytes,
-        encrypted_fraction=selected_bytes / total_bytes if total_bytes else 0.0,
+        selected_bytes=sum(sizes),
         aes_blocks=sum(-(-n // 16) for n in sizes),
         unparsed_ordinals=selection.unparsed_ordinals,
     )
@@ -208,23 +206,10 @@ def _summary_fields(selection, units, leading, total_bytes) -> dict:
 def build_report(
     rows: Sequence[ReportRow], selection: SelectionResult, leading: bytes, total_bytes: int
 ) -> StreamReport:
-    """Assemble a StreamReport from classify_stream's rows, the selection
-    that was (or would be) ciphered and the stream's size in bytes."""
-    return StreamReport(
-        rows=tuple(rows),
-        vcl_payload_bytes=sum(r.rbsp_size for r in rows if r.nal_type in VCL_TYPES),
-        **_summary_fields(selection, rows, leading, total_bytes),
-    )
-
-
-def summarize(
-    nals: Sequence[NalUnit], selection: SelectionResult, leading: bytes, total_bytes: int
-) -> RunSummary:
-    """build_report's summary, read from the NALs themselves once
-    check_escaping has passed them: only a selected NAL is sized."""
-    return RunSummary(
-        nal_count=len(nals), **_summary_fields(selection, nals, leading, total_bytes)
-    )
+    """The summary of the selection that was (or would be) ciphered, counted
+    over classify_stream's rows, plus the rows."""
+    rows = tuple(rows)
+    return StreamReport(**vars(summarize(rows, selection, leading, total_bytes)), rows=rows)
 
 
 def _atomic_write(*files) -> None:
@@ -262,6 +247,13 @@ def _read_stream(path) -> "tuple[bytes, bytes, list[NalUnit]]":
     return data, leading, nals
 
 
+def _refuse_sidecar_clash(meta_path, in_path, out_path) -> None:
+    # A stream written over the sidecar would lose its nonce. Both cipher
+    # commands check this before they read the stream or derive a key.
+    if Path(meta_path).resolve() in (Path(in_path).resolve(), Path(out_path).resolve()):
+        raise ValueError(f"sidecar path {meta_path} names the input or the output file")
+
+
 def cmd_encrypt(
     in_path,
     out_path,
@@ -278,8 +270,7 @@ def cmd_encrypt(
     names the input or the output file: the stream would replace the
     sidecar, and with it the nonce.
     """
-    if Path(meta_path).resolve() in (Path(in_path).resolve(), Path(out_path).resolve()):
-        raise ValueError(f"sidecar path {meta_path} names the input or the output file")
+    _refuse_sidecar_clash(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     check_escaping(nals)
     ks = key_expansion(derive_key(key))
@@ -295,7 +286,9 @@ def cmd_encrypt(
 
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     """Decrypt a stream file using its sidecar; inverse of cmd_encrypt. The
-    summary's total_bytes is the size of the file written."""
+    summary's total_bytes is the size of the file written. A sidecar path
+    that names the input or the output file is refused, as cmd_encrypt does."""
+    _refuse_sidecar_clash(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
     check_escaping(nals)

@@ -137,6 +137,18 @@ class TestEncryptDecrypt:
         assert err.startswith("selenc: error: sidecar path") and err.count("\n") == 1
         assert not enc.exists()
 
+    def test_decrypt_over_the_sidecar_is_refused(self, stream_file, tmp_path, capsys):
+        enc, meta = tmp_path / "enc.264", tmp_path / "enc.seh"
+        assert run("encrypt", "--in", str(stream_file), "--out", str(enc),
+                   "--meta", str(meta), "--key", KEY) == 0
+        before = meta.read_bytes()
+        capsys.readouterr()
+        rc = run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(meta), "--key", KEY)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("selenc: error: sidecar path") and err.count("\n") == 1
+        assert meta.read_bytes() == before
+
     def test_bad_key_is_not_echoed(self, stream_file, tmp_path, capsys):
         key = "000102030405060708090a0b0c0d0e0g"
         rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),

@@ -31,6 +31,7 @@ from selenc.cli import _print_summary
 from selenc.harness import KDF_VECTORS, kdf_oracle
 from selenc.pipeline import (
     KeySource,
+    RunSummary,
     build_report,
     cmd_decrypt,
     cmd_encrypt,
@@ -253,6 +254,32 @@ class TestReport:
         assert report.unparsed_ordinals == unparsed
         assert cmd_decrypt(enc, meta, out, KEY).unparsed_ordinals == unparsed
 
+    def test_to_dict_keys(self):
+        data = gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3)
+        d = report_of(data, EncryptionPolicy.IDR_ONLY).to_dict()
+        assert list(d) == [
+            "policy",
+            "leading_garbage",
+            "total_bytes",
+            "vcl_payload_bytes",
+            "selected_bytes",
+            "selected_ordinals",
+            "encrypted_fraction",
+            "aes_blocks",
+            "nals",
+        ]
+        assert list(d["nals"][2]) == [
+            "ordinal",
+            "type",
+            "name",
+            "size",
+            "rbsp_size",
+            "slice_type",
+            "is_intra",
+            "unparsed",
+            "forbidden_bit",
+        ]
+
     def test_to_dict_round_trips_through_json(self):
         import json
 
@@ -410,6 +437,34 @@ class TestFileCommands:
             cmd_encrypt("plain.264", out, meta, KEY)
         assert keyed == [] and plain.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.264", "sub"]
+
+    @pytest.mark.parametrize(
+        "src,meta,out",
+        [
+            ("enc.264", "meta.seh", "meta.seh"),
+            ("enc.264", "meta.seh", "./meta.seh"),
+            ("enc.264", "sub/../meta.seh", "meta.seh"),
+            ("meta.seh", "meta.seh", "out.264"),
+        ],
+    )
+    def test_decrypt_sidecar_naming_input_or_output_writes_nothing(
+        self, tmp_path, monkeypatch, src, meta, out
+    ):
+        # The plaintext would replace the sidecar, and the stream could not
+        # be decrypted again. In-place decrypt stays allowed.
+        plain, enc, sidecar, _ = self.make_files(tmp_path)
+        cmd_encrypt(plain, enc, sidecar, KEY, nonce=b"\x0e" * 8)
+        before = sidecar.read_bytes()
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        with pytest.raises(ValueError, match="^sidecar path .* names the input or the output file$"):
+            cmd_decrypt(src, meta, out, KEY)
+        assert keyed == [] and sidecar.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["enc.264", "meta.seh", "plain.264", "sub"]
+        cmd_decrypt(enc, sidecar, enc, KEY)
+        assert enc.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_new_files_get_the_mode_open_gives(self, tmp_path, umask):
@@ -606,6 +661,8 @@ def test_cipher_summaries_match_inspect(tmp_path, capsys, data, policy):
         cmd_decrypt(enc, meta, out, KEY),
     ]
     assert out.read_bytes() == data
+    assert all(isinstance(report, RunSummary) for report in reports)
+    assert reports[0].nal_count == len(reports[0].rows)
     want = tuple(getattr(reports[0], name) for name in SUMMARY_FIELDS)
     assert want[3], "the stream must have a selection to count"
     for report in reports[1:]:
