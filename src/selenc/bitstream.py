@@ -88,13 +88,15 @@ class NalUnit:
     byte after it (truncated capture); such units serialize back to the bare
     start code. split_annexb gives ``ebsp`` as a read-only memoryview of its
     input, which the unit keeps alive; a ciphered unit holds bytes. Both
-    compare and hash by content.
+    compare and hash by content. ``escape_violation`` is the payload's
+    first forbidden run and its offset, as text, or None: judged once, here.
     """
 
     ordinal: int
     start_code_len: int
     header: Optional[NalHeader]
     ebsp: "bytes | memoryview"
+    escape_violation: Optional[str] = field(init=False, repr=False, compare=False)
     # slice_info, kept from its first read so that a slice header is parsed
     # at most once. A plain field costs less to fill than
     # functools.cached_property does, and inspect fills one per NAL.
@@ -103,6 +105,7 @@ class NalUnit:
     def __post_init__(self) -> None:
         if self.start_code_len not in (3, 4):
             raise ValueError("start_code_len must be 3 or 4")
+        object.__setattr__(self, "escape_violation", _violation(self.ebsp))
 
     def start_code(self) -> bytes:
         return START_CODE_4 if self.start_code_len == 4 else START_CODE_3
@@ -133,7 +136,7 @@ class NalUnit:
             if (
                 self.header is not None
                 and self.header.nal_unit_type in VCL_TYPES
-                and _EPB_VIOLATION.search(self.ebsp) is None
+                and self.escape_violation is None
             ):
                 try:
                     info = parse_slice_info(ebsp_to_rbsp(self.ebsp[:16]))
@@ -243,9 +246,18 @@ def check_escaping(nals: Iterable[NalUnit]) -> None:
     that find_escape_violation finds: 00 00 0X (X <= 2) would mimic a start
     code to any reader, and 00 00 03 0Y (Y > 3) is no escape at all."""
     for nal in nals:
-        bad = _violation(nal.ebsp)
-        if bad is not None:
-            raise EscapingViolation(f"NAL {nal.ordinal}: {bad}")
+        if nal.escape_violation is not None:
+            raise EscapingViolation(f"NAL {nal.ordinal}: {nal.escape_violation}")
+
+
+def check_boundaries(nals: Sequence[NalUnit], ordinals: Iterable[int]) -> None:
+    """Raise EscapingViolation naming the first listed NAL whose payload
+    ends in 00 before a 3-byte start code: a reader takes that 00 into a
+    4-byte code, so the payload would read back one byte short (7.4.1 also
+    says a NAL's last byte is never 00)."""
+    for o in ordinals:
+        if o + 1 < len(nals) and nals[o].ebsp[-1:] == b"\x00" and nals[o + 1].start_code_len == 3:
+            raise EscapingViolation(f"NAL {o}: payload ends in 00 before a 3-byte start code")
 
 
 def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
@@ -399,11 +411,9 @@ def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
             rows.append(ReportRow(nal.ordinal, -1, "empty", 0, 0, None, False, False, False))
             continue
         t = nal.header.nal_unit_type
-        ebsp = nal.ebsp
         info = nal.slice_info
-        # A slice_info was read from a payload with no forbidden run.
-        malformed = info is None and _EPB_VIOLATION.search(ebsp) is not None
-        size = len(ebsp)
+        malformed = nal.escape_violation is not None
+        size = len(nal.ebsp)
         rbsp_size = size if malformed else nal.rbsp_size
         unparsed = t in VCL_TYPES and info is None
         forbidden = bool(nal.header.forbidden_zero_bit)

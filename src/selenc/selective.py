@@ -101,12 +101,11 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
         # Unescaping drops the 03 of a 00 00 03 tail, and re-escaping adds none back.
         if nals[o].ebsp[-3:] == b"\x00\x00\x03":
             raise MalformedEscape(f"NAL {o}: 00 00 03 at payload end would not round-trip")
+        if nals[o].escape_violation is not None:
+            raise MalformedEscape(f"NAL {o}: unescaped {nals[o].escape_violation}")
     out, group, blocks = list(nals), [], 0
     for k, o in enumerate(ordinals, 1):
-        try:
-            rbsp = ebsp_to_rbsp(nals[o].ebsp)
-        except MalformedEscape as exc:
-            raise MalformedEscape(f"NAL {o}: {exc}") from exc
+        rbsp = ebsp_to_rbsp(nals[o].ebsp)
         group.append((o, rbsp))
         blocks += -(-len(rbsp) // BLOCK_SIZE)
         if blocks < _CHUNK_BLOCKS and k < len(ordinals):

@@ -13,6 +13,7 @@ from selenc.bitstream import (
     ReportRow,
     SliceInfo,
     VCL_TYPES,
+    check_escaping,
     classify_stream,
     ebsp_to_rbsp,
     find_escape_violation,
@@ -89,6 +90,15 @@ def escape_violation_loop(ebsp: bytes) -> int:
             if ebsp[i + 2] <= 0x02 or ebsp[i + 2] == 0x03 and ebsp[i + 3 : i + 4] > b"\x03":
                 return i
     return -1
+
+
+def violation_text(ebsp: bytes):
+    # The forbidden run escape_violation_loop finds and its offset, as the
+    # error text names them; None if there is none.
+    v = escape_violation_loop(ebsp)
+    if v == -1:
+        return None
+    return f"{ebsp[v : v + (4 if ebsp[v + 2] == 0x03 else 3)].hex(' ')} at payload offset {v}"
 
 
 ZERO_HEAVY = [0, 0, 0, 0, 1, 2, 3, 3, 4, 0x80, 0xFF]
@@ -410,9 +420,22 @@ class TestEscaping:
         if v == -1:
             assert ebsp_to_rbsp(data) == ebsp_to_rbsp_loop(data)
         else:
-            run = data[v : v + (4 if data[v + 2] == 0x03 else 3)].hex(" ")
-            with pytest.raises(MalformedEscape, match=f"^unescaped {run} at payload offset {v}$"):
+            with pytest.raises(MalformedEscape, match=f"^unescaped {violation_text(data)}$"):
                 ebsp_to_rbsp(data)
+        # However a NAL is made, its escape_violation is the byte loop's
+        # verdict on its payload, and check_escaping reports that verdict.
+        made = NalUnit(0, 4, parse_nal_header(0x65), data)
+        split = split_annexb(b"\x00\x00\x01\x65" + data)[1]
+        for nal in (made, replace(made, ebsp=b"\xaa" + data), *split):
+            want = violation_text(bytes(nal.ebsp))
+            assert nal.escape_violation == want
+            assert (want is None) == (find_escape_violation(nal.ebsp) == -1)
+            if want is None:
+                check_escaping([nal])
+            else:
+                with pytest.raises(EscapingViolation) as exc:
+                    check_escaping([nal])
+                assert str(exc.value) == f"NAL {nal.ordinal}: {want}"
 
 
 class TestBitReader:

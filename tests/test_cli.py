@@ -149,6 +149,21 @@ class TestEncryptDecrypt:
         assert err.startswith("selenc: error: sidecar path") and err.count("\n") == 1
         assert meta.read_bytes() == before
 
+    def test_ciphertext_that_would_lose_a_byte_is_refused(self, tmp_path, capsys):
+        # Under this nonce the first IDR's ciphertext ends in 00, before the
+        # second IDR's 3-byte start code.
+        plain = tmp_path / "plain.264"
+        plain.write_bytes(bytes.fromhex(
+            "00000001" "6742c01e11" "000001" "68ce3880"
+            "00000001" "6588a1b2c3d4e5f607" "000001" "6588f7e6d5c4b3a291"
+        ))
+        rc = run("encrypt", "--in", str(plain), "--out", str(tmp_path / "e.264"),
+                 "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "00000000000004cd")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "selenc: error: NAL 2: payload ends in 00 before a 3-byte start code\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.264"]
+
     def test_bad_key_is_not_echoed(self, stream_file, tmp_path, capsys):
         key = "000102030405060708090a0b0c0d0e0g"
         rc = run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e.264"),

@@ -1,7 +1,9 @@
 import math
 import os
 import stat
+import types
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -40,7 +42,7 @@ from selenc.pipeline import (
     estimate_passphrase_bits,
     gen_test_stream,
 )
-from selenc.selective import CipherHeader, EncryptionPolicy, select
+from selenc.selective import CipherHeader, EncryptionPolicy, encrypt_stream, select
 
 
 class TestKeySource:
@@ -292,6 +294,13 @@ class TestReport:
 
 
 KEY = KeySource.from_raw_hex("00112233445566778899aabbccddeeff")
+# SPS, PPS, an IDR slice, then a second IDR slice behind a 3-byte start code.
+# Under KEY and LOST_BYTE_NONCE the first IDR's ciphertext ends in 00.
+LOST_BYTE_CLIP = bytes.fromhex(
+    "00000001" "6742c01e11" "000001" "68ce3880"
+    "00000001" "6588a1b2c3d4e5f607" "000001" "6588f7e6d5c4b3a291"
+)
+LOST_BYTE_NONCE = bytes.fromhex("00000000000004cd")
 
 
 class TestFileCommands:
@@ -374,6 +383,42 @@ class TestFileCommands:
                 assert not out.exists() and keyed == []
             enc.unlink()
             meta.unlink()
+
+    def test_ciphertext_that_would_lose_a_byte_writes_nothing(self, tmp_path):
+        # A reader takes the 00 that ends NAL 2's ciphertext into the 3-byte
+        # start code after it, so the stream would decrypt to other bytes.
+        nals = scan_annexb(LOST_BYTE_CLIP)
+        ks, sel = key_expansion(derive_key(KEY)), select(nals, EncryptionPolicy.IDR_ONLY)
+        enc_nals, _ = encrypt_stream(nals, ks, sel, LOST_BYTE_NONCE)
+        assert enc_nals[2].ebsp[-1:] == b"\x00" and nals[3].start_code_len == 3
+        assert scan_annexb(serialize_annexb(enc_nals))[2].ebsp != enc_nals[2].ebsp
+        plain, enc, meta, out = (tmp_path / n for n in ("p.264", "e.264", "m.seh", "o.264"))
+        plain.write_bytes(LOST_BYTE_CLIP)
+        refusal = "^NAL 2: payload ends in 00 before a 3-byte start code$"
+        with pytest.raises(EscapingViolation, match=refusal):
+            cmd_encrypt(plain, enc, meta, KEY, nonce=LOST_BYTE_NONCE)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.264"]
+        # Another nonce leaves no 00 there, and the clip round-trips.
+        cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x0c" * 8)
+        cmd_decrypt(enc, meta, out, KEY)
+        assert out.read_bytes() == LOST_BYTE_CLIP
+
+    def test_plaintext_that_would_lose_a_byte_writes_nothing(self, tmp_path):
+        # The counter-mode XOR is symmetric: the ciphertext of a plaintext
+        # whose NAL 2 ends in 00 decrypts to that payload, which the 3-byte
+        # start code after it would cut short.
+        nals = scan_annexb(LOST_BYTE_CLIP)
+        nals[2] = replace(nals[2], ebsp=bytes(nals[2].ebsp[:-1]) + b"\x00")
+        ks, sel = key_expansion(derive_key(KEY)), select(nals, EncryptionPolicy.IDR_ONLY)
+        enc_nals, header = encrypt_stream(nals, ks, sel, b"\x0c" * 8)
+        assert enc_nals[2].ebsp[-1:] != b"\x00"
+        enc, meta, out = tmp_path / "e.264", tmp_path / "m.seh", tmp_path / "o.264"
+        enc.write_bytes(serialize_annexb(enc_nals))
+        meta.write_bytes(header.to_bytes())
+        refusal = "^NAL 2: payload ends in 00 before a 3-byte start code$"
+        with pytest.raises(EscapingViolation, match=refusal):
+            cmd_decrypt(enc, meta, out, KEY)
+        assert not out.exists()
 
     def test_sidecar_written_before_stream(self, tmp_path):
         # Encrypting a file in place with an unwritable sidecar path must
@@ -550,7 +595,10 @@ class TestOnePass:
     """Only inspect classifies. It unescapes the 16-byte header prefix of
     each slice NAL once, and nothing of a parameter set. The cipher commands
     and bench unescape each ciphered NAL once and, under all-i, the header
-    prefix of each non-IDR slice; an IDR is picked by its header byte."""
+    prefix of each non-IDR slice; an IDR is picked by its header byte.
+
+    A payload is scanned for a forbidden run once when its NAL is made, and
+    once by each unescape: no check reads it again."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -568,6 +616,8 @@ class TestOnePass:
             for module in (bitstream, selective, pipeline, harness):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counting(name, real))
+        scans = types.SimpleNamespace(search=counting("scan", bitstream._EPB_VIOLATION.search))
+        monkeypatch.setattr(bitstream, "_EPB_VIOLATION", scans)
         return calls
 
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
@@ -578,32 +628,38 @@ class TestOnePass:
         plain.write_bytes(data + b"\x00\x00\x00\x01")
         nals = scan_annexb(plain.read_bytes())
         slices = sum(n.header is not None and n.header.nal_unit_type in (1, 5) for n in nals)
-        assert (slices, sum(n.header is not None for n in nals)) == (12, 14)
+        assert (len(nals), slices, sum(n.header is not None for n in nals)) == (15, 12, 14)
 
+        counts.clear()
         report = cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x09" * 8)
         ciphered = len(report.selected_ordinals)
         assert ciphered == 3
         headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
-        assert counts == {"ebsp_to_rbsp": headers + ciphered}
+        # The 15 NALs read and the 3 ciphered ones are each judged when made.
+        scans = {EncryptionPolicy.IDR_ONLY: 21, EncryptionPolicy.ALL_INTRA: 30}[policy]
+        assert scans == 15 + ciphered + headers + ciphered
+        assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
 
         counts.clear()
         cmd_decrypt(enc, meta, out, KEY)
-        assert counts == {"ebsp_to_rbsp": headers + ciphered}
+        assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
         assert out.read_bytes() == plain.read_bytes()
 
         counts.clear()
         cmd_inspect(plain, policy)
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices}
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices, "scan": 15 + slices}
 
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_bench_classifies_nothing(self, counts, policy):
         data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
         nals = scan_annexb(data + b"\x00\x00\x00\x01")
+        counts.clear()
         result = harness.bench(nals, key_expansion(derive_key(KEY)), policy)
         assert result.aes_blocks_selective == 3 * 6
         # The naive pass unescapes each of the 14 NALs with a header byte.
         headers = 9 if policy is EncryptionPolicy.ALL_INTRA else 0
-        assert counts == {"ebsp_to_rbsp": headers + 3 + 14}
+        # Each of the 3 + 14 ciphered NALs is judged when made.
+        assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": 2 * (3 + 14) + headers}
 
 
 SUMMARY_FIELDS = (

@@ -359,6 +359,29 @@ class TestStreamEncryption:
                 encrypt_stream(nals, KS, SelectionResult(policy, (2, 99)), NONCE)
         assert calls == {}
 
+    def test_badly_escaped_listed_nal_refused_before_payload_work(self, monkeypatch):
+        # The second listed NAL holds 00 00 03 05. Each direction refuses it
+        # by name from its verdict, before the first listed NAL is unescaped
+        # or any keystream is made.
+        nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
+        enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
+        first, o = header.ordinals
+        offset = len(enc[o].ebsp) + 1
+        refusal = f"^NAL {o}: unescaped 00 00 03 05 at payload offset {offset}$"
+        calls = Counter()
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
+        for stream in (nals, enc):
+            stream[o] = replace(stream[o], ebsp=enc[o].ebsp + b"\x11\x00\x00\x03\x05")
+        with pytest.raises(MalformedEscape, match=refusal):
+            encrypt_stream(nals, KS, SelectionResult(EncryptionPolicy.IDR_ONLY, (first, o)), NONCE)
+        with pytest.raises(MalformedEscape, match=refusal):
+            decrypt_stream(enc, KS, header)
+        assert calls == {}
+
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # 200 short IDR slices share one keystream pass: one encrypt_blocks
         # call per _CHUNK_BLOCKS counter blocks, not one per NAL.
