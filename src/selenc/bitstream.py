@@ -85,11 +85,12 @@ class NalUnit:
     """One Annex B NAL unit: start-code width, header and escaped payload.
 
     ``header`` is None only in the degenerate case of a start code with no
-    byte after it (truncated capture); such units serialize back to the bare
-    start code. split_annexb gives ``ebsp`` as a read-only memoryview of its
-    input, which the unit keeps alive; a ciphered unit holds bytes. Both
-    compare and hash by content. ``escape_violation`` is the payload's
-    first forbidden run and its offset, as text, or None: judged once, here.
+    byte after it (truncated capture); such a unit has no payload and
+    serializes back to the bare start code. split_annexb gives ``ebsp`` as
+    a read-only memoryview of its input, which the unit keeps alive; a
+    ciphered unit holds bytes. Both compare and hash by content.
+    ``escape_violation`` is the payload's first forbidden run and its
+    offset, as text, or None: judged once, here.
     """
 
     ordinal: int
@@ -105,6 +106,8 @@ class NalUnit:
     def __post_init__(self) -> None:
         if self.start_code_len not in (3, 4):
             raise ValueError("start_code_len must be 3 or 4")
+        if self.header is None and self.ebsp:
+            raise ValueError("a NAL with no header byte has no payload")
         object.__setattr__(self, "escape_violation", _violation(self.ebsp))
 
     def start_code(self) -> bytes:
@@ -241,29 +244,24 @@ def scan_annexb(stream: bytes) -> "list[NalUnit]":
     return split_annexb(stream)[1]
 
 
-def check_escaping(nals: Iterable[NalUnit]) -> None:
-    """Raise EscapingViolation naming the first NAL whose payload holds a run
-    that find_escape_violation finds: 00 00 0X (X <= 2) would mimic a start
-    code to any reader, and 00 00 03 0Y (Y > 3) is no escape at all."""
-    for nal in nals:
+def check_escaping(nals: Sequence[NalUnit]) -> None:
+    """Raise EscapingViolation naming the first NAL that would not read back
+    as itself once written: its payload holds a run find_escape_violation
+    finds (00 00 0X, X <= 2, mimics a start code; 00 00 03 0Y, Y > 3, is no
+    escape), or ends in 00 before a 3-byte start code, which a reader takes
+    into a 4-byte code (7.4.1 also says a NAL's last byte is never 00)."""
+    for k, nal in enumerate(nals, 1):
         if nal.escape_violation is not None:
             raise EscapingViolation(f"NAL {nal.ordinal}: {nal.escape_violation}")
-
-
-def check_boundaries(nals: Sequence[NalUnit], ordinals: Iterable[int]) -> None:
-    """Raise EscapingViolation naming the first listed NAL whose payload
-    ends in 00 before a 3-byte start code: a reader takes that 00 into a
-    4-byte code, so the payload would read back one byte short (7.4.1 also
-    says a NAL's last byte is never 00)."""
-    for o in ordinals:
-        if o + 1 < len(nals) and nals[o].ebsp[-1:] == b"\x00" and nals[o + 1].start_code_len == 3:
-            raise EscapingViolation(f"NAL {o}: payload ends in 00 before a 3-byte start code")
+        if k < len(nals) and nals[k].start_code_len == 3 and nal.ebsp[-1:] == b"\x00":
+            raise EscapingViolation(f"NAL {nal.ordinal}: payload ends in 00 before a 3-byte start code")
 
 
 def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
     """Concatenate start codes, header bytes and payloads back into a stream
-    once check_escaping passes them. Given the input bytes, splice_annexb
-    makes the same stream, as parts, with less work."""
+    once check_escaping passes them, so a list that would not split back
+    into itself is refused, never written. Given the input bytes,
+    splice_annexb makes the same stream, as parts, with less work."""
     nals = list(nals)
     check_escaping(nals)
     return b"".join([leading, *(nal.to_bytes() for nal in nals)])
@@ -273,9 +271,11 @@ def splice_annexb(
     data: bytes, leading: bytes, nals: Sequence[NalUnit], out_nals: Sequence[NalUnit]
 ) -> "list[bytes | memoryview]":
     """serialize_annexb(out_nals, leading) as parts to write in order, where
-    split_annexb(data) gave (leading, nals): each run of NALs that out_nals
-    kept is one unchecked view of ``data``, and each replaced NAL is its
-    serialize_annexb bytes, checked there. Nothing is joined."""
+    split_annexb(data) gave (leading, nals): check_escaping passes out_nals
+    first, as serialize_annexb does, then each run of NALs that out_nals
+    kept is one view of ``data``, and each replaced NAL is its
+    serialize_annexb bytes. Nothing is joined."""
+    check_escaping(out_nals)
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)

@@ -10,8 +10,8 @@ class NoStartCode(SelencError):
 
 
 class EscapingViolation(SelencError):
-    """A payload to serialize, or in a stream to cipher, holds a run that 7.4.1
-    forbids, or a ciphered payload would end in 00 before a 3-byte start code."""
+    """A NAL list would not read back as itself once written: a payload holds
+    a run that 7.4.1 forbids, or ends in 00 before a 3-byte start code."""
 
 
 class MalformedEscape(SelencError):

@@ -18,7 +18,6 @@ from .bitstream import (
     BitWriter,
     NalUnit,
     ReportRow,
-    check_boundaries,
     check_escaping,
     classify_stream,
     parse_nal_header,
@@ -279,7 +278,6 @@ def cmd_encrypt(
         nonce = os.urandom(8)
     selection = select(nals, policy)
     out_nals, header = encrypt_stream(nals, ks, selection, nonce)
-    check_boundaries(out_nals, header.ordinals)
     parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
     _atomic_write((meta_path, [header.to_bytes()]), (out_path, parts))
@@ -296,7 +294,6 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     check_escaping(nals)
     ks = key_expansion(derive_key(key))
     out_nals = decrypt_stream(nals, ks, header)
-    check_boundaries(out_nals, header.ordinals)
     parts = splice_annexb(data, leading, nals, out_nals)
     _atomic_write((out_path, parts))
     # The NALs the sidecar does not list are the plaintext's own, so select

@@ -144,16 +144,14 @@ class CipherHeader:
             raise ValueError("ordinals must fit in 32 bits")
 
     def to_bytes(self) -> bytes:
-        head = (
+        count = len(self.ordinals)
+        return (
             SIDECAR_MAGIC
             + bytes((SIDECAR_VERSION, self.policy.value))
             + self.key_check
             + self.nonce
-            + struct.pack(">I", len(self.ordinals))
+            + struct.pack(f">I{count}I", count, *self.ordinals)
         )
-        if not self.ordinals:
-            return head
-        return head + struct.pack(f">{len(self.ordinals)}I", *self.ordinals)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherHeader":
@@ -170,9 +168,9 @@ class CipherHeader:
             raise MalformedHeader(
                 f"sidecar length {len(data)} does not match ordinal count {count}"
             )
-        ordinals = struct.unpack_from(f">{count}I", data, 22) if count else ()
+        ordinals = struct.unpack_from(f">{count}I", data, 22)
         try:
-            return cls(EncryptionPolicy(data[5]), data[6:10], data[10:18], tuple(ordinals))
+            return cls(EncryptionPolicy(data[5]), data[6:10], data[10:18], ordinals)
         except ValueError as exc:
             raise MalformedHeader(str(exc)) from exc
 

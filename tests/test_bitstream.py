@@ -276,6 +276,19 @@ def valid_nal_lists():
     return raw.map(build)
 
 
+def built_nal_lists():
+    """NAL lists as a caller builds them, not as split_annexb gives them: a
+    payload, raw or escaped, may hold a forbidden run or end in 00 before
+    any start code, and a NAL with no header byte has an empty payload."""
+    payload = st.one_of(zero_heavy, zero_heavy.map(rbsp_to_ebsp))
+    body = st.one_of(st.tuples(st.integers(1, 255), payload), st.just((None, b"")))
+    units = st.lists(st.tuples(st.sampled_from((3, 4)), body), min_size=1, max_size=6)
+    return units.map(lambda us: [
+        NalUnit(i, scl, None if h is None else parse_nal_header(h), ebsp)
+        for i, (scl, (h, ebsp)) in enumerate(us)
+    ])
+
+
 class TestRoundTrip:
     @settings(deadline=None)
     @given(valid_nal_lists())
@@ -288,6 +301,66 @@ class TestRoundTrip:
     def test_spec_shape_stream(self):
         data = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb")
         assert serialize_annexb(scan_annexb(data)) == data
+
+    @settings(max_examples=500, deadline=None)
+    @given(built_nal_lists())
+    @example([
+        NalUnit(0, 4, parse_nal_header(0x65), b"\xaa\x00"),
+        NalUnit(1, 3, parse_nal_header(0x65), b"\xbb"),
+    ])
+    def test_serialize_writes_what_reads_back_or_refuses(self, nals):
+        try:
+            data = serialize_annexb(nals)
+        except EscapingViolation:
+            return
+        assert split_annexb(data) == (b"", nals)
+
+    @pytest.mark.parametrize(
+        "payloads,scls,refusal",
+        [
+            ([b"\xaa\x00", b"\xbb"], (4, 3), "NAL 0: payload ends in 00 before a 3-byte start code"),
+            ([b"\xaa\x00"] * 3, (4, 4, 3), "NAL 1: payload ends in 00 before a 3-byte start code"),
+            ([b"\x00\x00\x02\x00", b"\xbb"], (4, 3), "NAL 0: 00 00 02 at payload offset 0"),
+            ([b"\xaa\x00", b"\xbb"], (4, 4), None),
+            ([b"\xaa\x00"], (3,), None),
+        ],
+    )
+    def test_check_escaping_refuses_a_zero_tail_before_a_three_byte_code(
+        self, payloads, scls, refusal
+    ):
+        nals = [NalUnit(i, s, parse_nal_header(0x65), e) for i, (e, s) in enumerate(zip(payloads, scls))]
+        if refusal is None:
+            check_escaping(nals)
+        else:
+            with pytest.raises(EscapingViolation) as exc:
+                check_escaping(nals)
+            assert str(exc.value) == refusal
+
+    @pytest.mark.parametrize("scl", [3, 4])
+    def test_a_nal_with_no_header_has_no_payload(self, scl):
+        with pytest.raises(ValueError):
+            NalUnit(0, scl, None, b"\xaa")
+        assert NalUnit(0, scl, None, b"").to_bytes() == b"\x00" * (scl - 1) + b"\x01"
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="check_escaping reads payloads and start codes only, so a header byte 00 "
+        "or leading bytes ending in 00 still write a stream that reads back otherwise "
+        "(ROADMAP, Small fixes)",
+    )
+    @pytest.mark.parametrize(
+        "leading,nals",
+        [
+            # 00000001 00 0001: the header byte starts a 3-byte start code.
+            (b"", [NalUnit(0, 4, parse_nal_header(0x00), b"\x00\x01")]),
+            # ff 00 000001 65 aa: the 00 joins the first start code.
+            (b"\xff\x00", [NalUnit(0, 3, parse_nal_header(0x65), b"\xaa")]),
+        ],
+        ids=["header-byte-00", "leading-ends-in-00"],
+    )
+    def test_writer_holes(self, leading, nals):
+        assert split_annexb(serialize_annexb(nals, leading)) == (leading, nals)
 
 
 def annexb_units():

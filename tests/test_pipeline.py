@@ -391,10 +391,12 @@ class TestFileCommands:
         ks, sel = key_expansion(derive_key(KEY)), select(nals, EncryptionPolicy.IDR_ONLY)
         enc_nals, _ = encrypt_stream(nals, ks, sel, LOST_BYTE_NONCE)
         assert enc_nals[2].ebsp[-1:] == b"\x00" and nals[3].start_code_len == 3
-        assert scan_annexb(serialize_annexb(enc_nals))[2].ebsp != enc_nals[2].ebsp
+        assert scan_annexb(b"".join(n.to_bytes() for n in enc_nals))[2].ebsp != enc_nals[2].ebsp
+        refusal = "^NAL 2: payload ends in 00 before a 3-byte start code$"
+        with pytest.raises(EscapingViolation, match=refusal):
+            serialize_annexb(enc_nals)
         plain, enc, meta, out = (tmp_path / n for n in ("p.264", "e.264", "m.seh", "o.264"))
         plain.write_bytes(LOST_BYTE_CLIP)
-        refusal = "^NAL 2: payload ends in 00 before a 3-byte start code$"
         with pytest.raises(EscapingViolation, match=refusal):
             cmd_encrypt(plain, enc, meta, KEY, nonce=LOST_BYTE_NONCE)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.264"]

@@ -24,6 +24,7 @@ from selenc.bitstream import (
 from selenc.errors import (
     BadMagic,
     BadVersion,
+    EscapingViolation,
     MalformedEscape,
     MalformedHeader,
     OrdinalOutOfRange,
@@ -452,8 +453,8 @@ class TestStreamEncryption:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="a ciphertext ending in 0x00 turns the next 3-byte start code into a "
-        "4-byte one and loses that byte (ROADMAP item 1)",
+        reason="a ciphertext ending in 0x00 would turn the next 3-byte start code into a "
+        "4-byte one and lose that byte, so serialize_annexb refuses it (ROADMAP item 1)",
     )
     def test_round_trip_second_slice_after_three_byte_start_code(self):
         lost = []
@@ -461,10 +462,19 @@ class TestStreamEncryption:
             rng = random.Random(seed)
             nals = make_stream([(7, b"\x42"), (8, b"\xce"), (5, slice_rbsp(7, rng.randbytes(40)))])
             nals.append(make_nal(3, 0x65, slice_rbsp(7, rng.randbytes(40)), scl=3))
+            if nals[2].ebsp[-1:] == b"\x00":
+                # Such a plaintext would not read back either, so
+                # serialize_annexb refuses it; split_annexb never gives one.
+                continue
             data = serialize_annexb(nals)
             sel = select(nals, EncryptionPolicy.IDR_ONLY)
             enc, header = encrypt_stream(nals, KS, sel, rng.randbytes(8))
-            dec = decrypt_stream(scan_annexb(serialize_annexb(enc)), KS, header)
+            try:
+                enc_data = serialize_annexb(enc)
+            except EscapingViolation:
+                lost.append(seed)
+                continue
+            dec = decrypt_stream(scan_annexb(enc_data), KS, header)
             if serialize_annexb(dec) != data:
                 lost.append(seed)
         assert lost == []
