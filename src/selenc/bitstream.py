@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     EscapingViolation,
@@ -80,7 +80,7 @@ def parse_nal_header(b: int) -> NalHeader:
 _UNREAD = object()  # a NalUnit cache not yet filled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NalUnit:
     """One Annex B NAL unit: start-code width, header and escaped payload.
 
@@ -89,8 +89,9 @@ class NalUnit:
     serializes back to the bare start code. split_annexb gives ``ebsp`` as
     a read-only memoryview of its input, which the unit keeps alive; a
     ciphered unit holds bytes. Both compare and hash by content.
-    ``escape_violation`` is the payload's first forbidden run and its
-    offset, as text, or None: judged once, here.
+    ``escape_violation`` is the first forbidden run in the payload, or in a
+    header byte 00 and the payload after it, with its offset, as text, or
+    None: judged once, here.
     """
 
     ordinal: int
@@ -99,16 +100,27 @@ class NalUnit:
     ebsp: "bytes | memoryview"
     escape_violation: Optional[str] = field(init=False, repr=False, compare=False)
     # slice_info, kept from its first read so that a slice header is parsed
-    # at most once. A plain field costs less to fill than
-    # functools.cached_property does, and inspect fills one per NAL.
+    # at most once. Until then the class default stands in, so a new unit
+    # (dataclasses.replace too) starts unread.
     _slice_info: object = field(default=_UNREAD, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.start_code_len not in (3, 4):
+    def __init__(
+        self, ordinal: int, start_code_len: int, header: Optional[NalHeader], ebsp: "bytes | memoryview"
+    ) -> None:
+        # One dict update rather than a frozen dataclass's setattr per
+        # field: split_annexb makes one unit per NAL on every command.
+        if start_code_len != 3 and start_code_len != 4:
             raise ValueError("start_code_len must be 3 or 4")
-        if self.header is None and self.ebsp:
+        if header is None and ebsp:
             raise ValueError("a NAL with no header byte has no payload")
-        object.__setattr__(self, "escape_violation", _violation(self.ebsp))
+        zero_header = header is not None and not header.nal_unit_type and not header.to_byte()
+        self.__dict__.update(
+            ordinal=ordinal,
+            start_code_len=start_code_len,
+            header=header,
+            ebsp=ebsp,
+            escape_violation=_violation(ebsp, zero_header),
+        )
 
     def start_code(self) -> bytes:
         return START_CODE_4 if self.start_code_len == 4 else START_CODE_3
@@ -145,7 +157,7 @@ class NalUnit:
                     info = parse_slice_info(ebsp_to_rbsp(self.ebsp[:16]))
                 except (OutOfBits, OutOfRange):
                     pass
-            object.__setattr__(self, "_slice_info", info)
+            self.__dict__["_slice_info"] = info
         return info
 
 
@@ -165,10 +177,15 @@ def find_escape_violation(ebsp: bytes) -> int:
     return -1 if m is None else m.start()
 
 
-def _violation(ebsp: bytes) -> Optional[str]:
-    """The first forbidden run and its offset, as error text; None if clean."""
-    m = _EPB_VIOLATION.search(ebsp)
-    return None if m is None else f"{m.group().hex(' ')} at payload offset {m.start()}"
+def _violation(ebsp: bytes, zero_header: bool = False) -> Optional[str]:
+    """The first forbidden run and where it starts, as error text; None if
+    clean. After a header byte 00 a run can start at that byte, so the
+    payload is scanned with it."""
+    m = _EPB_VIOLATION.search(b"\x00" + ebsp if zero_header else ebsp)
+    if m is None:
+        return None
+    at = m.start() - zero_header
+    return f"{m.group().hex(' ')} at " + ("the header byte" if at < 0 else f"payload offset {at}")
 
 
 def ebsp_to_rbsp(ebsp: bytes) -> bytes:
@@ -244,26 +261,39 @@ def scan_annexb(stream: bytes) -> "list[NalUnit]":
     return split_annexb(stream)[1]
 
 
-def check_escaping(nals: Sequence[NalUnit]) -> None:
+def check_escaping(nals: Sequence[NalUnit], leading: bytes = b"") -> None:
     """Raise EscapingViolation naming the first NAL that would not read back
-    as itself once written: its payload holds a run find_escape_violation
-    finds (00 00 0X, X <= 2, mimics a start code; 00 00 03 0Y, Y > 3, is no
-    escape), or ends in 00 before a 3-byte start code, which a reader takes
-    into a 4-byte code (7.4.1 also says a NAL's last byte is never 00)."""
+    as itself once written: its payload, or a header byte 00 and the
+    payload after it, holds a run find_escape_violation finds (00 00 0X,
+    X <= 2, mimics a start code; 00 00 03 0Y, Y > 3, is no escape), or its
+    last byte is 00 before a 3-byte start code, which a reader takes into a
+    4-byte code (7.4.1 also says a NAL's last byte is never 00). ``leading``,
+    the bytes written before the first start code, must hold no start code,
+    must not end in 00 before a 3-byte one, and needs a NAL after it."""
+    if leading:
+        if START_CODE_3 in leading:
+            raise EscapingViolation("leading bytes hold a start code")
+        if not nals:
+            raise EscapingViolation("leading bytes with no NAL after them")
+        if nals[0].start_code_len == 3 and leading[-1] == 0:
+            raise EscapingViolation("leading bytes end in 00 before a 3-byte start code")
     for k, nal in enumerate(nals, 1):
         if nal.escape_violation is not None:
             raise EscapingViolation(f"NAL {nal.ordinal}: {nal.escape_violation}")
-        if k < len(nals) and nals[k].start_code_len == 3 and nal.ebsp[-1:] == b"\x00":
-            raise EscapingViolation(f"NAL {nal.ordinal}: payload ends in 00 before a 3-byte start code")
+        if k < len(nals) and nals[k].start_code_len == 3:
+            if nal.ebsp[-1:] == b"\x00":
+                raise EscapingViolation(f"NAL {nal.ordinal}: payload ends in 00 before a 3-byte start code")
+            if not nal.ebsp and nal.header is not None and not nal.header.to_byte():
+                raise EscapingViolation(f"NAL {nal.ordinal}: header byte 00 ends it before a 3-byte start code")
 
 
 def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
     """Concatenate start codes, header bytes and payloads back into a stream
-    once check_escaping passes them, so a list that would not split back
-    into itself is refused, never written. Given the input bytes,
-    splice_annexb makes the same stream, as parts, with less work."""
+    once check_escaping passes them and ``leading``, so a list that would
+    not split back into itself is refused, never written. Given the input
+    bytes, splice_annexb makes the same stream, as parts, with less work."""
     nals = list(nals)
-    check_escaping(nals)
+    check_escaping(nals, leading)
     return b"".join([leading, *(nal.to_bytes() for nal in nals)])
 
 
@@ -275,7 +305,7 @@ def splice_annexb(
     first, as serialize_annexb does, then each run of NALs that out_nals
     kept is one view of ``data``, and each replaced NAL is its
     serialize_annexb bytes. Nothing is joined."""
-    check_escaping(out_nals)
+    check_escaping(out_nals, leading)
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)
@@ -359,9 +389,15 @@ class BitWriter:
         return (self._acc << pad).to_bytes((self.bit_length + pad) // 8, "big")
 
 
-@dataclass(frozen=True)
-class SliceInfo:
-    """The two leading slice-header syntax elements."""
+# What a NamedTuple's own __new__ calls, less its Python frame: the hot
+# paths build SliceInfo and ReportRow records through it.
+_new = tuple.__new__
+
+
+class SliceInfo(NamedTuple):
+    """The two leading slice-header syntax elements. A named tuple: it costs
+    about what a tuple costs to build, and equals the plain tuple of its
+    fields."""
 
     first_mb_in_slice: int
     slice_type: int
@@ -376,20 +412,36 @@ def parse_slice_info(rbsp: bytes) -> SliceInfo:
     """Read first_mb_in_slice and slice_type from the start of a slice RBSP.
     A field out of range raises OutOfRange, so an accepted header takes at
     most 35 + 7 = 42 bits: first_mb_in_slice < PicSizeInMbs <= 139,264 (7.4.3
-    and the largest MaxFS in Table A-1), slice_type <= 9."""
-    r = BitReader(rbsp)
-    first_mb = r.read_ue()
-    if first_mb >= 139_264:
-        raise OutOfRange(f"first_mb_in_slice {first_mb} outside [0, 139263]")
-    slice_type = r.read_ue()
-    if slice_type > 9:
-        raise OutOfRange(f"slice_type {slice_type} outside [0, 9]")
-    return SliceInfo(first_mb, slice_type)
+    and the largest MaxFS in Table A-1), slice_type <= 9.
+
+    Both ue(v) fields come from one integer of the first 16 bytes: a
+    codeword with z leading zeros is its first 2z + 1 bits, which read as
+    an integer are ue + 1. Only a header that runs past those bytes, and
+    is refused either way, is read again from the whole RBSP, to raise what
+    a bit-by-bit read raises: OutOfRange if its codeword ends inside the
+    RBSP, OutOfBits if not."""
+    for data in (rbsp[:16], rbsp):
+        n = 8 * len(data)
+        v = int.from_bytes(data, "big")
+        n -= 2 * (n - v.bit_length()) + 1  # bits left after the first codeword
+        if n >= 0:
+            first_mb = (v >> n) - 1
+            if first_mb >= 139_264:
+                raise OutOfRange(f"first_mb_in_slice {first_mb} outside [0, 139263]")
+            v &= (1 << n) - 1
+            n -= 2 * (n - v.bit_length()) + 1
+            if n >= 0:
+                slice_type = (v >> n) - 1
+                if slice_type > 9:
+                    raise OutOfRange(f"slice_type {slice_type} outside [0, 9]")
+                return _new(SliceInfo, (first_mb, slice_type))
+        if len(data) == len(rbsp):
+            break
+    raise OutOfBits(f"bit read at offset {8 * len(rbsp)} past end of buffer")
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """Per-NAL inspection record."""
+class ReportRow(NamedTuple):
+    """Per-NAL inspection record; a named tuple, as SliceInfo is."""
 
     ordinal: int
     nal_type: int
@@ -399,7 +451,7 @@ class ReportRow:
     slice_info: Optional[SliceInfo]
     unparsed: bool  # slice NAL whose header could not be read
     forbidden_bit: bool
-    malformed_escape: bool  # payload holds a run find_escape_violation finds
+    malformed_escape: bool  # the NAL's escape_violation is set
 
 
 def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
@@ -417,8 +469,7 @@ def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
         rbsp_size = size if malformed else nal.rbsp_size
         unparsed = t in VCL_TYPES and info is None
         forbidden = bool(nal.header.forbidden_zero_bit)
-        # Positional: a keyword call costs about 1 us more per row.
-        rows.append(ReportRow(
+        rows.append(_new(ReportRow, (
             nal.ordinal, t, nal_type_name(t), size, rbsp_size, info, unparsed, forbidden, malformed
-        ))
+        )))
     return rows

@@ -18,6 +18,7 @@ from .bitstream import (
     BitReader,
     BitWriter,
     NalUnit,
+    SliceInfo,
     check_escaping,
     ebsp_to_rbsp,
     find_escape_violation,
@@ -25,7 +26,7 @@ from .bitstream import (
     scan_annexb,
     serialize_annexb,
 )
-from .errors import MalformedEscape, WrongKey
+from .errors import MalformedEscape, OutOfRange, WrongKey
 from .pipeline import KeySource, derive_key, gen_test_stream
 from .selective import EncryptionPolicy, SelectionResult, decrypt_stream, encrypt_stream, select
 
@@ -179,6 +180,19 @@ def per_block_keystream(ks: KeySchedule, nonce: bytes, ordinal: int, nbytes: int
     """Counter-mode keystream of one NAL, one encrypt_block call per block."""
     counters = (CounterBlock(nonce, ordinal, j).to_bytes() for j in range(-(-nbytes // 16)))
     return b"".join(aes.encrypt_block(c, ks) for c in counters)[:nbytes]
+
+
+def bitreader_slice_info(rbsp: bytes) -> SliceInfo:
+    """bitstream.parse_slice_info read bit by bit: two BitReader.read_ue
+    calls, each range-checked as soon as it is read."""
+    r = BitReader(rbsp)
+    first_mb = r.read_ue()
+    if first_mb >= 139_264:
+        raise OutOfRange(f"first_mb_in_slice {first_mb} outside [0, 139263]")
+    slice_type = r.read_ue()
+    if slice_type > 9:
+        raise OutOfRange(f"slice_type {slice_type} outside [0, 9]")
+    return SliceInfo(first_mb, slice_type)
 
 
 def kdf_oracle(passphrase: str, iterations: int) -> bytes:

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +33,7 @@ from selenc.errors import (
     OutOfBits,
     OutOfRange,
 )
+from selenc.harness import bitreader_slice_info
 from selenc.pipeline import gen_test_stream
 
 
@@ -92,13 +93,16 @@ def escape_violation_loop(ebsp: bytes) -> int:
     return -1
 
 
-def violation_text(ebsp: bytes):
-    # The forbidden run escape_violation_loop finds and its offset, as the
-    # error text names them; None if there is none.
-    v = escape_violation_loop(ebsp)
+def violation_text(ebsp: bytes, zero_header: bool = False):
+    # The forbidden run escape_violation_loop finds and where, as the error
+    # text names them; None if there is none. After a header byte 00 the
+    # loop reads that byte and the payload.
+    data = b"\x00" + ebsp if zero_header else ebsp
+    v = escape_violation_loop(data)
     if v == -1:
         return None
-    return f"{ebsp[v : v + (4 if ebsp[v + 2] == 0x03 else 3)].hex(' ')} at payload offset {v}"
+    where = "the header byte" if zero_header and v == 0 else f"payload offset {v - zero_header}"
+    return f"{data[v : v + (4 if data[v + 2] == 0x03 else 3)].hex(' ')} at {where}"
 
 
 ZERO_HEAVY = [0, 0, 0, 0, 1, 2, 3, 3, 4, 0x80, 0xFF]
@@ -268,6 +272,8 @@ def valid_nal_lists():
         for i, (ebsp, header_byte, scl) in enumerate(items):
             if prev_tail_zero:
                 scl = 4  # a 3-byte code after a zero tail would re-scan as 4-byte
+            if header_byte == 0 and ebsp[:1] == b"\x00":
+                header_byte = 0x01  # 00 00 0X across the header byte is refused
             nals.append(NalUnit(i, scl, parse_nal_header(header_byte), ebsp))
             last_byte = ebsp[-1] if ebsp else header_byte
             prev_tail_zero = last_byte == 0
@@ -278,15 +284,26 @@ def valid_nal_lists():
 
 def built_nal_lists():
     """NAL lists as a caller builds them, not as split_annexb gives them: a
-    payload, raw or escaped, may hold a forbidden run or end in 00 before
-    any start code, and a NAL with no header byte has an empty payload."""
+    header byte, 00 included, before a payload, raw or escaped, that may
+    hold a forbidden run or end in 00 before any start code; or a NAL with
+    no header byte and an empty payload."""
     payload = st.one_of(zero_heavy, zero_heavy.map(rbsp_to_ebsp))
-    body = st.one_of(st.tuples(st.integers(1, 255), payload), st.just((None, b"")))
+    header = st.one_of(st.just(0x00), st.integers(0, 255))
+    body = st.one_of(st.tuples(header, payload), st.just((None, b"")))
     units = st.lists(st.tuples(st.sampled_from((3, 4)), body), min_size=1, max_size=6)
     return units.map(lambda us: [
         NalUnit(i, scl, None if h is None else parse_nal_header(h), ebsp)
         for i, (scl, (h, ebsp)) in enumerate(us)
     ])
+
+
+# Bytes before the first start code: nothing, plain bytes, or bytes that
+# end in zeros or hold a start code.
+leading_bytes = st.one_of(
+    st.just(b""),
+    st.binary(max_size=4).map(lambda b: b"\xff" + b),
+    st.lists(st.sampled_from(ZERO_HEAVY), max_size=6).map(bytes),
+)
 
 
 class TestRoundTrip:
@@ -303,17 +320,19 @@ class TestRoundTrip:
         assert serialize_annexb(scan_annexb(data)) == data
 
     @settings(max_examples=500, deadline=None)
-    @given(built_nal_lists())
-    @example([
+    @given(leading_bytes, built_nal_lists())
+    @example(b"", [
         NalUnit(0, 4, parse_nal_header(0x65), b"\xaa\x00"),
         NalUnit(1, 3, parse_nal_header(0x65), b"\xbb"),
     ])
-    def test_serialize_writes_what_reads_back_or_refuses(self, nals):
+    @example(b"", [NalUnit(0, 4, parse_nal_header(0x00), b"\x00\x01")])
+    @example(b"\xff\x00", [NalUnit(0, 3, parse_nal_header(0x65), b"\xaa")])
+    def test_serialize_writes_what_reads_back_or_refuses(self, leading, nals):
         try:
-            data = serialize_annexb(nals)
+            data = serialize_annexb(nals, leading)
         except EscapingViolation:
             return
-        assert split_annexb(data) == (b"", nals)
+        assert split_annexb(data) == (leading, nals)
 
     @pytest.mark.parametrize(
         "payloads,scls,refusal",
@@ -342,25 +361,47 @@ class TestRoundTrip:
             NalUnit(0, scl, None, b"\xaa")
         assert NalUnit(0, scl, None, b"").to_bytes() == b"\x00" * (scl - 1) + b"\x01"
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="check_escaping reads payloads and start codes only, so a header byte 00 "
-        "or leading bytes ending in 00 still write a stream that reads back otherwise "
-        "(ROADMAP, Small fixes)",
-    )
     @pytest.mark.parametrize(
-        "leading,nals",
+        "leading,nals,refusal",
         [
             # 00000001 00 0001: the header byte starts a 3-byte start code.
-            (b"", [NalUnit(0, 4, parse_nal_header(0x00), b"\x00\x01")]),
+            (b"", [NalUnit(0, 4, parse_nal_header(0x00), b"\x00\x01")],
+             "NAL 0: 00 00 01 at the header byte"),
+            # 000001 00 000001 65: the header byte joins the next start code.
+            (b"", [NalUnit(0, 3, parse_nal_header(0x00), b""), NalUnit(1, 3, parse_nal_header(0x65), b"")],
+             "NAL 0: header byte 00 ends it before a 3-byte start code"),
             # ff 00 000001 65 aa: the 00 joins the first start code.
-            (b"\xff\x00", [NalUnit(0, 3, parse_nal_header(0x65), b"\xaa")]),
+            (b"\xff\x00", [NalUnit(0, 3, parse_nal_header(0x65), b"\xaa")],
+             "leading bytes end in 00 before a 3-byte start code"),
+            (b"\xff\x00\x00\x01", [NalUnit(0, 4, parse_nal_header(0x65), b"\xaa")],
+             "leading bytes hold a start code"),
+            (b"\xff", [], "leading bytes with no NAL after them"),
         ],
-        ids=["header-byte-00", "leading-ends-in-00"],
+        ids=["header-byte-00", "header-byte-00-last", "leading-ends-in-00", "leading-start-code", "leading-alone"],
     )
-    def test_writer_holes(self, leading, nals):
-        assert split_annexb(serialize_annexb(nals, leading)) == (leading, nals)
+    def test_writer_holes_are_refused(self, leading, nals, refusal):
+        with pytest.raises(EscapingViolation) as exc:
+            serialize_annexb(nals, leading)
+        assert str(exc.value) == refusal
+
+    @pytest.mark.parametrize(
+        "ebsp,verdict",
+        [
+            (b"\x00\x03\x05", "00 00 03 05 at the header byte"),
+            (b"\x00\x02", "00 00 02 at the header byte"),
+            (b"\xaa\x00\x00\x02", "00 00 02 at payload offset 1"),
+            (b"\x00\x03\x01", None),  # an escape that starts at the header byte
+            (b"\x01\x00\x00", None),
+        ],
+    )
+    def test_header_byte_00_is_judged_with_its_payload(self, ebsp, verdict):
+        (nal,) = split_annexb(b"\x00\x00\x00\x01\x00" + ebsp)[1]
+        assert (nal.header.to_byte(), bytes(nal.ebsp), nal.escape_violation) == (0, ebsp, verdict)
+        if verdict is None:
+            check_escaping([nal])
+        else:
+            with pytest.raises(EscapingViolation, match=f"^NAL 0: {verdict}$"):
+                check_escaping([nal])
 
 
 def annexb_units():
@@ -496,13 +537,17 @@ class TestEscaping:
             with pytest.raises(MalformedEscape, match=f"^unescaped {violation_text(data)}$"):
                 ebsp_to_rbsp(data)
         # However a NAL is made, its escape_violation is the byte loop's
-        # verdict on its payload, and check_escaping reports that verdict.
+        # verdict on its payload, or on a header byte 00 and its payload,
+        # and check_escaping reports that verdict.
         made = NalUnit(0, 4, parse_nal_header(0x65), data)
         split = split_annexb(b"\x00\x00\x01\x65" + data)[1]
-        for nal in (made, replace(made, ebsp=b"\xaa" + data), *split):
-            want = violation_text(bytes(nal.ebsp))
+        zero = NalUnit(0, 4, parse_nal_header(0x00), data)
+        for nal in (made, replace(made, ebsp=b"\xaa" + data), zero, *split):
+            zero_header = nal.header is not None and nal.header.to_byte() == 0
+            want = violation_text(bytes(nal.ebsp), zero_header)
             assert nal.escape_violation == want
-            assert (want is None) == (find_escape_violation(nal.ebsp) == -1)
+            if not zero_header:
+                assert (want is None) == (find_escape_violation(nal.ebsp) == -1)
             if want is None:
                 check_escaping([nal])
             else:
@@ -608,6 +653,32 @@ class TestBitWriter:
         assert bits_of(w.to_bytes()) == want
 
 
+def read_outcome(parse, rbsp):
+    """What a slice-header parse gives: its SliceInfo, or its error type."""
+    try:
+        return parse(rbsp)
+    except (OutOfBits, OutOfRange) as exc:
+        return type(exc)
+
+
+@st.composite
+def header_prefixes(draw):
+    """0-16 bytes that lean towards leading zero bits: a random integer
+    shifted right by up to its width, or two ue(v) codewords near and past
+    their range edges with random bits after them, cut to a random length."""
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 16))
+        value = draw(st.integers(0, (1 << 8 * size) - 1)) >> draw(st.integers(0, 8 * size))
+        return value.to_bytes(size, "big")
+    w = BitWriter()
+    for limit in (139_264, 10):
+        w.write_ue(draw(st.one_of(
+            st.integers(0, 2 * limit), st.integers(limit - 2, limit + 1), st.integers(0, 2**60)
+        )))
+    w.write_bits(draw(st.integers(0, 2**64 - 1)), 64)
+    return w.to_bytes()[: draw(st.integers(0, 16))]
+
+
 class TestSliceInfo:
     @pytest.mark.parametrize(
         "rbsp,first_mb,slice_type,intra",
@@ -656,6 +727,93 @@ class TestSliceInfo:
             parse_slice_info(b"")
         with pytest.raises(OutOfBits):
             parse_slice_info(b"\x00")
+
+    @pytest.mark.parametrize("first_mb", [139_263, 139_264])
+    @pytest.mark.parametrize("slice_type", [9, 10])
+    def test_range_edges(self, first_mb, slice_type):
+        w = BitWriter()
+        w.write_ue(first_mb)
+        w.write_ue(slice_type)
+        rbsp = w.to_bytes()
+        if first_mb == 139_264 or slice_type == 10:
+            with pytest.raises(OutOfRange):
+                parse_slice_info(rbsp)
+        else:
+            assert parse_slice_info(rbsp) == SliceInfo(first_mb, slice_type)
+        assert read_outcome(parse_slice_info, rbsp) == read_outcome(bitreader_slice_info, rbsp)
+
+    @settings(max_examples=1000)
+    @given(header_prefixes())
+    @example(b"\x00\x00\x44\x00\x00")  # first_mb_in_slice 139,263, then a cut
+    def test_matches_bitreader_reference(self, rbsp):
+        assert read_outcome(parse_slice_info, rbsp) == read_outcome(bitreader_slice_info, rbsp)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([b"", b"\x80", b"\xa0"]), st.integers(12, 40), st.binary(max_size=16))
+    @example(b"", 16, b"\x80")  # a zero run that ends in byte 17
+    @example(b"\x80", 15, b"")  # the second codeword never ends
+    def test_matches_bitreader_past_the_prefix(self, head, zeros, tail):
+        # Zero runs that outlast the 16 bytes parse_slice_info reads first.
+        rbsp = head + bytes(zeros) + tail
+        assert read_outcome(parse_slice_info, rbsp) == read_outcome(bitreader_slice_info, rbsp)
+
+
+class TestRecords:
+    """NalUnit is a frozen dataclass with two judged fields, escape_violation
+    and the slice_info cache, that equality and hashing ignore; SliceInfo
+    and ReportRow are named tuples."""
+
+    def nal(self, ebsp=b"\x88\xaa"):
+        return NalUnit(0, 4, parse_nal_header(0x65), ebsp)
+
+    def test_nal_unit_is_frozen(self):
+        nal = self.nal()
+        for name in ("ordinal", "start_code_len", "header", "ebsp", "escape_violation", "_slice_info"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(nal, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del nal.ebsp
+        with pytest.raises(FrozenInstanceError):
+            nal.rbsp_size = 0
+
+    @pytest.mark.parametrize("scl", [0, 2, 5])
+    def test_start_code_is_3_or_4_bytes(self, scl):
+        with pytest.raises(ValueError):
+            NalUnit(ordinal=0, start_code_len=scl, header=parse_nal_header(0x65), ebsp=b"")
+
+    def test_replace_judges_again_and_reads_afresh(self):
+        nal = self.nal()
+        assert nal.slice_info == SliceInfo(0, 7) and nal.escape_violation is None
+        clean = replace(nal, ebsp=b"\xe0")
+        assert clean.slice_info == SliceInfo(0, 0)
+        assert (clean.ordinal, clean.start_code_len, clean.header) == (0, 4, nal.header)
+        bad = replace(nal, ebsp=b"\x88\x00\x00\x02")
+        assert bad.escape_violation == "00 00 02 at payload offset 1"
+        assert bad.slice_info is None
+        with pytest.raises(ValueError):
+            replace(nal, escape_violation=None)
+
+    def test_equality_and_hash_ignore_the_judged_fields(self):
+        assert [f.name for f in fields(NalUnit) if f.compare] == ["ordinal", "start_code_len", "header", "ebsp"]
+        read, unread = self.nal(), self.nal(memoryview(b"\x88\xaa"))
+        assert read.slice_info is not None
+        assert vars(read)["_slice_info"] == SliceInfo(0, 7) and "_slice_info" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert read != replace(read, ordinal=1) and read != replace(read, ebsp=b"\x88")
+
+    def test_slice_info_and_report_row_are_tuples(self):
+        info = SliceInfo(3, 7)
+        assert info == (3, 7) == SliceInfo(first_mb_in_slice=3, slice_type=7)
+        assert (info[1], info.slice_type, info.is_intra, SliceInfo(3, 6).is_intra) == (7, 7, True, False)
+        assert hash(info) == hash((3, 7)) and info != SliceInfo(3, 2)
+        row = ReportRow(0, 5, "IDR", 2, 2, info, False, False, False)
+        assert row == (0, 5, "IDR", 2, 2, (3, 7), False, False, False)
+        assert row[5].is_intra and row.slice_info is info
+        for record, name in ((info, "slice_type"), (row, "size")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(TypeError):
+                record[0] = 1
 
 
 class TestClassify:
