@@ -80,6 +80,22 @@ def parse_nal_header(b: int) -> NalHeader:
 _UNREAD = object()  # a NalUnit cache not yet filled
 
 
+class _EscapeVerdict:
+    """NalUnit.escape_violation, judged by one _EPB_VIOLATION scan on first
+    read and kept in the unit's dict. A non-data descriptor: the kept value
+    shadows it, so a later read is a plain attribute read, and a new unit
+    (dataclasses.replace too) starts unread."""
+
+    def __get__(self, nal: "Optional[NalUnit]", owner: type) -> "Optional[str] | _EscapeVerdict":
+        if nal is None:
+            return self
+        ebsp, h = nal.ebsp, nal.header
+        zero_header = h is not None and not h.nal_unit_type and not h.to_byte()
+        m = _EPB_VIOLATION.search(b"\x00" + ebsp if zero_header else ebsp)
+        v = nal.__dict__["escape_violation"] = None if m is None else _violation(m, zero_header)
+        return v
+
+
 @dataclass(frozen=True, init=False)
 class NalUnit:
     """One Annex B NAL unit: start-code width, header and escaped payload.
@@ -91,14 +107,15 @@ class NalUnit:
     ciphered unit holds bytes. Both compare and hash by content.
     ``escape_violation`` is the first forbidden run in the payload, or in a
     header byte 00 and the payload after it, with its offset, as text, or
-    None: judged once, here.
+    None. It is judged on first read and kept, so a NAL that is never read
+    past its header byte, as a cipher command copies most, is never scanned.
     """
 
     ordinal: int
     start_code_len: int
     header: Optional[NalHeader]
     ebsp: "bytes | memoryview"
-    escape_violation: Optional[str] = field(init=False, repr=False, compare=False)
+    escape_violation = _EscapeVerdict()  # not a field: no init, repr or compare
     # slice_info, kept from its first read so that a slice header is parsed
     # at most once. Until then the class default stands in, so a new unit
     # (dataclasses.replace too) starts unread.
@@ -113,14 +130,7 @@ class NalUnit:
             raise ValueError("start_code_len must be 3 or 4")
         if header is None and ebsp:
             raise ValueError("a NAL with no header byte has no payload")
-        zero_header = header is not None and not header.nal_unit_type and not header.to_byte()
-        self.__dict__.update(
-            ordinal=ordinal,
-            start_code_len=start_code_len,
-            header=header,
-            ebsp=ebsp,
-            escape_violation=_violation(ebsp, zero_header),
-        )
+        self.__dict__.update(ordinal=ordinal, start_code_len=start_code_len, header=header, ebsp=ebsp)
 
     def start_code(self) -> bytes:
         return START_CODE_4 if self.start_code_len == 4 else START_CODE_3
@@ -177,13 +187,10 @@ def find_escape_violation(ebsp: bytes) -> int:
     return -1 if m is None else m.start()
 
 
-def _violation(ebsp: bytes, zero_header: bool = False) -> Optional[str]:
-    """The first forbidden run and where it starts, as error text; None if
-    clean. After a header byte 00 a run can start at that byte, so the
-    payload is scanned with it."""
-    m = _EPB_VIOLATION.search(b"\x00" + ebsp if zero_header else ebsp)
-    if m is None:
-        return None
+def _violation(m: "re.Match[bytes]", zero_header: bool = False) -> str:
+    """The forbidden run an _EPB_VIOLATION scan found and where it starts,
+    as error text. After a header byte 00 a run can start at that byte, so
+    such a payload is scanned with the byte before it."""
     at = m.start() - zero_header
     return f"{m.group().hex(' ')} at " + ("the header byte" if at < 0 else f"payload offset {at}")
 
@@ -194,9 +201,9 @@ def ebsp_to_rbsp(ebsp: bytes) -> bytes:
     Raises MalformedEscape on a run that find_escape_violation finds, which
     a properly escaped payload can never contain.
     """
-    bad = _violation(ebsp)
-    if bad is not None:
-        raise MalformedEscape(f"unescaped {bad}")
+    m = _EPB_VIOLATION.search(ebsp)
+    if m is not None:
+        raise MalformedEscape(f"unescaped {_violation(m)}")
     return bytes(ebsp).replace(b"\x00\x00\x03", b"\x00\x00")
 
 
@@ -261,6 +268,18 @@ def scan_annexb(stream: bytes) -> "list[NalUnit]":
     return split_annexb(stream)[1]
 
 
+def _judge(nal: NalUnit, next_start_code_len: int) -> None:
+    # check_escaping's rule for one NAL, written before a start code of
+    # next_start_code_len bytes (0 if none follows).
+    if nal.escape_violation is not None:
+        raise EscapingViolation(f"NAL {nal.ordinal}: {nal.escape_violation}")
+    if next_start_code_len == 3:
+        if nal.ebsp[-1:] == b"\x00":
+            raise EscapingViolation(f"NAL {nal.ordinal}: payload ends in 00 before a 3-byte start code")
+        if not nal.ebsp and nal.header is not None and not nal.header.to_byte():
+            raise EscapingViolation(f"NAL {nal.ordinal}: header byte 00 ends it before a 3-byte start code")
+
+
 def check_escaping(nals: Sequence[NalUnit], leading: bytes = b"") -> None:
     """Raise EscapingViolation naming the first NAL that would not read back
     as itself once written: its payload, or a header byte 00 and the
@@ -269,7 +288,12 @@ def check_escaping(nals: Sequence[NalUnit], leading: bytes = b"") -> None:
     last byte is 00 before a 3-byte start code, which a reader takes into a
     4-byte code (7.4.1 also says a NAL's last byte is never 00). ``leading``,
     the bytes written before the first start code, must hold no start code,
-    must not end in 00 before a 3-byte one, and needs a NAL after it."""
+    must not end in 00 before a 3-byte one, and needs a NAL after it.
+
+    It reads every NAL's verdict, so it scans each payload not yet judged:
+    serialize_annexb and harness.bench run it on lists that are built by
+    hand or ciphered whole. The cipher commands judge only the NALs they
+    rewrite (see splice_annexb)."""
     if leading:
         if START_CODE_3 in leading:
             raise EscapingViolation("leading bytes hold a start code")
@@ -278,13 +302,7 @@ def check_escaping(nals: Sequence[NalUnit], leading: bytes = b"") -> None:
         if nals[0].start_code_len == 3 and leading[-1] == 0:
             raise EscapingViolation("leading bytes end in 00 before a 3-byte start code")
     for k, nal in enumerate(nals, 1):
-        if nal.escape_violation is not None:
-            raise EscapingViolation(f"NAL {nal.ordinal}: {nal.escape_violation}")
-        if k < len(nals) and nals[k].start_code_len == 3:
-            if nal.ebsp[-1:] == b"\x00":
-                raise EscapingViolation(f"NAL {nal.ordinal}: payload ends in 00 before a 3-byte start code")
-            if not nal.ebsp and nal.header is not None and not nal.header.to_byte():
-                raise EscapingViolation(f"NAL {nal.ordinal}: header byte 00 ends it before a 3-byte start code")
+        _judge(nal, nals[k].start_code_len if k < len(nals) else 0)
 
 
 def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
@@ -300,17 +318,26 @@ def serialize_annexb(nals: Iterable[NalUnit], leading: bytes = b"") -> bytes:
 def splice_annexb(
     data: bytes, leading: bytes, nals: Sequence[NalUnit], out_nals: Sequence[NalUnit]
 ) -> "list[bytes | memoryview]":
-    """serialize_annexb(out_nals, leading) as parts to write in order, where
-    split_annexb(data) gave (leading, nals): check_escaping passes out_nals
-    first, as serialize_annexb does, then each run of NALs that out_nals
-    kept is one view of ``data``, and each replaced NAL is its
-    serialize_annexb bytes. Nothing is joined."""
-    check_escaping(out_nals, leading)
+    """The stream of ``leading`` and out_nals, as parts to write in order,
+    where split_annexb(data) gave (leading, nals) and out_nals replaces some
+    of those NALs, each with one of the same start code (as encrypt_nal
+    makes; another start code, or lists of other lengths, raise
+    ValueError). Each run of kept NALs is one view of ``data``, and each
+    replaced NAL is its serialize_annexb bytes; nothing is joined.
+
+    Only the replaced NALs are judged, by check_escaping's rule. The kept
+    NALs and ``leading`` are the bytes split_annexb read them from, so they
+    read back as themselves: a kept NAL that breaks the escaping rule is
+    copied byte for byte, unscanned. Where every NAL passes, the joined
+    parts are serialize_annexb(out_nals, leading)."""
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)
-    for nal, out in zip(nals, out_nals, strict=True):
+    for k, (nal, out) in enumerate(zip(nals, out_nals, strict=True), 1):
         if out is not nal:
+            if out.start_code_len != nal.start_code_len:
+                raise ValueError(f"NAL {nal.ordinal} is replaced by one with another start code")
+            _judge(out, out_nals[k].start_code_len if k < len(out_nals) else 0)
             parts += (view[copied:pos], serialize_annexb((out,)))
             copied = pos + nal.wire_size()
         pos += nal.wire_size()

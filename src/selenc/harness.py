@@ -56,8 +56,9 @@ def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) ->
     """Encrypt the same stream selectively and naively and account the work.
 
     The naive pass runs encrypt_stream, the selective pass's path, with every
-    NAL payload selected, parameter sets included. It refuses a badly escaped
-    NAL as the cipher commands do. Block counts are exact arithmetic; wall
+    NAL payload selected, parameter sets included, so it refuses a stream
+    with any badly escaped NAL, with check_escaping's text, where a cipher
+    command refuses only one it ciphers. Block counts are exact arithmetic; wall
     times depend on the machine and are informative only.
     """
     check_escaping(nals)

@@ -26,7 +26,7 @@ from .bitstream import (
     splice_annexb,
     split_annexb,
 )
-from .errors import BadHex, EmptyPassphrase, NoStartCode
+from .errors import BadHex, EmptyPassphrase, NoStartCode, OrdinalOutOfRange
 from .selective import (
     CipherHeader,
     EncryptionPolicy,
@@ -187,7 +187,8 @@ def summarize(
 ) -> RunSummary:
     """Count a selection over a cipher command's NALs or over
     classify_stream's rows: units[o].rbsp_size sizes selected ordinal o (a
-    NAL's is exact once check_escaping has passed it), and each selected
+    NAL's is exact once its escape verdict is clean, as the cipher commands
+    require of each NAL they cipher), and each selected
     NAL costs ceil(size / 16) AES blocks. The one place that counts a
     selection."""
     sizes = [units[o].rbsp_size for o in selection.selected_ordinals]
@@ -247,6 +248,17 @@ def _read_stream(path) -> "tuple[bytes, bytes, list[NalUnit]]":
     return data, leading, nals
 
 
+def _judge_rewritten(nals: Sequence[NalUnit], ordinals: Sequence[int]) -> None:
+    # Before any key work, refuse a listed NAL that the stream lacks or
+    # that holds a forbidden run: these are the NALs a cipher command
+    # rewrites. Each is judged on its own, as no other listed NAL is
+    # written next to it; a NAL left in the clear is copied unjudged.
+    for o in ordinals:
+        if not 0 <= o < len(nals):
+            raise OrdinalOutOfRange(f"NAL {o} is listed but the stream has {len(nals)}")
+        check_escaping((nals[o],))
+
+
 def _refuse_sidecar_clash(meta_path, in_path, out_path) -> None:
     # A stream written over the sidecar would lose its nonce. Both cipher
     # commands check this before they read the stream or derive a key.
@@ -265,18 +277,20 @@ def cmd_encrypt(
     """Encrypt a stream file to out_path and write the sidecar to meta_path.
 
     With an explicit nonce the run is fully deterministic; otherwise eight
-    random bytes are drawn and recorded in the sidecar. A NAL that breaks
-    escaping is refused before any key work, and so is a sidecar path that
-    names the input or the output file: the stream would replace the
-    sidecar, and with it the nonce.
+    random bytes are drawn and recorded in the sidecar. A NAL to cipher that
+    breaks escaping is refused before any key work, and so is a sidecar path
+    that names the input or the output file: the stream would replace the
+    sidecar, and with it the nonce. A NAL left in the clear is copied byte
+    for byte and not judged, so a badly escaped one round-trips; inspect
+    flags it.
     """
     _refuse_sidecar_clash(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
-    check_escaping(nals)
+    selection = select(nals, policy)
+    _judge_rewritten(nals, selection.selected_ordinals)
     ks = key_expansion(derive_key(key))
     if nonce is None:
         nonce = os.urandom(8)
-    selection = select(nals, policy)
     out_nals, header = encrypt_stream(nals, ks, selection, nonce)
     parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
@@ -287,11 +301,13 @@ def cmd_encrypt(
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     """Decrypt a stream file using its sidecar; inverse of cmd_encrypt. The
     summary's total_bytes is the size of the file written. A sidecar path
-    that names the input or the output file is refused, as cmd_encrypt does."""
+    that names the input or the output file is refused, as cmd_encrypt does,
+    and so, before any key work, is a listed ordinal the stream lacks or a
+    listed NAL that breaks escaping."""
     _refuse_sidecar_clash(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
-    check_escaping(nals)
+    _judge_rewritten(nals, header.ordinals)
     ks = key_expansion(derive_key(key))
     out_nals = decrypt_stream(nals, ks, header)
     parts = splice_annexb(data, leading, nals, out_nals)

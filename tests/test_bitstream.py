@@ -2,7 +2,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selenc.bitstream import (
@@ -406,8 +406,9 @@ class TestRoundTrip:
 
 def annexb_units():
     """Start codes of both widths, each followed by nothing (a header-less
-    unit), or by a header byte and an escaped payload."""
-    payload = st.one_of(zero_heavy, st.binary(max_size=40)).map(rbsp_to_ebsp)
+    unit), or by a header byte and a payload: mostly an escaped one, but
+    also raw zero-heavy bytes, which may hold a forbidden run."""
+    payload = st.one_of(zero_heavy.map(rbsp_to_ebsp), st.binary(max_size=40).map(rbsp_to_ebsp), zero_heavy)
     unit = st.tuples(
         st.sampled_from((b"\x00\x00\x01", b"\x00\x00\x00\x01")),
         st.one_of(st.none(), st.integers(0, 255)),
@@ -422,12 +423,13 @@ class TestSplice:
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=6), annexb_units(), st.data())
     def test_matches_serialize(self, garbage, body, data):
-        # splice_annexb copies kept NALs unchecked, so it is only defined on
-        # streams whose NALs all escape cleanly; the cipher commands refuse
-        # any other stream before they splice (see TestFileCommands).
+        # splice_annexb judges only the NALs it replaces; a kept NAL, badly
+        # escaped or not, is copied as split_annexb read it. So it refuses,
+        # with serialize_annexb's text, exactly when a replaced NAL breaks
+        # the rule, and otherwise writes a stream that reads back as the
+        # NAL list: serialize_annexb's bytes wherever every NAL passes.
         stream = garbage + body
         leading, nals = split_annexb(stream)
-        assume(all(find_escape_violation(n.ebsp) == -1 for n in nals))
         out_nals = [
             n if n.header is None or not data.draw(st.booleans())
             # A re-escaped replacement may be longer or shorter than the
@@ -435,14 +437,29 @@ class TestSplice:
             else replace(n, ebsp=data.draw(st.one_of(zero_heavy.map(rbsp_to_ebsp), zero_heavy)))
             for n in nals
         ]
+        # serialize_annexb judges every NAL. With each kept NAL swapped for
+        # a clean one of the same start code and header byte, its refusal
+        # is the replaced NALs' refusal.
+        stand_ins = [
+            out if out is not n or n.header is None else replace(n, ebsp=b"\xff")
+            for n, out in zip(nals, out_nals)
+        ]
         try:
-            want = serialize_annexb(out_nals, leading)
+            serialize_annexb(stand_ins, leading)
         except EscapingViolation as exc:
             with pytest.raises(EscapingViolation) as got:
                 splice_annexb(stream, leading, nals, out_nals)
             assert str(got.value) == str(exc)
+            return
+        written = b"".join(splice_annexb(stream, leading, nals, out_nals))
+        assert written == leading + b"".join(n.to_bytes() for n in out_nals)
+        assert split_annexb(written) == (leading, out_nals)
+        try:
+            want = serialize_annexb(out_nals, leading)
+        except EscapingViolation:
+            assert any(n.escape_violation is not None for n in nals)
         else:
-            assert b"".join(splice_annexb(stream, leading, nals, out_nals)) == want
+            assert written == want
 
     @pytest.mark.parametrize("drop", [1, -1])
     def test_refuses_a_nal_list_of_another_length(self, drop):
@@ -451,6 +468,15 @@ class TestSplice:
         out_nals = nals[:drop] if drop > 0 else nals + nals[:1]
         with pytest.raises(ValueError):
             splice_annexb(stream, leading, nals, out_nals)
+
+    def test_refuses_a_replacement_with_another_start_code(self):
+        # The kept bytes before a replaced NAL were read before its start
+        # code: here leading ff 00 would join a 3-byte code.
+        stream = bytes.fromhex("ff00" "00000001" "65" "aa")
+        leading, nals = split_annexb(stream)
+        assert (leading, nals[0].start_code_len) == (b"\xff\x00", 4)
+        with pytest.raises(ValueError, match="^NAL 0 is replaced by one with another start code$"):
+            splice_annexb(stream, leading, nals, [replace(nals[0], start_code_len=3)])
 
 
 class TestEscaping:
@@ -782,15 +808,23 @@ class TestRecords:
             NalUnit(ordinal=0, start_code_len=scl, header=parse_nal_header(0x65), ebsp=b"")
 
     def test_replace_judges_again_and_reads_afresh(self):
+        # Both judged values are made on first read and kept in the unit's
+        # dict; a new unit, and so a replace copy, starts with neither.
         nal = self.nal()
-        assert nal.slice_info == SliceInfo(0, 7) and nal.escape_violation is None
+        assert not {"escape_violation", "_slice_info"} & set(vars(nal))
+        assert nal.slice_info == SliceInfo(0, 7)
+        assert vars(nal)["escape_violation"] is None and vars(nal)["_slice_info"] == SliceInfo(0, 7)
+        for copy in (replace(nal), replace(nal, ebsp=b"\xe0"), replace(nal, ebsp=b"\x88\x00\x00\x02")):
+            assert not {"escape_violation", "_slice_info"} & set(vars(copy))
         clean = replace(nal, ebsp=b"\xe0")
-        assert clean.slice_info == SliceInfo(0, 0)
+        assert clean.slice_info == SliceInfo(0, 0) and clean.escape_violation is None
         assert (clean.ordinal, clean.start_code_len, clean.header) == (0, 4, nal.header)
         bad = replace(nal, ebsp=b"\x88\x00\x00\x02")
         assert bad.escape_violation == "00 00 02 at payload offset 1"
         assert bad.slice_info is None
         with pytest.raises(ValueError):
+            replace(nal, _slice_info=None)
+        with pytest.raises(TypeError):
             replace(nal, escape_violation=None)
 
     def test_equality_and_hash_ignore_the_judged_fields(self):
@@ -798,6 +832,7 @@ class TestRecords:
         read, unread = self.nal(), self.nal(memoryview(b"\x88\xaa"))
         assert read.slice_info is not None
         assert vars(read)["_slice_info"] == SliceInfo(0, 7) and "_slice_info" not in vars(unread)
+        assert "escape_violation" in vars(read) and "escape_violation" not in vars(unread)
         assert read == unread and hash(read) == hash(unread)
         assert read != replace(read, ordinal=1) and read != replace(read, ebsp=b"\x88")
 

@@ -27,6 +27,7 @@ from selenc.errors import (
     MalformedEscape,
     MalformedHeader,
     NoStartCode,
+    OrdinalOutOfRange,
     WrongKey,
 )
 from selenc.cli import _print_summary
@@ -350,39 +351,77 @@ class TestFileCommands:
             cmd_encrypt(empty, enc, meta, KEY)
         assert not enc.exists() and not meta.exists()
 
-    def test_escaping_violation_writes_nothing(self, tmp_path, monkeypatch):
-        # A NAL holding a forbidden 00 00 0X, ciphered or not, is refused by
-        # name before any key work, and no file is written.
+    BAD_SPS = b"\x00\x00\x00\x01\x67\x42\x00\x00\x02\x1e"
+    BAD_IDR = b"\x00\x00\x00\x01\x65\x88\x00\x00\x02\x11"
+
+    def test_forbidden_run_in_a_rewritten_nal_writes_nothing(self, tmp_path, monkeypatch):
+        # A NAL the command would rewrite that holds a forbidden 00 00 0X is
+        # refused by name before any key work, and no file is written.
         plain, enc, meta, out = self.make_files(tmp_path)
         clean = plain.read_bytes()
-        bad_sps = b"\x00\x00\x00\x01\x67\x42\x00\x00\x02\x1e"
-        bad_idr = b"\x00\x00\x00\x01\x65\x88\x00\x00\x02\x11"
         keyed = []
         monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
         refusal = "^NAL {}: 00 00 02 at payload offset 1$"
         dirty = tmp_path / "dirty.264"
         for policy in EncryptionPolicy:
-            cases = ((bad_sps + clean, 0), (clean + bad_sps, 14), (clean + bad_idr, 14))
-            for stream, ordinal in cases:
+            for stream, ordinal in ((self.BAD_IDR + clean, 0), (clean + self.BAD_IDR, 14)):
                 dirty.write_bytes(stream)
                 with pytest.raises(EscapingViolation, match=refusal.format(ordinal)):
                     cmd_encrypt(dirty, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
                 assert not enc.exists() and not meta.exists() and keyed == []
-            # Decryption refuses a clear SPS after the last ciphered NAL, and an
-            # IDR in place of NAL 14, which the sidecar lists as ciphered.
+            # Decryption refuses an IDR in place of NAL 14, which the sidecar
+            # lists as ciphered.
             dirty.write_bytes(clean + b"\x00\x00\x00\x01\x65\x88\x44\x55\x66\x11")
             cmd_encrypt(dirty, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
             assert 14 in CipherHeader.from_bytes(meta.read_bytes()).ordinals
             data = enc.read_bytes()
-            cut = data[: data.rindex(b"\x00\x00\x00\x01")]
+            enc.write_bytes(data[: data.rindex(b"\x00\x00\x00\x01")] + self.BAD_IDR)
             keyed.clear()
-            for stream, ordinal in ((data + bad_sps, 15), (cut + bad_idr, 14)):
-                enc.write_bytes(stream)
-                with pytest.raises(EscapingViolation, match=refusal.format(ordinal)):
-                    cmd_decrypt(enc, meta, out, KEY)
-                assert not out.exists() and keyed == []
+            with pytest.raises(EscapingViolation, match=refusal.format(14)):
+                cmd_decrypt(enc, meta, out, KEY)
+            assert not out.exists() and keyed == []
             enc.unlink()
             meta.unlink()
+
+    def test_forbidden_run_left_in_the_clear_round_trips(self, tmp_path):
+        # A badly escaped NAL that no command rewrites is copied byte for
+        # byte, and inspect flags it. Under all-i a bad non-IDR slice has no
+        # readable header, so it is reported as left in the clear.
+        plain, enc, meta, out = self.make_files(tmp_path)
+        clean = plain.read_bytes()
+        bad_p = b"\x00\x00\x00\x01\x41\x88\x00\x00\x02\x11"
+        dirty = tmp_path / "dirty.264"
+        for policy in EncryptionPolicy:
+            gap = (14,) if policy is EncryptionPolicy.ALL_INTRA else ()
+            cases = ((self.BAD_SPS + clean, 0, ()), (clean + self.BAD_SPS, 14, ()), (clean + bad_p, 14, gap))
+            for stream, ordinal, unparsed in cases:
+                dirty.write_bytes(stream)
+                report = cmd_encrypt(dirty, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
+                assert ordinal not in report.selected_ordinals and report.unparsed_ordinals == unparsed
+                assert cmd_decrypt(enc, meta, out, KEY).unparsed_ordinals == unparsed
+                assert out.read_bytes() == stream
+                row = cmd_inspect(dirty, policy).rows[ordinal]
+                assert (row.malformed_escape, row.unparsed) == (True, row.nal_type == 1)
+            # A bad SPS appended after the ciphertext is a NAL the sidecar
+            # does not list, so decryption copies it.
+            cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
+            enc.write_bytes(enc.read_bytes() + self.BAD_SPS)
+            cmd_decrypt(enc, meta, out, KEY)
+            assert out.read_bytes() == clean + self.BAD_SPS
+
+    def test_sidecar_that_outruns_the_stream_writes_nothing(self, tmp_path, monkeypatch):
+        # A ciphertext cut short before a listed NAL is refused with a typed
+        # error before any key work, not with an IndexError.
+        plain, enc, meta, out = self.make_files(tmp_path)
+        cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x0f" * 8)
+        assert CipherHeader.from_bytes(meta.read_bytes()).ordinals == (2, 6, 10)
+        nals = scan_annexb(enc.read_bytes())
+        enc.write_bytes(enc.read_bytes()[: sum(n.wire_size() for n in nals[:10])])
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        with pytest.raises(OrdinalOutOfRange, match="^NAL 10 is listed but the stream has 10$"):
+            cmd_decrypt(enc, meta, out, KEY)
+        assert not out.exists() and keyed == []
 
     def test_ciphertext_that_would_lose_a_byte_writes_nothing(self, tmp_path):
         # A reader takes the 00 that ends NAL 2's ciphertext into the 3-byte
@@ -599,8 +638,11 @@ class TestOnePass:
     and bench unescape each ciphered NAL once and, under all-i, the header
     prefix of each non-IDR slice; an IDR is picked by its header byte.
 
-    A payload is scanned for a forbidden run once when its NAL is made, and
-    once by each unescape: no check reads it again."""
+    A payload is scanned for a forbidden run once, when its NAL's verdict is
+    first read, and once by each unescape: no check reads it again. Reading
+    a stream scans nothing, and the cipher commands judge only the NALs
+    they rewrite and, under all-i, the non-IDR slices whose header they
+    read."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -637,9 +679,10 @@ class TestOnePass:
         ciphered = len(report.selected_ordinals)
         assert ciphered == 3
         headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
-        # The 15 NALs read and the 3 ciphered ones are each judged when made.
-        scans = {EncryptionPolicy.IDR_ONLY: 21, EncryptionPolicy.ALL_INTRA: 30}[policy]
-        assert scans == 15 + ciphered + headers + ciphered
+        # Judged: each NAL to cipher before the key (its plaintext) and at
+        # the splice (its ciphertext), and each slice whose header is read.
+        scans = {EncryptionPolicy.IDR_ONLY: 9, EncryptionPolicy.ALL_INTRA: 27}[policy]
+        assert scans == 2 * ciphered + headers + (headers + ciphered)
         assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
 
         counts.clear()
@@ -649,7 +692,18 @@ class TestOnePass:
 
         counts.clear()
         cmd_inspect(plain, policy)
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices, "scan": 15 + slices}
+        # Each of the 14 NALs with a header byte is judged.
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices, "scan": 14 + slices}
+
+    def test_reading_a_stream_scans_nothing(self, counts):
+        bad_sps = b"\x00\x00\x00\x01\x67\x00\x00\x02"
+        data = bad_sps + gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
+        counts.clear()
+        leading, nals = bitstream.split_annexb(data)
+        assert (leading, len(nals)) == (b"", 15)
+        assert counts == {}
+        assert nals[0].escape_violation == "00 00 02 at payload offset 0"
+        assert counts == {"scan": 1}
 
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_bench_classifies_nothing(self, counts, policy):
@@ -660,8 +714,10 @@ class TestOnePass:
         assert result.aes_blocks_selective == 3 * 6
         # The naive pass unescapes each of the 14 NALs with a header byte.
         headers = 9 if policy is EncryptionPolicy.ALL_INTRA else 0
-        # Each of the 3 + 14 ciphered NALs is judged when made.
-        assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": 2 * (3 + 14) + headers}
+        # check_escaping judges all 15 NALs first; no ciphered NAL is judged.
+        scans = {EncryptionPolicy.IDR_ONLY: 32, EncryptionPolicy.ALL_INTRA: 41}[policy]
+        assert scans == 15 + headers + 3 + 14
+        assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": scans}
 
 
 SUMMARY_FIELDS = (
