@@ -8,14 +8,17 @@ is one whole-block operation on those bytes, and decrypt_block is the
 composition of the inverse round functions. Two flat paths run the cipher
 forward fast enough for real work:
 
-- encrypt_block takes one block at a time. It serves the single-block
-  callers (key check, passphrase KDF, known-answer checks) and is, with the
-  round functions, the reference the batched engine is tested against. It is
+- _encrypt_int takes one block at a time, as a 128-bit integer. It is the
+  one single-block core: encrypt_block wraps it for the key check and the
+  known-answer checks, and the passphrase KDF chains its integer digest
+  through it without a bytes round trip per step. With the round functions
+  it is the reference the batched engine is tested against. It is
   table-driven: 16 lookup tables, built at import from SBOX, _MUL2 and
   _MUL3, fold SubBytes, ShiftRows and MixColumns into one lookup per input
   byte, so a full round is 16 lookups XORed with the round key as 128-bit
   integers (the T-table formulation of Daemen & Rijmen, The Design of
-  Rijndael, 2002, section 4.2).
+  Rijndael, 2002, section 4.2). The final round is 16 lookups too, through
+  16 more import-time tables that fold SubBytes and ShiftRows.
 - encrypt_blocks runs N concatenated blocks in lockstep, byte-sliced: slab j
   holds byte j of every block, and each state row of four slabs is one big
   integer. AddRoundKey and SubBytes are one ``bytes.translate`` per slab
@@ -27,7 +30,7 @@ forward fast enough for real work:
   ciphered NAL share its calls, a chunk at a time.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
-in encrypt_block are indexed by secret-dependent bytes, and encrypt_blocks
+in _encrypt_int are indexed by secret-dependent bytes, and encrypt_blocks
 picks one of 256 S-box tables per slab by round-key byte, so the cache
 footprint of both leaks key material to a co-resident observer.
 """
@@ -127,6 +130,9 @@ def _build_round_tables() -> "tuple[tuple[int, ...], ...]":
 
 
 _ROUND_TABLES = _build_round_tables()
+# Entry [i][x]: the 128-bit state that block byte i holding x becomes after
+# SubBytes and ShiftRows, all other bytes being zero (the final round).
+_FINAL_TABLES = tuple(tuple(v << 8 * (15 - j) for v in SBOX) for j in _INV_SHIFT_PERM)
 
 
 # Byte-sliced tables for encrypt_blocks. _XOR_TABLES[k] maps x to x ^ k and
@@ -230,7 +236,7 @@ class KeySchedule:
     """Expanded AES-128 key: 44 four-byte words, grouped into 11 round keys.
 
     ``round_key_ints`` holds the same 11 round keys as big-endian integers,
-    the form encrypt_block XORs into its state.
+    the form _encrypt_int XORs into its state.
     """
 
     words: "tuple[bytes, ...]"
@@ -264,18 +270,17 @@ def key_expansion(key: bytes) -> KeySchedule:
     return KeySchedule(tuple(words), round_keys, round_key_ints)
 
 
-def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
-    """Encrypt one 16-byte block: initial key add, 9 full rounds, final round
-    without the column mix.
+def _encrypt_int(s: int, rk: "tuple[int, ...]") -> int:
+    """Encrypt one block held as a big-endian 128-bit integer under the
+    round keys ``rk`` (KeySchedule.round_key_ints): initial key add, 9 full
+    rounds, final round without the column mix.
 
-    Each full round is one lookup in _ROUND_TABLES per state byte, XORed
-    together with the round key. The final round reads ``SBOX`` at call time.
+    Every round is one lookup per state byte, XORed together with the round
+    key: full rounds through _ROUND_TABLES, the final round through
+    _FINAL_TABLES.
     """
-    if len(block) != BLOCK_SIZE:
-        raise ValueError("block must be 16 bytes")
     t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _ROUND_TABLES
-    rk = ks.round_key_ints
-    s = int.from_bytes(block, "big") ^ rk[0]
+    s ^= rk[0]
     for k in rk[1:10]:
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = s.to_bytes(16, "big")
         s = (
@@ -283,9 +288,22 @@ def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
             ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11] ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
             ^ k
         )
-    t = s.to_bytes(16, "big").translate(SBOX)
-    t = bytes(map(t.__getitem__, _SHIFT_PERM))
-    return (int.from_bytes(t, "big") ^ rk[10]).to_bytes(16, "big")
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15 = _FINAL_TABLES
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = s.to_bytes(16, "big")
+    return (
+        f0[b0] ^ f1[b1] ^ f2[b2] ^ f3[b3] ^ f4[b4] ^ f5[b5] ^ f6[b6] ^ f7[b7]
+        ^ f8[b8] ^ f9[b9] ^ f10[b10] ^ f11[b11] ^ f12[b12] ^ f13[b13] ^ f14[b14] ^ f15[b15]
+        ^ rk[10]
+    )
+
+
+def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
+    """Encrypt one 16-byte block: _encrypt_int on the block's big-endian
+    integer, so every round, the final one included, runs through tables
+    built from SBOX at import."""
+    if len(block) != BLOCK_SIZE:
+        raise ValueError("block must be 16 bytes")
+    return _encrypt_int(int.from_bytes(block, "big"), ks.round_key_ints).to_bytes(16, "big")
 
 
 def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:

@@ -198,7 +198,8 @@ def bitreader_slice_info(rbsp: bytes) -> SliceInfo:
 
 def kdf_oracle(passphrase: str, iterations: int) -> bytes:
     """Straight-line restatement of the key-stretching definition, kept
-    independent of pipeline._kdf on purpose."""
+    independent of pipeline._kdf on purpose: each step runs unrolled_encrypt,
+    so the oracle shares no lookup table with the cipher core _kdf calls."""
     message = passphrase.encode("utf-8") + b"\x80"
     while len(message) % 16 != 0:
         message += b"\x00"
@@ -206,7 +207,7 @@ def kdf_oracle(passphrase: str, iterations: int) -> bytes:
     for _ in range(iterations):
         for i in range(0, len(message), 16):
             block_key = message[i : i + 16]
-            encrypted = aes.encrypt_block(h, key_expansion(block_key))
+            encrypted = unrolled_encrypt(h, key_expansion(block_key))
             h = bytes(x ^ y for x, y in zip(encrypted, h))
     return h
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .aes import encrypt_block, key_expansion, xor_bytes
+from .aes import _encrypt_int, key_expansion
 from .bitstream import (
     VCL_TYPES,
     BitWriter,
@@ -67,12 +67,13 @@ def _kdf(passphrase: str, iterations: int) -> bytes:
     # passphrase blocks act as cipher keys folded into a running digest.
     data = passphrase.encode("utf-8") + b"\x80"
     data += b"\x00" * (-len(data) % 16)
-    schedules = [key_expansion(data[i : i + 16]) for i in range(0, len(data), 16)]
-    h = b"\x00" * 16
+    # The digest stays an integer, so no step converts it to bytes and back.
+    round_keys = [key_expansion(data[i : i + 16]).round_key_ints for i in range(0, len(data), 16)]
+    h = 0
     for _ in range(iterations):
-        for ks in schedules:
-            h = xor_bytes(encrypt_block(h, ks), h)
-    return h
+        for rk in round_keys:
+            h ^= _encrypt_int(h, rk)
+    return h.to_bytes(16, "big")
 
 
 def derive_key(source: KeySource) -> bytes:

@@ -224,6 +224,34 @@ class TestKeyExpansion:
             assert ks.round_keys[r] == b"".join(ks.words[4 * r : 4 * r + 4])
 
 
+def one_byte_state(i: int, x: int) -> AesState:
+    """The state whose block byte i holds x and every other byte is zero."""
+    block = bytearray(16)
+    block[i] = x
+    return AesState.from_block(bytes(block))
+
+
+class TestLookupTables:
+    # Entry [i][x] of either table set is a round's output for a state that
+    # holds x at block byte i alone: SubBytes acts on that byte only (the
+    # zero bytes would become 63 otherwise), then the linear layers.
+    @staticmethod
+    def substituted(i: int, x: int) -> AesState:
+        return one_byte_state(i, sub_bytes(one_byte_state(i, x)).block[i])
+
+    def test_every_round_table_entry(self):
+        for i in range(16):
+            for x in range(256):
+                want = mix_columns(shift_rows(self.substituted(i, x))).block
+                assert aes._ROUND_TABLES[i][x] == int.from_bytes(want, "big"), (i, x)
+
+    def test_every_final_table_entry(self):
+        for i in range(16):
+            for x in range(256):
+                want = shift_rows(self.substituted(i, x)).block
+                assert aes._FINAL_TABLES[i][x] == int.from_bytes(want, "big"), (i, x)
+
+
 class TestBlockCipher:
     @pytest.mark.parametrize("key_hex,pt_hex,ct_hex", KNOWN_ANSWERS)
     def test_known_answers(self, key_hex, pt_hex, ct_hex):

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selenc import bitstream, harness, pipeline, selective
@@ -93,6 +93,28 @@ class TestDeriveKey:
             for iters in (1, 2):
                 src = KeySource.from_passphrase(phrase, iterations=iters)
                 assert derive_key(src) == kdf_oracle(phrase, iters)
+
+    # Passphrases of 1 to 4 block keys (up to 13 with wide characters), each
+    # size pinned by an example; 15 bytes plus the 0x80 marker fill one block.
+    @settings(deadline=None)
+    @given(st.text(min_size=1, max_size=50), st.integers(1, 3))
+    @example("x" * 15, 1)
+    @example("x" * 16, 2)
+    @example("é" * 16, 3)
+    @example("ü" * 24, 1)
+    def test_matches_cryptography(self, phrase, iters):
+        ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+        data = phrase.encode("utf-8") + b"\x80"
+        data += bytes(-len(data) % 16)
+        encryptors = [
+            ciphers.Cipher(ciphers.algorithms.AES(data[i : i + 16]), ciphers.modes.ECB()).encryptor()
+            for i in range(0, len(data), 16)
+        ]
+        h = bytes(16)
+        for _ in range(iters):
+            for enc in encryptors:
+                h = bytes(a ^ b for a, b in zip(enc.update(h), h))
+        assert derive_key(KeySource.from_passphrase(phrase, iterations=iters)) == h
 
     def test_iteration_sensitivity(self):
         one = derive_key(KeySource.from_passphrase("a", iterations=1))
