@@ -291,9 +291,9 @@ def check_escaping(nals: Sequence[NalUnit], leading: bytes = b"") -> None:
     must not end in 00 before a 3-byte one, and needs a NAL after it.
 
     It reads every NAL's verdict, so it scans each payload not yet judged:
-    serialize_annexb and harness.bench run it on lists that are built by
-    hand or ciphered whole. The cipher commands judge only the NALs they
-    rewrite (see splice_annexb)."""
+    serialize_annexb runs it on lists built by hand or ciphered whole, and
+    selective.check_cipherable on each NAL to cipher, alone. The cipher
+    commands judge only the NALs they rewrite (see splice_annexb)."""
     if leading:
         if START_CODE_3 in leading:
             raise EscapingViolation("leading bytes hold a start code")

@@ -10,13 +10,14 @@ class NoStartCode(SelencError):
 
 
 class EscapingViolation(SelencError):
-    """A NAL list would not read back as itself once written: a payload holds
-    a run that 7.4.1 forbids, or ends in 00 before a 3-byte start code."""
+    """A NAL list would not read back as itself once written, or a NAL to
+    cipher would not unescape: a payload holds a run that 7.4.1 forbids, or
+    a written one ends in 00 before a 3-byte start code."""
 
 
 class MalformedEscape(SelencError):
-    """An escaped payload holds a run that 7.4.1 forbids, or a payload to
-    cipher ends in 00 00 03, a 03 that re-escaping would not restore."""
+    """ebsp_to_rbsp met a run that 7.4.1 forbids in bare payload bytes, or a
+    NAL to cipher ends in 00 00 03, a 03 that re-escaping would not restore."""
 
 
 class OutOfBits(SelencError):

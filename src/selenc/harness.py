@@ -19,7 +19,6 @@ from .bitstream import (
     BitWriter,
     NalUnit,
     SliceInfo,
-    check_escaping,
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
@@ -28,7 +27,9 @@ from .bitstream import (
 )
 from .errors import MalformedEscape, OutOfRange, WrongKey
 from .pipeline import KeySource, derive_key, gen_test_stream
-from .selective import EncryptionPolicy, SelectionResult, decrypt_stream, encrypt_stream, select
+from .selective import (
+    EncryptionPolicy, SelectionResult, check_cipherable, decrypt_stream, encrypt_stream, select,
+)
 
 _BENCH_NONCE = bytes(range(8))
 
@@ -55,15 +56,14 @@ class BenchResult:
 def bench(nals: Sequence[NalUnit], ks: KeySchedule, policy: EncryptionPolicy) -> BenchResult:
     """Encrypt the same stream selectively and naively and account the work.
 
-    The naive pass runs encrypt_stream, the selective pass's path, with every
-    NAL payload selected, parameter sets included, so it refuses a stream
-    with any badly escaped NAL, with check_escaping's text, where a cipher
-    command refuses only one it ciphers. Block counts are exact arithmetic; wall
-    times depend on the machine and are informative only.
+    The naive pass runs encrypt_stream with every NAL that has a header byte
+    selected; check_cipherable first judges them as a cipher command would
+    (bench writes no stream, so the write-back rule has no job here). Block
+    counts are exact arithmetic; wall times are informative only.
     """
-    check_escaping(nals)
-    result = select(nals, policy)
     everything = SelectionResult(policy, tuple(n.ordinal for n in nals if n.header is not None))
+    check_cipherable(nals, everything.selected_ordinals)
+    result = select(nals, policy)
 
     t0 = time.perf_counter()
     encrypt_stream(nals, ks, result, _BENCH_NONCE)

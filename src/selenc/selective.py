@@ -22,6 +22,7 @@ from .bitstream import (
     NAL_IDR,
     NAL_NON_IDR,
     NalUnit,
+    check_escaping,
     ebsp_to_rbsp,
     rbsp_to_ebsp,
 )
@@ -85,9 +86,25 @@ def decrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
     return encrypt_nal(nal, rbsp, mask)
 
 
+def check_cipherable(nals: Sequence[NalUnit], ordinals: Iterable[int]) -> None:
+    """Refuse the first listed ordinal whose NAL could not be ciphered and read
+    back: past the stream or not at its position (OrdinalOutOfRange), a run
+    7.4.1 forbids (check_escaping on that NAL alone), or a 00 00 03 tail
+    (MalformedEscape). It unescapes nothing, so it can run before key work."""
+    for o in ordinals:
+        if not 0 <= o < len(nals):
+            raise OrdinalOutOfRange(f"NAL {o} is listed but the stream has {len(nals)}")
+        if nals[o].ordinal != o:
+            raise OrdinalOutOfRange(f"NAL {o} is listed but position {o} holds NAL {nals[o].ordinal}")
+        check_escaping((nals[o],))
+        # Unescaping drops the 03 of a 00 00 03 tail, and re-escaping adds none back.
+        if nals[o].ebsp[-3:] == b"\x00\x00\x03":
+            raise MalformedEscape(f"NAL {o}: 00 00 03 at payload end would not round-trip")
+
+
 def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     """Apply ``transform`` to nals[o] for each listed ordinal o, each with
-    its unescaped payload and its cut of the keystream.
+    its unescaped payload and its cut of the keystream, after check_cipherable.
 
     The listed NALs are taken in stream order, in groups that end once they
     reach _CHUNK_BLOCKS counter blocks: each group is unescaped, keyed by
@@ -95,14 +112,7 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     group's payloads and keystream are held at a time. ``ordinals`` come
     from a CipherHeader, strictly increasing, so no two groups share one.
     """
-    for o in ordinals:
-        if not 0 <= o < len(nals):
-            raise OrdinalOutOfRange(f"NAL {o} is listed but the stream has {len(nals)}")
-        # Unescaping drops the 03 of a 00 00 03 tail, and re-escaping adds none back.
-        if nals[o].ebsp[-3:] == b"\x00\x00\x03":
-            raise MalformedEscape(f"NAL {o}: 00 00 03 at payload end would not round-trip")
-        if nals[o].escape_violation is not None:
-            raise MalformedEscape(f"NAL {o}: unescaped {nals[o].escape_violation}")
+    check_cipherable(nals, ordinals)
     out, group, blocks = list(nals), [], 0
     for k, o in enumerate(ordinals, 1):
         rbsp = ebsp_to_rbsp(nals[o].ebsp)

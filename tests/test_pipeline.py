@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import types
 from collections import Counter
@@ -43,7 +44,14 @@ from selenc.pipeline import (
     estimate_passphrase_bits,
     gen_test_stream,
 )
-from selenc.selective import CipherHeader, EncryptionPolicy, encrypt_stream, select
+from selenc.selective import (
+    CipherHeader,
+    EncryptionPolicy,
+    decrypt_stream,
+    encrypt_stream,
+    key_check_value,
+    select,
+)
 
 
 class TestKeySource:
@@ -506,21 +514,32 @@ class TestFileCommands:
     def test_kept_escape_in_ciphered_nal_writes_nothing(self, tmp_path, monkeypatch, payload):
         # A cabac_zero_word tail loses its 03 on unescape, and re-escaping the
         # ciphertext would not restore it, so ciphering refuses it. A 00 00 03
-        # before 0x05 breaks 7.4.1 and is refused before any key work.
+        # before 0x05 breaks 7.4.1. Encrypt, and decrypt for a NAL the
+        # sidecar lists, refuse each before any key work.
         refusals = {
             "88aa9abc80000003": (MalformedEscape, "00 00 03 at payload end would not round-trip"),
             "88aa000003051122": (EscapingViolation, "00 00 03 05 at payload offset 2"),
         }
         error, text = refusals[payload]
-        plain, enc, meta, _ = self.make_files(tmp_path)
+        plain, enc, meta, out = self.make_files(tmp_path)
+        bad = b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload)
         dirty = tmp_path / "dirty.264"
-        dirty.write_bytes(plain.read_bytes() + b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload))
+        dirty.write_bytes(plain.read_bytes() + bad)
         keyed = []
         monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
         with pytest.raises(error, match=f"^NAL 14: {text}$"):
             cmd_encrypt(dirty, enc, meta, KEY, nonce=b"\x0b" * 8)
-        assert not enc.exists() and not meta.exists()
-        assert keyed == ([] if error is EscapingViolation else [KEY])
+        assert not enc.exists() and not meta.exists() and keyed == []
+        # The same NAL in place of a ciphered NAL 14 is refused on decrypt.
+        dirty.write_bytes(plain.read_bytes() + b"\x00\x00\x00\x01\x65\x88\x44\x55\x66\x11")
+        cmd_encrypt(dirty, enc, meta, KEY, nonce=b"\x0b" * 8)
+        assert 14 in CipherHeader.from_bytes(meta.read_bytes()).ordinals
+        data = enc.read_bytes()
+        enc.write_bytes(data[: data.rindex(b"\x00\x00\x00\x01")] + bad)
+        keyed.clear()
+        with pytest.raises(error, match=f"^NAL 14: {text}$"):
+            cmd_decrypt(enc, meta, out, KEY)
+        assert not out.exists() and keyed == []
 
     @pytest.mark.parametrize(
         "out,meta",
@@ -736,10 +755,66 @@ class TestOnePass:
         assert result.aes_blocks_selective == 3 * 6
         # The naive pass unescapes each of the 14 NALs with a header byte.
         headers = 9 if policy is EncryptionPolicy.ALL_INTRA else 0
-        # check_escaping judges all 15 NALs first; no ciphered NAL is judged.
-        scans = {EncryptionPolicy.IDR_ONLY: 32, EncryptionPolicy.ALL_INTRA: 41}[policy]
-        assert scans == 15 + headers + 3 + 14
+        # check_cipherable judges those 14 first, not the header-less 15th;
+        # no ciphered NAL is judged.
+        scans = {EncryptionPolicy.IDR_ONLY: 31, EncryptionPolicy.ALL_INTRA: 40}[policy]
+        assert scans == 14 + headers + 3 + 14
         assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": scans}
+
+    @pytest.mark.parametrize(
+        "sps,error,text",
+        [
+            ("4200000211", EscapingViolation, "NAL 0: 00 00 02 at payload offset 1"),
+            ("42c01e000003", MalformedEscape, "NAL 0: 00 00 03 at payload end would not round-trip"),
+        ],
+    )
+    def test_bench_refuses_before_either_pass(self, counts, sps, error, text):
+        # Only the naive pass would cipher the prefixed SPS. Bench refuses
+        # it with a cipher command's text having judged that one NAL, before
+        # the selective pass reads or ciphers anything.
+        data = b"\x00\x00\x00\x01\x67" + bytes.fromhex(sps)
+        nals = scan_annexb(data + gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31))
+        ks = key_expansion(derive_key(KEY))
+        counts.clear()
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            harness.bench(nals, ks, EncryptionPolicy.IDR_ONLY)
+        assert counts == {"scan": 1}
+
+
+@pytest.mark.parametrize(
+    "case,error,text",
+    [
+        ("out_of_range", OrdinalOutOfRange, "NAL 14 is listed but the stream has 14"),
+        ("position", OrdinalOutOfRange, "NAL 2 is listed but position 2 holds NAL 3"),
+        ("forbidden_run", EscapingViolation, "NAL 14: 00 00 03 05 at payload offset 2"),
+        ("tail", MalformedEscape, "NAL 14: 00 00 03 at payload end would not round-trip"),
+    ],
+)
+def test_every_caller_refuses_a_listed_nal_alike(case, error, text):
+    # encrypt_stream, decrypt_stream and harness.bench refuse each listed NAL
+    # that cannot be ciphered with the type and text the cipher commands give
+    # before any key work (test_kept_escape_in_ciphered_nal_writes_nothing,
+    # test_sidecar_that_outruns_the_stream_writes_nothing). A list read from
+    # a file holds NAL k at position k, so only a library caller can list a
+    # shifted NAL.
+    clip = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=21)
+    payload = {"forbidden_run": "88aa000003051122", "tail": "88aa9abc80000003"}.get(case, "8844556611")
+    nals = scan_annexb(clip + b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload))
+    # Dropping NAL 13 leaves NAL 14 past the end; dropping NAL 1 shifts the rest.
+    if case in ("out_of_range", "position"):
+        del nals[13 if case == "out_of_range" else 1]
+    ks = key_expansion(derive_key(KEY))
+    selection = select(nals, EncryptionPolicy.IDR_ONLY)
+    assert selection.selected_ordinals == (2, 6, 10, 14)
+    nonce = b"\x0b" * 8
+    header = CipherHeader(selection.policy, key_check_value(ks), nonce, selection.selected_ordinals)
+    refusal = f"^{re.escape(text)}$"
+    with pytest.raises(error, match=refusal):
+        encrypt_stream(nals, ks, selection, nonce)
+    with pytest.raises(error, match=refusal):
+        decrypt_stream(nals, ks, header)
+    with pytest.raises(error, match=refusal):
+        harness.bench(nals, ks, EncryptionPolicy.IDR_ONLY)
 
 
 SUMMARY_FIELDS = (

@@ -362,13 +362,13 @@ class TestStreamEncryption:
 
     def test_badly_escaped_listed_nal_refused_before_payload_work(self, monkeypatch):
         # The second listed NAL holds 00 00 03 05. Each direction refuses it
-        # by name from its verdict, before the first listed NAL is unescaped
-        # or any keystream is made.
+        # by name from its verdict, with check_escaping's text, before the
+        # first listed NAL is unescaped or any keystream is made.
         nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         first, o = header.ordinals
         offset = len(enc[o].ebsp) + 1
-        refusal = f"^NAL {o}: unescaped 00 00 03 05 at payload offset {offset}$"
+        refusal = f"^NAL {o}: 00 00 03 05 at payload offset {offset}$"
         calls = Counter()
         for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
             real = getattr(module, name)
@@ -377,9 +377,9 @@ class TestStreamEncryption:
             )
         for stream in (nals, enc):
             stream[o] = replace(stream[o], ebsp=enc[o].ebsp + b"\x11\x00\x00\x03\x05")
-        with pytest.raises(MalformedEscape, match=refusal):
+        with pytest.raises(EscapingViolation, match=refusal):
             encrypt_stream(nals, KS, SelectionResult(EncryptionPolicy.IDR_ONLY, (first, o)), NONCE)
-        with pytest.raises(MalformedEscape, match=refusal):
+        with pytest.raises(EscapingViolation, match=refusal):
             decrypt_stream(enc, KS, header)
         assert calls == {}
 
@@ -554,11 +554,11 @@ class TestDecryptStream:
         o = header.ordinals[-1]
         offset = len(enc[o].ebsp) + 1
         enc[o] = replace(enc[o], ebsp=enc[o].ebsp + b"\x11\x00\x00\x03\x05")
-        # Called directly, with no check_escaping ahead, each names the NAL.
-        refusal = f"^NAL {o}: unescaped 00 00 03 05 at payload offset {offset}$"
-        with pytest.raises(MalformedEscape, match=refusal):
+        # Called directly, each refuses it with the cipher commands' text.
+        refusal = f"^NAL {o}: 00 00 03 05 at payload offset {offset}$"
+        with pytest.raises(EscapingViolation, match=refusal):
             decrypt_stream(enc, KS, header)
-        with pytest.raises(MalformedEscape, match=refusal):
+        with pytest.raises(EscapingViolation, match=refusal):
             encrypt_stream(enc, KS, SelectionResult(EncryptionPolicy.IDR_ONLY, (o,)), NONCE)
         # A ciphertext never ends in 00 00 03, so such a tail is tampering too.
         enc[o] = replace(enc[o], ebsp=enc[o].ebsp[:-5] + b"\x11\x00\x00\x03")
