@@ -268,19 +268,22 @@ def cmd_encrypt(
 
     With an explicit nonce the run is fully deterministic; otherwise eight
     random bytes are drawn and recorded in the sidecar. Before any key work,
-    check_cipherable refuses a NAL to cipher that breaks escaping or ends in
-    00 00 03, and a sidecar path that names the input or the output file is
-    refused: the stream would replace the sidecar, and with it the nonce. A
+    a nonce that is not 8 bytes is refused, check_cipherable refuses a NAL
+    to cipher that breaks escaping or ends in 00 00 03, and a sidecar path
+    that names the input or the output file is refused: the stream would
+    replace the sidecar, and with it the nonce. A
     NAL left in the clear is copied byte for byte and not judged, so a badly
     escaped one round-trips; inspect flags it.
     """
+    if nonce is None:
+        nonce = os.urandom(8)
+    elif len(nonce) != 8:
+        raise ValueError("nonce must be 8 bytes")
     _refuse_sidecar_clash(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     selection = select(nals, policy)
     check_cipherable(nals, selection.selected_ordinals)
     ks = key_expansion(derive_key(key))
-    if nonce is None:
-        nonce = os.urandom(8)
     out_nals, header = encrypt_stream(nals, ks, selection, nonce)
     parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.

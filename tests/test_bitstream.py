@@ -785,16 +785,16 @@ class TestSliceInfo:
 
 
 class TestRecords:
-    """NalUnit is a frozen dataclass with two judged fields, escape_violation
-    and the slice_info cache, that equality and hashing ignore; SliceInfo
-    and ReportRow are named tuples."""
+    """NalUnit is a frozen dataclass of four fields with two kept values,
+    escape_violation and slice_info, that are no fields, so equality and
+    hashing ignore them; SliceInfo and ReportRow are named tuples."""
 
     def nal(self, ebsp=b"\x88\xaa"):
         return NalUnit(0, 4, parse_nal_header(0x65), ebsp)
 
     def test_nal_unit_is_frozen(self):
         nal = self.nal()
-        for name in ("ordinal", "start_code_len", "header", "ebsp", "escape_violation", "_slice_info"):
+        for name in ("ordinal", "start_code_len", "header", "ebsp", "escape_violation", "slice_info"):
             with pytest.raises(FrozenInstanceError):
                 setattr(nal, name, None)
         with pytest.raises(FrozenInstanceError):
@@ -811,27 +811,27 @@ class TestRecords:
         # Both judged values are made on first read and kept in the unit's
         # dict; a new unit, and so a replace copy, starts with neither.
         nal = self.nal()
-        assert not {"escape_violation", "_slice_info"} & set(vars(nal))
+        assert not {"escape_violation", "slice_info"} & set(vars(nal))
         assert nal.slice_info == SliceInfo(0, 7)
-        assert vars(nal)["escape_violation"] is None and vars(nal)["_slice_info"] == SliceInfo(0, 7)
+        assert vars(nal)["escape_violation"] is None and vars(nal)["slice_info"] == SliceInfo(0, 7)
         for copy in (replace(nal), replace(nal, ebsp=b"\xe0"), replace(nal, ebsp=b"\x88\x00\x00\x02")):
-            assert not {"escape_violation", "_slice_info"} & set(vars(copy))
+            assert not {"escape_violation", "slice_info"} & set(vars(copy))
         clean = replace(nal, ebsp=b"\xe0")
         assert clean.slice_info == SliceInfo(0, 0) and clean.escape_violation is None
         assert (clean.ordinal, clean.start_code_len, clean.header) == (0, 4, nal.header)
         bad = replace(nal, ebsp=b"\x88\x00\x00\x02")
         assert bad.escape_violation == "00 00 02 at payload offset 1"
         assert bad.slice_info is None
-        with pytest.raises(ValueError):
-            replace(nal, _slice_info=None)
-        with pytest.raises(TypeError):
-            replace(nal, escape_violation=None)
+        for kept in ("escape_violation", "slice_info"):
+            with pytest.raises(TypeError):
+                replace(nal, **{kept: None})
 
     def test_equality_and_hash_ignore_the_judged_fields(self):
-        assert [f.name for f in fields(NalUnit) if f.compare] == ["ordinal", "start_code_len", "header", "ebsp"]
+        assert [f.name for f in fields(NalUnit)] == ["ordinal", "start_code_len", "header", "ebsp"]
+        assert all(f.compare for f in fields(NalUnit))
         read, unread = self.nal(), self.nal(memoryview(b"\x88\xaa"))
         assert read.slice_info is not None
-        assert vars(read)["_slice_info"] == SliceInfo(0, 7) and "_slice_info" not in vars(unread)
+        assert vars(read)["slice_info"] == SliceInfo(0, 7) and "slice_info" not in vars(unread)
         assert "escape_violation" in vars(read) and "escape_violation" not in vars(unread)
         assert read == unread and hash(read) == hash(unread)
         assert read != replace(read, ordinal=1) and read != replace(read, ebsp=b"\x88")

@@ -453,6 +453,17 @@ class TestFileCommands:
             cmd_decrypt(enc, meta, out, KEY)
         assert not out.exists() and keyed == []
 
+    def test_short_nonce_refused_before_key_work(self, tmp_path, monkeypatch):
+        # A caller's nonce is checked before the passphrase KDF runs, not
+        # only when the sidecar is built from it.
+        plain, enc, meta, _ = self.make_files(tmp_path)
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        phrase = KeySource.from_passphrase("short nonce", iterations=1000)
+        with pytest.raises(ValueError, match="^nonce must be 8 bytes$"):
+            cmd_encrypt(plain, enc, meta, phrase, nonce=b"\x0a" * 7)
+        assert not enc.exists() and not meta.exists() and keyed == []
+
     def test_ciphertext_that_would_lose_a_byte_writes_nothing(self, tmp_path):
         # A reader takes the 00 that ends NAL 2's ciphertext into the 3-byte
         # start code after it, so the stream would decrypt to other bytes.
