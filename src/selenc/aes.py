@@ -26,8 +26,9 @@ forward fast enough for real work:
   k, ShiftRows is the order in which the slabs are joined into rows, and
   MixColumns XORs whole rows. This is the byte-level variant of bitsliced
   AES (Kasper & Schwabe, CHES 2009). The counter-mode keystream
-  (ctr_keystream) makes one pass per stream: the counter blocks of every
-  ciphered NAL share its calls, a chunk at a time.
+  (ctr_keystream) joins the counter blocks of all the NALs it is given and
+  runs them through encrypt_blocks a chunk at a time. One call holds its
+  whole counter buffer, so the commands call it once per group of NALs.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, and encrypt_blocks
@@ -405,34 +406,29 @@ _CHUNK_BLOCKS = 2048
 def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
     """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
     the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
-    Counter blocks are independent (NIST SP 800-38A, 6.5), so all spans queue
-    in one buffer that encrypt_blocks takes a _CHUNK_BLOCKS chunk at a time.
+    Counter blocks are independent (NIST SP 800-38A, 6.5), so the counters of
+    all spans are joined and encrypt_blocks takes them a _CHUNK_BLOCKS chunk
+    at a time. One call holds all its counters, 16 bytes per keystream block:
+    the commands keep that small by calling it once per group of about
+    _CHUNK_BLOCKS blocks.
     An ordinal may appear once: two NALs on one keystream would leak their XOR.
     """
     if len({ordinal for ordinal, _ in spans}) < len(spans):
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
-    pending, done, cuts, start = bytearray(), bytearray(), [], 0
+    counters, cuts, start = [], [], 0
     for ordinal, nbytes in spans:
         if nbytes < 0:
             raise ValueError("nbytes must be nonnegative")
         if nbytes > MAX_KEYSTREAM_BYTES:
             raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
-        prefix = CounterBlock(nonce, ordinal, 0).to_bytes()[:12]
-        nblocks, first = -(-nbytes // BLOCK_SIZE), 0
+        nblocks = -(-nbytes // BLOCK_SIZE)
+        blocks = bytearray(CounterBlock(nonce, ordinal, 0).to_bytes() * nblocks)
+        indices = struct.pack(f">{nblocks}I", *range(nblocks))
+        for k in range(4):
+            blocks[12 + k :: 16] = indices[k::4]
+        counters.append(blocks)
         cuts.append((start, nbytes))
         start += BLOCK_SIZE * nblocks
-        while first < nblocks:
-            count = min(nblocks - first, _CHUNK_BLOCKS - len(pending) // BLOCK_SIZE)
-            counters = struct.pack(f">{count}I", *range(first, first + count))
-            piece = bytearray(prefix + bytes(4)) * count
-            for k in range(4):
-                piece[12 + k :: 16] = counters[k::4]
-            pending += piece
-            first += count
-            if len(pending) == BLOCK_SIZE * _CHUNK_BLOCKS:
-                done += encrypt_blocks(pending, ks)
-                pending = bytearray()
-    if pending:
-        done += encrypt_blocks(pending, ks)
-    view = memoryview(done)
+    data, step = b"".join(counters), BLOCK_SIZE * _CHUNK_BLOCKS
+    view = memoryview(b"".join([encrypt_blocks(data[i : i + step], ks) for i in range(0, start, step)]))
     return b"".join([view[s : s + n] for s, n in cuts])

@@ -434,31 +434,27 @@ def parse_slice_info(rbsp: bytes) -> SliceInfo:
     """Read first_mb_in_slice and slice_type from the start of a slice RBSP.
     A field out of range raises OutOfRange, so an accepted header takes at
     most 35 + 7 = 42 bits: first_mb_in_slice < PicSizeInMbs <= 139,264 (7.4.3
-    and the largest MaxFS in Table A-1), slice_type <= 9.
+    and the largest MaxFS in Table A-1), slice_type <= 9. A codeword that
+    does not end inside ``rbsp`` raises OutOfBits, as a bit-by-bit read does.
 
-    Both ue(v) fields come from one integer of the first 16 bytes: a
-    codeword with z leading zeros is its first 2z + 1 bits, which read as
-    an integer are ue + 1. Only a header that runs past those bytes, and
-    is refused either way, is read again from the whole RBSP, to raise what
-    a bit-by-bit read raises: OutOfRange if its codeword ends inside the
-    RBSP, OutOfBits if not."""
-    for data in (rbsp[:16], rbsp):
-        n = 8 * len(data)
-        v = int.from_bytes(data, "big")
-        n -= 2 * (n - v.bit_length()) + 1  # bits left after the first codeword
+    Both ue(v) fields come from one integer of the given bytes: a codeword
+    with z leading zeros is its first 2z + 1 bits, which read as an integer
+    are ue + 1. NalUnit.slice_info passes the unescaped first 16 payload
+    bytes; a longer input is read whole."""
+    n = 8 * len(rbsp)
+    v = int.from_bytes(rbsp, "big")
+    n -= 2 * (n - v.bit_length()) + 1  # bits left after the first codeword
+    if n >= 0:
+        first_mb = (v >> n) - 1
+        if first_mb >= 139_264:
+            raise OutOfRange(f"first_mb_in_slice {first_mb} outside [0, 139263]")
+        v &= (1 << n) - 1
+        n -= 2 * (n - v.bit_length()) + 1
         if n >= 0:
-            first_mb = (v >> n) - 1
-            if first_mb >= 139_264:
-                raise OutOfRange(f"first_mb_in_slice {first_mb} outside [0, 139263]")
-            v &= (1 << n) - 1
-            n -= 2 * (n - v.bit_length()) + 1
-            if n >= 0:
-                slice_type = (v >> n) - 1
-                if slice_type > 9:
-                    raise OutOfRange(f"slice_type {slice_type} outside [0, 9]")
-                return _new(SliceInfo, (first_mb, slice_type))
-        if len(data) == len(rbsp):
-            break
+            slice_type = (v >> n) - 1
+            if slice_type > 9:
+                raise OutOfRange(f"slice_type {slice_type} outside [0, 9]")
+            return _new(SliceInfo, (first_mb, slice_type))
     raise OutOfBits(f"bit read at offset {8 * len(rbsp)} past end of buffer")
 
 

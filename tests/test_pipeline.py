@@ -2,9 +2,11 @@ import math
 import os
 import re
 import stat
+import tempfile
 import types
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,13 @@ from hypothesis import strategies as st
 from selenc import bitstream, harness, pipeline, selective
 from selenc.aes import key_expansion
 from selenc.bitstream import (
+    START_CODE_3,
+    START_CODE_4,
     BitWriter,
     NalUnit,
     classify_stream,
     parse_nal_header,
+    parse_slice_info,
     rbsp_to_ebsp,
     scan_annexb,
     serialize_annexb,
@@ -29,6 +34,7 @@ from selenc.errors import (
     MalformedHeader,
     NoStartCode,
     OrdinalOutOfRange,
+    SelencError,
     WrongKey,
 )
 from selenc.cli import _print_summary
@@ -757,6 +763,22 @@ class TestOnePass:
         assert nals[0].escape_violation == "00 00 02 at payload offset 0"
         assert counts == {"scan": 1}
 
+    def test_slice_headers_are_read_from_16_bytes(self, tmp_path, monkeypatch):
+        # parse_slice_info reads all it is given, so the 16-byte prefix is
+        # what keeps the header read of a long slice cheap.
+        seen = []
+
+        def recording(rbsp):
+            seen.append(len(rbsp))
+            return parse_slice_info(rbsp)
+
+        monkeypatch.setattr(bitstream, "parse_slice_info", recording)
+        plain = tmp_path / "p.264"
+        plain.write_bytes(gen_test_stream(None, gop=4, frames=12, payload_size=8192, seed=31))
+        report = cmd_inspect(plain, EncryptionPolicy.ALL_INTRA)
+        assert len(seen) == sum(r.nal_type in (1, 5) for r in report.rows) == 12
+        assert max(seen) <= 16
+
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_bench_classifies_nothing(self, counts, policy):
         data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
@@ -894,3 +916,58 @@ def test_cipher_summaries_match_inspect(tmp_path, capsys, data, policy):
         _print_summary(report)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[0] == lines[1] == lines[2]
+
+
+@st.composite
+def encoder_like_streams(draw):
+    """Annex B streams shaped as an encoder writes them: an SPS and a PPS,
+    then pictures of one to four slices of one NAL type, a 4-byte start
+    code before each picture and a 3-byte one between its slices. A slice
+    RBSP is a ue(v) header, data dense in zero bytes and a stop byte; its
+    payload may end in cabac_zero_words (00 00 03 each). Leading garbage
+    without a 00 byte, trailing_zero_8bits and a cut through the last NAL
+    are optional."""
+    parts = [draw(st.binary(max_size=6).map(lambda b: b.replace(b"\x00", b"\x01")))]
+    parts += [START_CODE_4, b"\x67\x42\xc0\x1e\x11", START_CODE_4, b"\x68\xce\x38\x80"]
+    zero_dense = st.binary(max_size=48) | st.lists(
+        st.sampled_from(b"\x00\x00\x00\x01\x02\x03\x80"), max_size=48
+    ).map(bytes)
+    for _ in range(draw(st.integers(1, 4))):
+        # IDR, non-IDR, data partitions A-C, SEI and a type-20 extension.
+        header_byte = draw(st.sampled_from([0x65, 0x41, 0x01, 0x22, 0x23, 0x24, 0x06, 0x74]))
+        for i in range(draw(st.integers(1, 4))):
+            w = BitWriter()
+            w.write_ue(draw(st.integers(0, 300)))
+            w.write_ue(draw(st.integers(0, 11)))
+            rbsp = w.to_bytes() + draw(zero_dense) + b"\x80"
+            # Most slices end without one: a ciphered slice that does is refused.
+            cabac_zero_words = b"\x00\x00\x03" * draw(st.just(0) | st.integers(0, 3))
+            parts += [START_CODE_3 if i else START_CODE_4, bytes((header_byte,))]
+            parts += [rbsp_to_ebsp(rbsp), cabac_zero_words]
+    data = b"".join(parts) + bytes(draw(st.integers(0, 3)))  # trailing_zero_8bits
+    if draw(st.booleans()):
+        data = data[: len(data) - draw(st.integers(1, 12))]
+    return data
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    encoder_like_streams(),
+    st.sampled_from(list(EncryptionPolicy)),
+    st.binary(min_size=16, max_size=16),
+    st.binary(min_size=8, max_size=8),
+)
+def test_encoder_like_streams_round_trip_or_are_refused(data, policy, key, nonce):
+    # The correctness north star: a stream either comes back byte for byte,
+    # or is refused with a typed error before any file is written.
+    key = KeySource.from_raw_hex(key.hex())
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, enc, meta, out = (Path(tmp) / n for n in ("p.264", "e.264", "m.seh", "o.264"))
+        plain.write_bytes(data)
+        try:
+            cmd_encrypt(plain, enc, meta, key, policy, nonce=nonce)
+        except SelencError:
+            assert not enc.exists() and not meta.exists()
+            return
+        cmd_decrypt(enc, meta, out, key)
+        assert out.read_bytes() == data
