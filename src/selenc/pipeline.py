@@ -126,26 +126,24 @@ def estimate_passphrase_bits(passphrase: str) -> PassphraseStrength:
     return PassphraseStrength(bits, bits < 128.0)
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """What a command did to a stream: the fields of the CLI's summary line
-    and of its all-i warning. It holds no NAL and no payload bytes."""
+@dataclass(frozen=True, kw_only=True)
+class RunSummary(SelectionResult):
+    """What a command did to a stream: the selection it ciphered (or would
+    cipher) plus its cost, the fields of the CLI's summary line and of its
+    all-i warning. It holds no NAL and no payload bytes."""
 
-    policy: EncryptionPolicy
     nal_count: int
     leading_garbage: int
     total_bytes: int
-    selected_ordinals: "tuple[int, ...]"
     selected_bytes: int
     aes_blocks: int
-    unparsed_ordinals: "tuple[int, ...]"  # copied from the SelectionResult
 
     @property
     def encrypted_fraction(self) -> float:
         return self.selected_bytes / self.total_bytes if self.total_bytes else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StreamReport(RunSummary):
     """A RunSummary plus one classify_stream row per NAL: what inspect
     reports."""
@@ -191,17 +189,15 @@ def summarize(
     NAL's is exact once its escape verdict is clean, as the cipher commands
     require of each NAL they cipher), and each selected
     NAL costs ceil(size / 16) AES blocks. The one place that counts a
-    selection."""
+    selection, which the summary carries through."""
     sizes = [units[o].rbsp_size for o in selection.selected_ordinals]
     return RunSummary(
-        policy=selection.policy,
+        **vars(selection),
         nal_count=len(units),
         leading_garbage=len(leading),
         total_bytes=total_bytes,
-        selected_ordinals=selection.selected_ordinals,
         selected_bytes=sum(sizes),
         aes_blocks=sum(-(-n // 16) for n in sizes),
-        unparsed_ordinals=selection.unparsed_ordinals,
     )
 
 
@@ -217,8 +213,9 @@ def build_report(
 def _atomic_write(*files) -> None:
     # Write each (path, parts) pair, parts being a sequence of buffers, to a
     # temporary file in its destination directory, then rename them in the
-    # order given: a failed write replaces no target, and a crash never
-    # leaves a half-written file at a target path. A file gets the mode
+    # order given: a failed write replaces no target, and a failed or killed
+    # process never leaves a half-written file at a target path. Nothing is
+    # fsynced, so that does not hold across a power loss. A file gets the mode
     # open(path, "wb") would give it: a replaced one keeps its mode, and a
     # new one is created 0666 less the umask.
     staged = []
@@ -354,11 +351,11 @@ def gen_test_stream(
     slice NAL per frame, IDR at every GOP head.
 
     Slice RBSPs are exactly payload_size bytes: a valid two-element slice
-    header (first_mb_in_slice=0, slice_type 7 for IDR / 0 for P) followed by
-    seeded filler containing zero runs. Start codes are 4 bytes except the
-    PPS and the first slice, whose predecessors are never encrypted; later
-    boundaries must stay unambiguous even when ciphered payloads end in
-    zero bytes, and only the 4-byte pattern guarantees that.
+    header of one byte (first_mb_in_slice=0, slice_type 7 for IDR / 0 for P)
+    followed by seeded filler containing zero runs. Start codes are 4 bytes
+    except the PPS and the first slice, whose predecessors are never
+    encrypted; later boundaries must stay unambiguous even when ciphered
+    payloads end in zero bytes, and only the 4-byte pattern guarantees that.
 
     Pass out_path=None to get the bytes without touching the filesystem.
     """
@@ -382,8 +379,6 @@ def gen_test_stream(
         w.write_ue(0)  # first_mb_in_slice
         w.write_ue(7 if idr else 0)  # slice_type
         head = w.to_bytes()
-        if payload_size < len(head):
-            raise ValueError(f"payload_size must be at least {len(head)} for a slice header")
         add(4 if i else 3, 0x65 if idr else 0x41, head + _slice_filler(rng, payload_size - len(head)))
     data = serialize_annexb(nals)
     if out_path is not None:

@@ -191,6 +191,10 @@ class TestRoundTransformations:
         t = add_round_key(AesState.from_block(b"\xff" * 16), b"\xff" * 16)
         assert t.to_block() == b"\x00" * 16
 
+    def test_add_round_key_refuses_a_short_key(self):
+        with pytest.raises(ValueError, match="round key must be 16 bytes"):
+            add_round_key(AesState.from_block(bytes(16)), bytes(15))
+
 
 class TestKeyExpansion:
     def test_first_words_are_the_key(self):

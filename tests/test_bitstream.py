@@ -13,6 +13,7 @@ from selenc.bitstream import (
     ReportRow,
     SliceInfo,
     VCL_TYPES,
+    _Kept,
     check_escaping,
     classify_stream,
     ebsp_to_rbsp,
@@ -140,6 +141,8 @@ class TestNalHeader:
             NalHeader(0, 4, 1)
         with pytest.raises(ValueError):
             NalHeader(0, 0, 32)
+        with pytest.raises(ValueError):
+            NalHeader(2, 0, 0)
 
     def test_type_names(self):
         assert nal_type_name(7) == "SPS"
@@ -825,6 +828,13 @@ class TestRecords:
         for kept in ("escape_violation", "slice_info"):
             with pytest.raises(TypeError):
                 replace(nal, **{kept: None})
+
+    def test_kept_values_read_on_the_class_are_their_descriptors(self):
+        # help(NalUnit) and pydoc read the class attribute: it must be the
+        # descriptor, carrying the method's docstring, not a value read.
+        kept = NalUnit.slice_info
+        assert isinstance(kept, _Kept) and kept.name == "slice_info"
+        assert kept.__doc__.startswith("The slice header of a slice NAL")
 
     def test_equality_and_hash_ignore_the_judged_fields(self):
         assert [f.name for f in fields(NalUnit)] == ["ordinal", "start_code_len", "header", "ebsp"]

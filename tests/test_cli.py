@@ -73,12 +73,22 @@ class TestEncryptDecrypt:
         assert names[0][0].read_bytes() == names[1][0].read_bytes()
         assert names[0][1].read_bytes() == names[1][1].read_bytes()
 
-    def test_passphrase(self, stream_file, tmp_path):
+    def test_passphrase(self, stream_file, tmp_path, capsys):
         enc = tmp_path / "enc.264"
         meta = tmp_path / "meta.seh"
         out = tmp_path / "round.264"
         assert run("encrypt", "--in", str(stream_file), "--out", str(enc), "--meta", str(meta),
                    "--passphrase", "sesame", "--kdf-iters", "3") == 0
+        capsys.readouterr()
+        # The sidecar does not record --kdf-iters, and a passphrase stretched
+        # by other iterations is another key: the key check refuses it, and
+        # nothing is written.
+        assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(out),
+                   "--passphrase", "sesame", "--kdf-iters", "4") == 1
+        assert capsys.readouterr().err == (
+            "selenc: error: sidecar key check does not match the supplied key\n"
+        )
+        assert not out.exists()
         assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(out),
                    "--passphrase", "sesame", "--kdf-iters", "3") == 0
         assert out.read_bytes() == stream_file.read_bytes()
@@ -238,6 +248,24 @@ class TestInspect:
         assert not any("malformed" in line for line in lines[2:])
         assert run("inspect", "--in", str(bad_stream), "--json") == 0
         assert "malformed" not in capsys.readouterr().out
+
+    def test_table_flags_and_leading_garbage(self, tmp_path, capsys):
+        # Two bytes before the first start code, a non-IDR slice whose
+        # header does not parse, and an SPS with its forbidden bit set.
+        clip = tmp_path / "clip.264"
+        assert run("gen-test", "--out", str(clip), "--gop", "4", "--frames", "12", "--seed", "1") == 0
+        stream = tmp_path / "flagged.264"
+        stream.write_bytes(b"\xde\xad" + clip.read_bytes()
+                           + bytes.fromhex("00000001410000" "00000001e74280"))
+        capsys.readouterr()
+        assert run("inspect", "--in", str(stream)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[15:18] == [
+            "  14    1 non-IDR        2 -        unparsed",
+            "  15    7 SPS            2 -        forbidden",
+            "leading garbage: 2 bytes",
+        ]
+        assert lines[18].startswith("nals=16 total_bytes=3260 ") and len(lines) == 19
 
     def test_closed_stdout_is_not_an_error(self, stream_file, capsys):
         r, w = os.pipe()

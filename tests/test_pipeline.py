@@ -53,6 +53,7 @@ from selenc.pipeline import (
 from selenc.selective import (
     CipherHeader,
     EncryptionPolicy,
+    SelectionResult,
     decrypt_stream,
     encrypt_stream,
     key_check_value,
@@ -217,6 +218,14 @@ class TestGenerator:
     def test_start_code_mix(self):
         nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
         assert [n.start_code_len for n in nals] == [4, 3, 3, 4, 4, 4]
+
+    def test_one_byte_payload_is_the_slice_header(self):
+        # ue(0) ue(7) is 8 bits and ue(0) ue(0) 2 bits padded to a byte, so
+        # payload_size 1 holds each slice header whole.
+        nals = scan_annexb(gen_test_stream(None, gop=2, frames=2, payload_size=1))
+        assert [bytes(n.ebsp) for n in nals[2:]] == [b"\x88", b"\xc0"]
+        rows = classify_stream(nals)
+        assert [r.slice_info.slice_type for r in rows[2:]] == [7, 0]
 
     @pytest.mark.parametrize("gop,frames,payload", [(0, 5, 16), (3, 0, 16), (3, 5, 0)])
     def test_parameter_validation(self, gop, frames, payload):
@@ -905,7 +914,10 @@ def test_cipher_summaries_match_inspect(tmp_path, capsys, data, policy):
         cmd_decrypt(enc, meta, out, KEY),
     ]
     assert out.read_bytes() == data
+    # Each summary is the selection it ciphered, so policy, selected_ordinals
+    # and unparsed_ordinals are read the way select's result reads them.
     assert all(isinstance(report, RunSummary) for report in reports)
+    assert all(isinstance(report, SelectionResult) for report in reports)
     assert reports[0].nal_count == len(reports[0].rows)
     want = tuple(getattr(reports[0], name) for name in SUMMARY_FIELDS)
     assert want[3], "the stream must have a selection to count"

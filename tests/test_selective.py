@@ -311,6 +311,10 @@ class TestCipherHeader:
             CipherHeader(EncryptionPolicy.IDR_ONLY, b"\x00" * 3, b"\x00" * 8, ())
         with pytest.raises(ValueError):
             CipherHeader(EncryptionPolicy.IDR_ONLY, b"\x00" * 4, b"\x00" * 7, ())
+        # The wire holds each ordinal in 4 bytes.
+        CipherHeader(EncryptionPolicy.IDR_ONLY, b"\x00" * 4, b"\x00" * 8, (2**32 - 1,))
+        with pytest.raises(ValueError, match="ordinals must fit in 32 bits"):
+            CipherHeader(EncryptionPolicy.IDR_ONLY, b"\x00" * 4, b"\x00" * 8, (2**32,))
 
 
 class TestStreamEncryption:
