@@ -146,9 +146,7 @@ class NalUnit:
     @_Kept
     def escape_violation(self) -> Optional[str]:
         h = self.header
-        zero_header = h is not None and not h.to_byte()
-        m = _EPB_VIOLATION.search(b"\x00" + self.ebsp if zero_header else self.ebsp)
-        return None if m is None else _violation(m, zero_header)
+        return _violation(self.ebsp, h is not None and not h.to_byte())
 
     @_Kept
     def slice_info(self) -> "Optional[SliceInfo]":
@@ -182,10 +180,13 @@ def find_escape_violation(ebsp: bytes) -> int:
     return -1 if m is None else m.start()
 
 
-def _violation(m: "re.Match[bytes]", zero_header: bool = False) -> str:
-    """The forbidden run an _EPB_VIOLATION scan found and where it starts,
-    as error text. After a header byte 00 a run can start at that byte, so
-    such a payload is scanned with the byte before it."""
+def _violation(ebsp: bytes, zero_header: bool = False) -> Optional[str]:
+    """The first forbidden run in ``ebsp`` and where it starts, as error
+    text, or None if clean. After a header byte 00 a run can start at that
+    byte, so such a payload is scanned with the byte before it."""
+    m = _EPB_VIOLATION.search(b"\x00" + ebsp if zero_header else ebsp)
+    if m is None:
+        return None
     at = m.start() - zero_header
     return f"{m.group().hex(' ')} at " + ("the header byte" if at < 0 else f"payload offset {at}")
 
@@ -196,9 +197,9 @@ def ebsp_to_rbsp(ebsp: bytes) -> bytes:
     Raises MalformedEscape on a run that find_escape_violation finds, which
     a properly escaped payload can never contain.
     """
-    m = _EPB_VIOLATION.search(ebsp)
-    if m is not None:
-        raise MalformedEscape(f"unescaped {_violation(m)}")
+    v = _violation(ebsp)
+    if v is not None:
+        raise MalformedEscape(f"unescaped {v}")
     return bytes(ebsp).replace(b"\x00\x00\x03", b"\x00\x00")
 
 
@@ -252,15 +253,6 @@ def split_annexb(stream: bytes) -> "tuple[bytes, list[NalUnit]]":
         if nxt == -1:
             return leading, nals
         pos, scl = nxt, nxt_len
-
-
-def scan_annexb(stream: bytes) -> "list[NalUnit]":
-    """Parse an Annex B stream into NAL units in stream order.
-
-    Bytes before the first start code are tolerated and dropped here; use
-    split_annexb when they must be preserved.
-    """
-    return split_annexb(stream)[1]
 
 
 def _judge(nal: NalUnit, next_start_code_len: int) -> None:

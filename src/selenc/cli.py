@@ -149,11 +149,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             _POLICY_NAMES[args.policy],
             nonce,
         )
-        _print_summary(report)
-        _warn_clear_intra_candidates(report)
     elif args.command == "decrypt":
         report = cmd_decrypt(args.in_path, args.meta_path, args.out_path, _key_source(args))
-        _print_summary(report)
     elif args.command == "inspect":
         report = cmd_inspect(args.in_path, _POLICY_NAMES[args.policy])
         if args.json:
@@ -172,6 +169,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             for field, value in result.to_dict().items():
                 print(f"{field}={value}")
+    if args.command in ("encrypt", "decrypt"):
+        _print_summary(report)
+        _warn_clear_intra_candidates(report)
     sys.stdout.flush()  # inside main's try, so a closed stdout fails there
     return 0
 

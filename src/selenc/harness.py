@@ -22,8 +22,8 @@ from .bitstream import (
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
-    scan_annexb,
     serialize_annexb,
+    split_annexb,
 )
 from .errors import MalformedEscape, OutOfRange, WrongKey
 from .pipeline import KeySource, derive_key, gen_test_stream
@@ -330,8 +330,8 @@ def _check_annexb_round_trip(rng: random.Random) -> str:
             payload_size=rng.randrange(8, 97),
             seed=rng.randrange(1 << 30),
         )
-        nals = scan_annexb(data)
-        assert serialize_annexb(nals) == data
+        leading, nals = split_annexb(data)
+        assert leading == b"" and serialize_annexb(nals) == data
         assert [n.ordinal for n in nals] == list(range(len(nals)))
     return f"{trials} generated streams re-serialize byte-exactly"
 
@@ -343,14 +343,14 @@ def _check_stream_compliance(rng: random.Random) -> str:
         for gop, frames in ((1, 6), (4, 13), (12, 30)):
             data = gen_test_stream(None, gop=gop, frames=frames, payload_size=128,
                                    seed=rng.randrange(1 << 30))
-            nals = scan_annexb(data)
+            nals = split_annexb(data)[1]
             nonce = rng.randbytes(8)
             selection = select(nals, policy)
             enc_nals, header = encrypt_stream(nals, ks, selection, nonce)
             for n in enc_nals:
                 assert find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} escaping violated"
             enc_data = serialize_annexb(enc_nals)
-            rescan = scan_annexb(enc_data)
+            rescan = split_annexb(enc_data)[1]
             assert len(rescan) == len(nals)
             for a, b in zip(nals, rescan):
                 assert (a.ordinal, a.start_code_len, a.header) == (
@@ -368,7 +368,7 @@ def _check_stream_compliance(rng: random.Random) -> str:
 
 def _check_selectivity_arithmetic(rng: random.Random) -> str:
     data = gen_test_stream(None, gop=12, frames=60, payload_size=256, seed=7)
-    nals = scan_annexb(data)
+    nals = split_annexb(data)[1]
     ks = key_expansion(rng.randbytes(16))
     res = bench(nals, ks, EncryptionPolicy.IDR_ONLY)
     assert res.selective_encrypted_bytes == 5 * 256

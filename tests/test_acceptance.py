@@ -32,8 +32,8 @@ from selenc.bitstream import (
     ebsp_to_rbsp,
     find_escape_violation,
     rbsp_to_ebsp,
-    scan_annexb,
     serialize_annexb,
+    split_annexb,
 )
 from selenc.errors import WrongKey
 from selenc.harness import EXPANSION_ANCHORS, KDF_VECTORS, KNOWN_ANSWERS, LONG_KDF_VECTORS
@@ -104,7 +104,7 @@ def test_criterion_3_bitstream_fidelity():
                 payload_size=rng.randrange(8, 65),
                 seed=rng.randrange(1 << 30),
             )
-            nals = scan_annexb(data)
+            nals = split_annexb(data)[1]
             assert serialize_annexb(nals) == data
             rbsp = rng.randbytes(rng.randrange(0, 80)) + b"\x00" * rng.randrange(0, 4)
             assert ebsp_to_rbsp(rbsp_to_ebsp(rbsp)) == rbsp
@@ -145,12 +145,12 @@ def test_criterion_5_syntactic_compliance():
         for gop, frames in MATRIX:
             for policy in EncryptionPolicy:
                 data = gen_test_stream(None, gop=gop, frames=frames, seed=gop * 100 + frames)
-                nals = scan_annexb(data)
+                nals = split_annexb(data)[1]
                 selection = select(nals, policy)
                 enc_nals, _ = encrypt_stream(nals, ks, selection, b"\x21" * 8)
                 for n in enc_nals:
                     assert find_escape_violation(n.ebsp) == -1
-                rescan = scan_annexb(serialize_annexb(enc_nals))
+                rescan = split_annexb(serialize_annexb(enc_nals))[1]
                 assert len(rescan) == len(nals)
                 for a, b in zip(nals, rescan):
                     assert a.start_code_len == b.start_code_len
@@ -162,7 +162,7 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         from selenc.harness import bench
 
         data = gen_test_stream(None, gop=12, frames=60, payload_size=256, seed=1006)
-        nals = scan_annexb(data)
+        nals = split_annexb(data)[1]
         ks = key_expansion(b"\x06" * 16)
 
         res = bench(nals, ks, EncryptionPolicy.IDR_ONLY)
@@ -197,7 +197,7 @@ def test_criterion_7_wrong_key_behavior(monkeypatch):
     with criterion(7, "wrong-key behavior"):
         rng = random.Random(1007)
         data = gen_test_stream(None, gop=3, frames=6, payload_size=64, seed=1007)
-        nals = scan_annexb(data)
+        nals = split_annexb(data)[1]
         right = key_expansion(rng.randbytes(16))
         selection = select(nals, EncryptionPolicy.IDR_ONLY)
         enc, header = encrypt_stream(nals, right, selection, rng.randbytes(8))

@@ -22,7 +22,6 @@ from selenc.bitstream import (
     parse_nal_header,
     parse_slice_info,
     rbsp_to_ebsp,
-    scan_annexb,
     serialize_annexb,
     splice_annexb,
     split_annexb,
@@ -155,29 +154,29 @@ class TestNalHeader:
 
 class TestScan:
     def test_empty_stream(self):
-        assert scan_annexb(b"") == []
+        assert split_annexb(b"")[1] == []
 
     def test_two_nals_mixed_start_codes(self):
-        nals = scan_annexb(bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb"))
+        nals = split_annexb(bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb"))[1]
         assert len(nals) == 2
         first, second = nals
         assert (first.start_code_len, first.header.nal_unit_type, first.ebsp) == (4, 7, b"\xaa")
         assert (second.start_code_len, second.header.nal_unit_type, second.ebsp) == (3, 5, b"\xbb")
 
     def test_empty_payloads(self):
-        nals = scan_annexb(bytes.fromhex("000001" "41" "000001" "41"))
+        nals = split_annexb(bytes.fromhex("000001" "41" "000001" "41"))[1]
         assert [n.header.nal_unit_type for n in nals] == [1, 1]
         assert [n.ebsp for n in nals] == [b"", b""]
 
     def test_ordinals_contiguous(self):
-        nals = scan_annexb(b"\x00\x00\x01\x41" * 7)
+        nals = split_annexb(b"\x00\x00\x01\x41" * 7)[1]
         assert [n.ordinal for n in nals] == list(range(7))
 
     def test_no_start_code(self):
         with pytest.raises(NoStartCode):
-            scan_annexb(b"\xff\x00\xff")
+            split_annexb(b"\xff\x00\xff")
         with pytest.raises(NoStartCode):
-            scan_annexb(b"\x00")
+            split_annexb(b"\x00")
 
     def test_leading_garbage(self):
         leading, nals = split_annexb(b"\xde\xad\x00\x00\x01\x65\x01")
@@ -191,7 +190,7 @@ class TestScan:
         assert nals[0].start_code_len == 4
 
     def test_trailing_start_code_has_no_header(self):
-        nals = scan_annexb(b"\x00\x00\x01\x41\xaa\x00\x00\x01")
+        nals = split_annexb(b"\x00\x00\x01\x41\xaa\x00\x00\x01")[1]
         assert len(nals) == 2
         assert nals[1].header is None and nals[1].ebsp == b""
 
@@ -231,7 +230,7 @@ class TestScan:
         # EBSP may end with up to two zeros; the following 4-byte start code
         # must still be attributed correctly.
         data = b"\x00\x00\x01\x41\xaa\x00\x00" + b"\x00\x00\x00\x01\x41\xbb"
-        nals = scan_annexb(data)
+        nals = split_annexb(data)[1]
         assert [n.start_code_len for n in nals] == [3, 4]
         assert nals[0].ebsp == b"\xaa\x00\x00"
         assert nals[1].ebsp == b"\xbb"
@@ -314,13 +313,13 @@ class TestRoundTrip:
     @given(valid_nal_lists())
     def test_scan_of_serialize_is_identity(self, nals):
         data = serialize_annexb(nals)
-        rescan = scan_annexb(data)
+        rescan = split_annexb(data)[1]
         assert rescan == nals
         assert serialize_annexb(rescan) == data
 
     def test_spec_shape_stream(self):
         data = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb")
-        assert serialize_annexb(scan_annexb(data)) == data
+        assert serialize_annexb(split_annexb(data)[1]) == data
 
     @settings(max_examples=500, deadline=None)
     @given(leading_bytes, built_nal_lists())
@@ -565,6 +564,18 @@ class TestEscaping:
         else:
             with pytest.raises(MalformedEscape, match=f"^unescaped {violation_text(data)}$"):
                 ebsp_to_rbsp(data)
+        # The three entry points state one rule: ebsp_to_rbsp refuses
+        # exactly when a slice NAL's verdict is set, with that verdict's
+        # text, and the verdict's offset is find_escape_violation's.
+        verdict = NalUnit(0, 4, parse_nal_header(0x41), data).escape_violation
+        if verdict is None:
+            assert v == -1
+            ebsp_to_rbsp(data)
+        else:
+            assert verdict.endswith(f" at payload offset {v}")
+            with pytest.raises(MalformedEscape) as exc:
+                ebsp_to_rbsp(data)
+            assert str(exc.value) == "unescaped " + verdict
         # However a NAL is made, its escape_violation is the byte loop's
         # verdict on its payload, or on a header byte 00 and its payload,
         # and check_escaping reports that verdict.
@@ -866,23 +877,23 @@ class TestClassify:
         assert classify_stream([]) == []
 
     def test_hand_built_stream(self):
-        nals = scan_annexb(
+        nals = split_annexb(
             b"\x00\x00\x00\x01\x67\xaa"  # SPS
             + b"\x00\x00\x01\x68\xbb"  # PPS
             + b"\x00\x00\x01\x65\x88"  # IDR, slice_type 7
-        )
+        )[1]
         rows = classify_stream(nals)
         assert [r.nal_type for r in rows] == [7, 8, 5]
         assert [r.type_name for r in rows] == ["SPS", "PPS", "IDR"]
         assert rows[2].slice_info.is_intra and not rows[2].unparsed
 
     def test_unparseable_slice_flagged(self):
-        nals = scan_annexb(b"\x00\x00\x01\x41")  # slice NAL with empty payload
+        nals = split_annexb(b"\x00\x00\x01\x41")[1]  # slice NAL with empty payload
         rows = classify_stream(nals)
         assert rows[0].unparsed and rows[0].slice_info is None
 
     def test_forbidden_bit_flagged(self):
-        rows = classify_stream(scan_annexb(b"\x00\x00\x01\xe5\x88"))
+        rows = classify_stream(split_annexb(b"\x00\x00\x01\xe5\x88")[1])
         assert rows[0].forbidden_bit
 
     def test_rbsp_size_accounts_for_escapes(self):

@@ -119,12 +119,20 @@ class TestEncryptDecrypt:
         # The ordinals are NAL ordinals, the ``ord`` column of ``selenc inspect``.
         assert "at NAL ordinals 14" in err
         assert 14 not in CipherHeader.from_bytes(meta.read_bytes()).ordinals
+        # Decrypt finds the same slice left in the clear and says so alike.
+        assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(tmp_path / "dec.264"),
+                   "--key", KEY) == 0
+        assert capsys.readouterr().err == err
+        assert (tmp_path / "dec.264").read_bytes() == stream.read_bytes()
 
     def test_idr_policy_does_not_warn(self, stream_file, tmp_path, capsys):
         stream = tmp_path / "unparsed.264"
         stream.write_bytes(stream_file.read_bytes() + b"\x00\x00\x00\x01\x41\x00\x00")
         assert run("encrypt", "--in", str(stream), "--out", str(tmp_path / "e.264"),
                    "--meta", str(tmp_path / "m.seh"), "--key", KEY, "--nonce", "33" * 8) == 0
+        assert capsys.readouterr().err == ""
+        assert run("decrypt", "--in", str(tmp_path / "e.264"), "--meta", str(tmp_path / "m.seh"),
+                   "--out", str(tmp_path / "d.264"), "--key", KEY) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("out", ["plain.264", "enc.264"])

@@ -3,7 +3,7 @@ import pytest
 from selenc import aes
 from selenc import selective as selective_mod
 from selenc.aes import key_expansion
-from selenc.bitstream import BitWriter, NalUnit, parse_nal_header, rbsp_to_ebsp, scan_annexb
+from selenc.bitstream import BitWriter, NalUnit, parse_nal_header, rbsp_to_ebsp, split_annexb
 from selenc.harness import bench, oracle_suite
 from selenc.pipeline import gen_test_stream
 from selenc.selective import EncryptionPolicy
@@ -21,14 +21,14 @@ def p_slice_nal(ordinal: int, payload: int) -> NalUnit:
 
 class TestBench:
     def test_equal_payload_fraction(self):
-        nals = scan_annexb(gen_test_stream(None, gop=12, frames=60, payload_size=256, seed=1))
+        nals = split_annexb(gen_test_stream(None, gop=12, frames=60, payload_size=256, seed=1))[1]
         res = bench(nals, KS, EncryptionPolicy.IDR_ONLY)
         assert res.selective_encrypted_bytes == 5 * 256
         assert res.vcl_payload_bytes == 60 * 256
         assert res.selective_fraction == pytest.approx(5 / 60, rel=1e-9)
 
     def test_block_counts_exact(self):
-        nals = scan_annexb(gen_test_stream(None, gop=5, frames=11, payload_size=100, seed=2))
+        nals = split_annexb(gen_test_stream(None, gop=5, frames=11, payload_size=100, seed=2))[1]
         res = bench(nals, KS, EncryptionPolicy.IDR_ONLY)
         # 100-byte payloads need 7 blocks each; 11 frames, 3 IDRs.
         assert res.aes_blocks_selective == 3 * 7
@@ -46,7 +46,7 @@ class TestBench:
         assert res.naive_encrypted_bytes == 6 * 64
 
     def test_gop_one_selective_equals_vcl(self):
-        nals = scan_annexb(gen_test_stream(None, gop=1, frames=9, payload_size=80, seed=3))
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=9, payload_size=80, seed=3))[1]
         res = bench(nals, KS, EncryptionPolicy.IDR_ONLY)
         assert res.selective_encrypted_bytes == res.vcl_payload_bytes
         assert res.naive_encrypted_bytes == res.vcl_payload_bytes + sum(
@@ -55,9 +55,9 @@ class TestBench:
 
     def test_invariants(self):
         for gop, frames, payload in ((1, 5, 33), (4, 16, 64), (7, 21, 129)):
-            nals = scan_annexb(
+            nals = split_annexb(
                 gen_test_stream(None, gop=gop, frames=frames, payload_size=payload, seed=gop)
-            )
+            )[1]
             res = bench(nals, KS, EncryptionPolicy.IDR_ONLY)
             assert res.selective_encrypted_bytes <= res.naive_encrypted_bytes
             assert res.aes_blocks_selective <= res.aes_blocks_naive
@@ -71,7 +71,7 @@ class TestBench:
             assert abs(res.aes_blocks_naive - res.naive_encrypted_bytes / 16) <= len(nals)
 
     def test_to_dict_fields(self):
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=48, seed=4))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=48, seed=4))[1]
         d = bench(nals, KS, EncryptionPolicy.ALL_INTRA).to_dict()
         assert set(d) == {
             "total_bytes",

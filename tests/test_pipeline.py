@@ -23,8 +23,8 @@ from selenc.bitstream import (
     parse_nal_header,
     parse_slice_info,
     rbsp_to_ebsp,
-    scan_annexb,
     serialize_annexb,
+    split_annexb,
 )
 from selenc.errors import (
     BadHex,
@@ -181,12 +181,12 @@ class TestPassphraseBits:
 class TestGenerator:
     def test_idr_count(self):
         data = gen_test_stream(None, gop=12, frames=60, payload_size=64, seed=0)
-        rows = classify_stream(scan_annexb(data))
+        rows = classify_stream(split_annexb(data)[1])
         assert sum(1 for r in rows if r.nal_type == 5) == 5
 
     def test_gop_one_all_idr(self):
         data = gen_test_stream(None, gop=1, frames=3, payload_size=32, seed=0)
-        rows = classify_stream(scan_annexb(data))
+        rows = classify_stream(split_annexb(data)[1])
         slices = [r for r in rows if r.nal_type in (1, 5)]
         assert all(r.nal_type == 5 for r in slices) and len(slices) == 3
 
@@ -198,7 +198,7 @@ class TestGenerator:
 
     def test_structure(self):
         data = gen_test_stream(None, gop=3, frames=7, payload_size=40, seed=4)
-        rows = classify_stream(scan_annexb(data))
+        rows = classify_stream(split_annexb(data)[1])
         assert [r.nal_type for r in rows[:2]] == [7, 8]
         assert len(rows) == 2 + 7
         slice_rows = rows[2:]
@@ -216,13 +216,13 @@ class TestGenerator:
         assert b"\x00\x00\x03" in data
 
     def test_start_code_mix(self):
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         assert [n.start_code_len for n in nals] == [4, 3, 3, 4, 4, 4]
 
     def test_one_byte_payload_is_the_slice_header(self):
         # ue(0) ue(7) is 8 bits and ue(0) ue(0) 2 bits padded to a byte, so
         # payload_size 1 holds each slice header whole.
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=2, payload_size=1))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=2, payload_size=1))[1]
         assert [bytes(n.ebsp) for n in nals[2:]] == [b"\x88", b"\xc0"]
         rows = classify_stream(nals)
         assert [r.slice_info.slice_type for r in rows[2:]] == [7, 0]
@@ -239,7 +239,7 @@ class TestGenerator:
 
 
 def report_of(data, policy):
-    nals = scan_annexb(data)
+    nals = split_annexb(data)[1]
     rows = classify_stream(nals)
     return build_report(rows, select(nals, policy), b"", len(data))
 
@@ -255,7 +255,7 @@ def slice_nal(ordinal, header_byte, slice_type, extra=b""):
 class TestReport:
     def test_aggregates_match_rows(self):
         data = gen_test_stream(None, gop=3, frames=9, payload_size=56, seed=2)
-        nals = scan_annexb(data)
+        nals = split_annexb(data)[1]
         report = report_of(data, EncryptionPolicy.IDR_ONLY)
         rows = report.rows
         assert report.vcl_payload_bytes == sum(
@@ -332,7 +332,7 @@ class TestReport:
         import json
 
         data = gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3)
-        nals = scan_annexb(data)
+        nals = split_annexb(data)[1]
         report = report_of(data, EncryptionPolicy.ALL_INTRA)
         parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["policy"] == "ALL_INTRA"
@@ -460,7 +460,7 @@ class TestFileCommands:
         plain, enc, meta, out = self.make_files(tmp_path)
         cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x0f" * 8)
         assert CipherHeader.from_bytes(meta.read_bytes()).ordinals == (2, 6, 10)
-        nals = scan_annexb(enc.read_bytes())
+        nals = split_annexb(enc.read_bytes())[1]
         enc.write_bytes(enc.read_bytes()[: sum(n.wire_size() for n in nals[:10])])
         keyed = []
         monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
@@ -482,11 +482,11 @@ class TestFileCommands:
     def test_ciphertext_that_would_lose_a_byte_writes_nothing(self, tmp_path):
         # A reader takes the 00 that ends NAL 2's ciphertext into the 3-byte
         # start code after it, so the stream would decrypt to other bytes.
-        nals = scan_annexb(LOST_BYTE_CLIP)
+        nals = split_annexb(LOST_BYTE_CLIP)[1]
         ks, sel = key_expansion(derive_key(KEY)), select(nals, EncryptionPolicy.IDR_ONLY)
         enc_nals, _ = encrypt_stream(nals, ks, sel, LOST_BYTE_NONCE)
         assert enc_nals[2].ebsp[-1:] == b"\x00" and nals[3].start_code_len == 3
-        assert scan_annexb(b"".join(n.to_bytes() for n in enc_nals))[2].ebsp != enc_nals[2].ebsp
+        assert split_annexb(b"".join(n.to_bytes() for n in enc_nals))[1][2].ebsp != enc_nals[2].ebsp
         refusal = "^NAL 2: payload ends in 00 before a 3-byte start code$"
         with pytest.raises(EscapingViolation, match=refusal):
             serialize_annexb(enc_nals)
@@ -504,7 +504,7 @@ class TestFileCommands:
         # The counter-mode XOR is symmetric: the ciphertext of a plaintext
         # whose NAL 2 ends in 00 decrypts to that payload, which the 3-byte
         # start code after it would cut short.
-        nals = scan_annexb(LOST_BYTE_CLIP)
+        nals = split_annexb(LOST_BYTE_CLIP)[1]
         nals[2] = replace(nals[2], ebsp=bytes(nals[2].ebsp[:-1]) + b"\x00")
         ks, sel = key_expansion(derive_key(KEY)), select(nals, EncryptionPolicy.IDR_ONLY)
         enc_nals, header = encrypt_stream(nals, ks, sel, b"\x0c" * 8)
@@ -737,7 +737,7 @@ class TestOnePass:
         # The trailing bare start code is a NAL without a header byte.
         data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
         plain.write_bytes(data + b"\x00\x00\x00\x01")
-        nals = scan_annexb(plain.read_bytes())
+        nals = split_annexb(plain.read_bytes())[1]
         slices = sum(n.header is not None and n.header.nal_unit_type in (1, 5) for n in nals)
         assert (len(nals), slices, sum(n.header is not None for n in nals)) == (15, 12, 14)
 
@@ -791,7 +791,7 @@ class TestOnePass:
     @pytest.mark.parametrize("policy", list(EncryptionPolicy))
     def test_bench_classifies_nothing(self, counts, policy):
         data = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31)
-        nals = scan_annexb(data + b"\x00\x00\x00\x01")
+        nals = split_annexb(data + b"\x00\x00\x00\x01")[1]
         counts.clear()
         result = harness.bench(nals, key_expansion(derive_key(KEY)), policy)
         assert result.aes_blocks_selective == 3 * 6
@@ -815,7 +815,7 @@ class TestOnePass:
         # it with a cipher command's text having judged that one NAL, before
         # the selective pass reads or ciphers anything.
         data = b"\x00\x00\x00\x01\x67" + bytes.fromhex(sps)
-        nals = scan_annexb(data + gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31))
+        nals = split_annexb(data + gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=31))[1]
         ks = key_expansion(derive_key(KEY))
         counts.clear()
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
@@ -841,7 +841,7 @@ def test_every_caller_refuses_a_listed_nal_alike(case, error, text):
     # shifted NAL.
     clip = gen_test_stream(None, gop=4, frames=12, payload_size=96, seed=21)
     payload = {"forbidden_run": "88aa000003051122", "tail": "88aa9abc80000003"}.get(case, "8844556611")
-    nals = scan_annexb(clip + b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload))
+    nals = split_annexb(clip + b"\x00\x00\x00\x01\x65" + bytes.fromhex(payload))[1]
     # Dropping NAL 13 leaves NAL 14 past the end; dropping NAL 1 shifts the rest.
     if case in ("out_of_range", "position"):
         del nals[13 if case == "out_of_range" else 1]
@@ -983,3 +983,16 @@ def test_encoder_like_streams_round_trip_or_are_refused(data, policy, key, nonce
             return
         cmd_decrypt(enc, meta, out, key)
         assert out.read_bytes() == data
+
+
+def test_export_list_names_the_package():
+    # Every exported name resolves, once and in order, and import * binds
+    # exactly them, so a name dropped from a module must leave the list too.
+    import selenc
+
+    names = selenc.__all__
+    assert [n for n in names if not hasattr(selenc, n)] == []
+    assert names == sorted(set(names))
+    star: dict = {}
+    exec("from selenc import *", star)
+    assert set(star) - {"__builtins__"} == set(names)

@@ -18,8 +18,8 @@ from selenc.bitstream import (
     parse_nal_header,
     parse_slice_info,
     rbsp_to_ebsp,
-    scan_annexb,
     serialize_annexb,
+    split_annexb,
 )
 from selenc.errors import (
     BadMagic,
@@ -323,12 +323,12 @@ class TestStreamEncryption:
         assert out == [] and header.ordinals == ()
 
     def test_gop12_sixty_frames_counts_five(self):
-        nals = scan_annexb(gen_test_stream(None, gop=12, frames=60, payload_size=64, seed=1))
+        nals = split_annexb(gen_test_stream(None, gop=12, frames=60, payload_size=64, seed=1))[1]
         _, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         assert len(header.ordinals) == 5
 
     def test_non_selected_untouched(self):
-        nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
+        nals = split_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))[1]
         out, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         chosen = set(header.ordinals)
         for before, after in zip(nals, out):
@@ -338,7 +338,7 @@ class TestStreamEncryption:
                 assert after == before
 
     def test_header_records_inputs(self):
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=3))[1]
         _, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.ALL_INTRA), NONCE)
         assert header.nonce == NONCE
         assert header.policy is EncryptionPolicy.ALL_INTRA
@@ -352,7 +352,7 @@ class TestStreamEncryption:
     def test_absent_ordinal_refused_before_payload_work(self, monkeypatch):
         # NAL 99 is not in the stream: no sidecar may list it, and nothing is
         # unescaped or keyed before the refusal.
-        nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
+        nals = split_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))[1]
         calls = Counter()
         for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
             real = getattr(module, name)
@@ -368,7 +368,7 @@ class TestStreamEncryption:
         # The second listed NAL holds 00 00 03 05. Each direction refuses it
         # by name from its verdict, with check_escaping's text, before the
         # first listed NAL is unescaped or any keystream is made.
-        nals = scan_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))
+        nals = split_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         first, o = header.ordinals
         offset = len(enc[o].ebsp) + 1
@@ -390,7 +390,7 @@ class TestStreamEncryption:
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # 200 short IDR slices share one keystream pass: one encrypt_blocks
         # call per _CHUNK_BLOCKS counter blocks, not one per NAL.
-        nals = scan_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
         blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
         calls = []
@@ -405,7 +405,7 @@ class TestStreamEncryption:
         # 12 IDR slices of 512 blocks each: groups of 4 reach _CHUNK_BLOCKS,
         # and each is unescaped, keyed once and ciphered in turn. The output
         # equals each NAL ciphered on its own.
-        nals = scan_annexb(gen_test_stream(None, gop=1, frames=12, payload_size=8192, seed=4))
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=12, payload_size=8192, seed=4))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
         events = []
         for name in ("ebsp_to_rbsp", "ctr_keystream", "encrypt_nal"):
@@ -425,7 +425,7 @@ class TestStreamEncryption:
         # 500 IDR slices, 4.22 MB: the pass holds the ciphered payloads it
         # returns and one group's RBSPs and keystream, not every RBSP and the
         # whole keystream at once.
-        nals = scan_annexb(gen_test_stream(None, gop=1, frames=500, payload_size=8192, seed=3))
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=500, payload_size=8192, seed=3))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
         tracemalloc.start()
         try:
@@ -439,7 +439,7 @@ class TestStreamEncryption:
     def test_round_trip_generated_streams(self, policy):
         for seed in range(4):
             data = gen_test_stream(None, gop=3, frames=10, payload_size=80, seed=seed)
-            nals = scan_annexb(data)
+            nals = split_annexb(data)[1]
             enc, header = encrypt_stream(nals, KS, select(nals, policy), NONCE)
             dec = decrypt_stream(enc, KS, header)
             assert serialize_annexb(dec) == data
@@ -478,7 +478,7 @@ class TestStreamEncryption:
             except EscapingViolation:
                 lost.append(seed)
                 continue
-            dec = decrypt_stream(scan_annexb(enc_data), KS, header)
+            dec = decrypt_stream(split_annexb(enc_data)[1], KS, header)
             if serialize_annexb(dec) != data:
                 lost.append(seed)
         assert lost == []
@@ -492,11 +492,11 @@ class TestStreamEncryption:
             b"\x00\x00\x00\x01\x67\x42" + b"\x00\x00\x00\x01\x68\xce"
             + b"\x00\x00\x00\x01\x65\x88\xaa\x00\x00" + b"\x00\x00\x00\x01\x41\xe0\x11"
         )
-        nals = scan_annexb(data)
+        nals = split_annexb(data)[1]
         assert nals[2].ebsp == b"\x88\xaa\x00\x00"
         enc, header = encrypt_stream(nals, KS, select(nals, policy), NONCE)
         assert header.ordinals == (2,)
-        dec = decrypt_stream(scan_annexb(serialize_annexb(enc)), KS, header)
+        dec = decrypt_stream(split_annexb(serialize_annexb(enc))[1], KS, header)
         assert serialize_annexb(dec) == data
 
     @settings(max_examples=200, deadline=None)
@@ -516,9 +516,9 @@ class TestStreamEncryption:
     def test_compliance_rescan(self):
         for policy in EncryptionPolicy:
             data = gen_test_stream(None, gop=4, frames=9, payload_size=72, seed=5)
-            nals = scan_annexb(data)
+            nals = split_annexb(data)[1]
             enc, _ = encrypt_stream(nals, KS, select(nals, policy), NONCE)
-            rescan = scan_annexb(serialize_annexb(enc))
+            rescan = split_annexb(serialize_annexb(enc))[1]
             assert len(rescan) == len(nals)
             for a, b in zip(nals, rescan):
                 assert a.start_code_len == b.start_code_len
@@ -528,7 +528,7 @@ class TestStreamEncryption:
 
 class TestDecryptStream:
     def test_wrong_key_rejected_before_decrypting(self):
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         other = key_expansion(b"\x42" * 16)
         with pytest.raises(WrongKey):
@@ -537,7 +537,7 @@ class TestDecryptStream:
     def test_wrong_key_does_no_payload_work(self, monkeypatch):
         # The key check must fire before any NAL is unescaped or any
         # keystream block is computed.
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         calls = Counter()
         for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
@@ -553,7 +553,7 @@ class TestDecryptStream:
         assert calls["ebsp_to_rbsp"] == len(header.ordinals) and calls["encrypt_blocks"] == 1
 
     def test_tampered_ciphertext_refused(self):
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         o = header.ordinals[-1]
         offset = len(enc[o].ebsp) + 1
@@ -570,13 +570,13 @@ class TestDecryptStream:
             decrypt_stream(enc, KS, header)
 
     def test_ordinal_out_of_range(self):
-        nals = scan_annexb(gen_test_stream(None, gop=2, frames=8, payload_size=32, seed=7))
+        nals = split_annexb(gen_test_stream(None, gop=2, frames=8, payload_size=32, seed=7))[1]
         header = CipherHeader(EncryptionPolicy.IDR_ONLY, key_check_value(KS), NONCE, (999,))
         with pytest.raises(OrdinalOutOfRange):
             decrypt_stream(nals, KS, header)
 
     def test_decrypts_exactly_listed_ordinals(self):
-        nals = scan_annexb(gen_test_stream(None, gop=1, frames=4, payload_size=32, seed=8))
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=4, payload_size=32, seed=8))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         partial = CipherHeader(header.policy, header.key_check, header.nonce, header.ordinals[:1])
         dec = decrypt_stream(enc, KS, partial)
