@@ -26,9 +26,11 @@ forward fast enough for real work:
   k, ShiftRows is the order in which the slabs are joined into rows, and
   MixColumns XORs whole rows. This is the byte-level variant of bitsliced
   AES (Kasper & Schwabe, CHES 2009). The counter-mode keystream
-  (ctr_keystream) joins the counter blocks of all the NALs it is given and
-  runs them through encrypt_blocks a chunk at a time. One call holds its
-  whole counter buffer, so the commands call it once per group of NALs.
+  (ctr_keystream) writes the counter blocks of all the NAL spans it is
+  given as byte runs, one slice assignment per block-index byte rather
+  than one integer per block, and runs them through encrypt_blocks a chunk
+  at a time. A span may start at a block offset, and one call holds its
+  whole counter buffer, so the commands call it once per chunk of blocks.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, and encrypt_blocks
@@ -38,7 +40,6 @@ footprint of both leaks key material to a co-resident observer.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .errors import BadKeyLength, CounterOverflow
@@ -393,9 +394,6 @@ class CounterBlock:
         )
 
 
-MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
-
-
 # Blocks per encrypt_blocks call. Over an 8192-block keystream the engine took
 # 1.09, 0.85, 0.72, 0.64 and 0.62 us per block in chunks of 256, 512, 1024,
 # 2048 and 4096 blocks, and 0.65 at 8192; 2048 is within 3% of the fastest at
@@ -403,32 +401,50 @@ MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 _CHUNK_BLOCKS = 2048
 
 
-def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
+# Bytes 14 and 15 of the counter blocks with indices 0 to 65,535: byte 15
+# cycles through every value and byte 14 steps once every 256 blocks.
+_INDEX_BYTE_14 = b"".join(bytes((v,)) * 256 for v in range(256))
+_INDEX_BYTE_15 = bytes(range(256)) * 256
+
+
+def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, ...]]") -> bytes:
     """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
-    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
+    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...,
+    and span (nal_ordinal, nbytes, first) the nbytes that start at block
+    ``first``, so one NAL's keystream can be made over several calls.
     Counter blocks are independent (NIST SP 800-38A, 6.5), so the counters of
-    all spans are joined and encrypt_blocks takes them a _CHUNK_BLOCKS chunk
-    at a time. One call holds all its counters, 16 bytes per keystream block:
-    the commands keep that small by calling it once per group of about
+    all spans are joined in block order and encrypt_blocks takes them a
+    _CHUNK_BLOCKS chunk at a time. A span's counters are its nonce and
+    ordinal repeated, with the block index written as byte runs: byte 15
+    cycles through every value, byte 14 steps every 256 blocks and bytes
+    12-13 every 65,536. One call holds all its counters, 16 bytes per
+    keystream block: the commands keep that small by calling it once per
     _CHUNK_BLOCKS blocks.
-    An ordinal may appear once: two NALs on one keystream would leak their XOR.
+    An ordinal may appear once in a call: two NALs on one keystream would
+    leak their XOR.
     """
-    if len({ordinal for ordinal, _ in spans}) < len(spans):
+    if len({span[0] for span in spans}) < len(spans):
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
     counters, cuts, start = [], [], 0
-    for ordinal, nbytes in spans:
-        if nbytes < 0:
-            raise ValueError("nbytes must be nonnegative")
-        if nbytes > MAX_KEYSTREAM_BYTES:
-            raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
+    for span in spans:
+        ordinal, nbytes, first = span if len(span) == 3 else (*span, 0)
+        if nbytes < 0 or first < 0:
+            raise ValueError("nbytes and the first block must be nonnegative")
         nblocks = -(-nbytes // BLOCK_SIZE)
-        blocks = bytearray(CounterBlock(nonce, ordinal, 0).to_bytes() * nblocks)
-        indices = struct.pack(f">{nblocks}I", *range(nblocks))
-        for k in range(4):
-            blocks[12 + k :: 16] = indices[k::4]
-        counters.append(blocks)
+        if first + nblocks > 1 << 32:
+            raise CounterOverflow(f"{nbytes} bytes from block {first} exceed the 32-bit block counter")
+        head = CounterBlock(nonce, ordinal, 0).to_bytes()[:12]
         cuts.append((start, nbytes))
         start += BLOCK_SIZE * nblocks
+        stop = first + nblocks
+        while first < stop:
+            # The blocks up to the next step of bytes 12-13.
+            low, run = first & 0xFFFF, min(stop, (first | 0xFFFF) + 1) - first
+            blocks = bytearray((head + (first - low).to_bytes(4, "big")) * run)
+            blocks[14::16] = _INDEX_BYTE_14[low : low + run]
+            blocks[15::16] = _INDEX_BYTE_15[low : low + run]
+            counters.append(blocks)
+            first += run
     data, step = b"".join(counters), BLOCK_SIZE * _CHUNK_BLOCKS
     view = memoryview(b"".join([encrypt_blocks(data[i : i + step], ks) for i in range(0, start, step)]))
     return b"".join([view[s : s + n] for s, n in cuts])

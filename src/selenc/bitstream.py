@@ -191,13 +191,19 @@ def _violation(ebsp: bytes, zero_header: bool = False) -> Optional[str]:
     return f"{m.group().hex(' ')} at " + ("the header byte" if at < 0 else f"payload offset {at}")
 
 
-def ebsp_to_rbsp(ebsp: bytes) -> bytes:
+_UNJUDGED = object()
+
+
+def ebsp_to_rbsp(ebsp: bytes, verdict: "Optional[str] | object" = _UNJUDGED) -> bytes:
     """Strip emulation-prevention bytes: the 03 of every 00 00 03 goes.
 
     Raises MalformedEscape on a run that find_escape_violation finds, which
-    a properly escaped payload can never contain.
+    a properly escaped payload can never contain. A caller that has already
+    read the payload's verdict, as a NAL's escape_violation, passes it as
+    ``verdict``: the payload is then not scanned again, and a verdict that
+    is set is raised as the scan's would be.
     """
-    v = _violation(ebsp)
+    v = _violation(ebsp) if verdict is _UNJUDGED else verdict
     if v is not None:
         raise MalformedEscape(f"unescaped {v}")
     return bytes(ebsp).replace(b"\x00\x00\x03", b"\x00\x00")

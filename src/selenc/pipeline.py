@@ -285,7 +285,10 @@ def cmd_encrypt(
     parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
     _atomic_write((meta_path, [header.to_bytes()]), (out_path, parts))
-    return summarize(nals, selection, leading, len(data))
+    # Ciphering keeps each RBSP's length and the splice has judged each
+    # ciphered NAL clean, so the ciphertext, which holds few zero bytes,
+    # sizes the selection.
+    return summarize(out_nals, selection, leading, len(data))
 
 
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:

@@ -1,10 +1,12 @@
 import tracemalloc
+import types
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selenc import bitstream
 from selenc.bitstream import (
     BitReader,
     BitWriter,
@@ -576,6 +578,24 @@ class TestEscaping:
             with pytest.raises(MalformedEscape) as exc:
                 ebsp_to_rbsp(data)
             assert str(exc.value) == "unescaped " + verdict
+        # Handed the verdict already read, ebsp_to_rbsp scans nothing: None
+        # strips as the scanning call does, and a set verdict is raised with
+        # the scanning call's text.
+        real, scans = bitstream._EPB_VIOLATION, []
+        bitstream._EPB_VIOLATION = types.SimpleNamespace(
+            search=lambda *a: scans.append(a) or real.search(*a)
+        )
+        try:
+            stripped = ebsp_to_rbsp(data, None)
+            if verdict is not None:
+                with pytest.raises(MalformedEscape) as exc:
+                    ebsp_to_rbsp(data, verdict)
+                assert str(exc.value) == "unescaped " + verdict
+        finally:
+            bitstream._EPB_VIOLATION = real
+        assert scans == []
+        if verdict is None:
+            assert stripped == ebsp_to_rbsp(data)
         # However a NAL is made, its escape_violation is the byte loop's
         # verdict on its payload, or on a header byte 00 and its payload,
         # and check_escaping reports that verdict.

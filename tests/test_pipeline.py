@@ -706,10 +706,11 @@ class TestOnePass:
     prefix of each non-IDR slice; an IDR is picked by its header byte.
 
     A payload is scanned for a forbidden run once, when its NAL's verdict is
-    first read, and once by each unescape: no check reads it again. Reading
-    a stream scans nothing, and the cipher commands judge only the NALs
-    they rewrite and, under all-i, the non-IDR slices whose header they
-    read."""
+    first read: no check reads it again, and the cipher pass hands each
+    unescape the verdict already read. Only a slice's header prefix, read
+    from bare bytes, is scanned again by its unescape. Reading a stream
+    scans nothing, and the cipher commands judge only the NALs they rewrite
+    and, under all-i, the non-IDR slices whose header they read."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -747,9 +748,10 @@ class TestOnePass:
         assert ciphered == 3
         headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
         # Judged: each NAL to cipher before the key (its plaintext) and at
-        # the splice (its ciphertext), and each slice whose header is read.
-        scans = {EncryptionPolicy.IDR_ONLY: 9, EncryptionPolicy.ALL_INTRA: 27}[policy]
-        assert scans == 2 * ciphered + headers + (headers + ciphered)
+        # the splice (its ciphertext), and each slice whose header is read,
+        # whose 16-byte prefix its unescape scans again.
+        scans = {EncryptionPolicy.IDR_ONLY: 6, EncryptionPolicy.ALL_INTRA: 24}[policy]
+        assert scans == 2 * ciphered + 2 * headers
         assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
 
         counts.clear()
@@ -798,9 +800,10 @@ class TestOnePass:
         # The naive pass unescapes each of the 14 NALs with a header byte.
         headers = 9 if policy is EncryptionPolicy.ALL_INTRA else 0
         # check_cipherable judges those 14 first, not the header-less 15th;
-        # no ciphered NAL is judged.
-        scans = {EncryptionPolicy.IDR_ONLY: 31, EncryptionPolicy.ALL_INTRA: 40}[policy]
-        assert scans == 14 + headers + 3 + 14
+        # no ciphered NAL is judged, and only the header prefixes are
+        # scanned again by their unescape.
+        scans = {EncryptionPolicy.IDR_ONLY: 14, EncryptionPolicy.ALL_INTRA: 23}[policy]
+        assert scans == 14 + headers
         assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": scans}
 
     @pytest.mark.parametrize(
