@@ -29,8 +29,8 @@ forward fast enough for real work:
   (ctr_keystream) writes the counter blocks of all the NAL spans it is
   given as byte runs, one slice assignment per block-index byte rather
   than one integer per block, and runs them through encrypt_blocks a chunk
-  at a time. A span may start at a block offset, and one call holds its
-  whole counter buffer, so the commands call it once per chunk of blocks.
+  at a time. One call holds its whole counter buffer, so the commands call
+  it once per group of NALs.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, and encrypt_blocks
@@ -394,6 +394,9 @@ class CounterBlock:
         )
 
 
+MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
+
+
 # Blocks per encrypt_blocks call. Over an 8192-block keystream the engine took
 # 1.09, 0.85, 0.72, 0.64 and 0.62 us per block in chunks of 256, 512, 1024,
 # 2048 and 4096 blocks, and 0.65 at 8192; 2048 is within 3% of the fastest at
@@ -407,11 +410,9 @@ _INDEX_BYTE_14 = b"".join(bytes((v,)) * 256 for v in range(256))
 _INDEX_BYTE_15 = bytes(range(256)) * 256
 
 
-def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, ...]]") -> bytes:
+def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
     """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
-    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...,
-    and span (nal_ordinal, nbytes, first) the nbytes that start at block
-    ``first``, so one NAL's keystream can be made over several calls.
+    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
     Counter blocks are independent (NIST SP 800-38A, 6.5), so the counters of
     all spans are joined in block order and encrypt_blocks takes them a
     _CHUNK_BLOCKS chunk at a time. A span's counters are its nonce and
@@ -419,32 +420,28 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, ...]]")
     cycles through every value, byte 14 steps every 256 blocks and bytes
     12-13 every 65,536. One call holds all its counters, 16 bytes per
     keystream block: the commands keep that small by calling it once per
-    _CHUNK_BLOCKS blocks.
-    An ordinal may appear once in a call: two NALs on one keystream would
-    leak their XOR.
+    group of about _CHUNK_BLOCKS blocks.
+    An ordinal may appear once: two NALs on one keystream would leak their XOR.
     """
-    if len({span[0] for span in spans}) < len(spans):
+    if len({ordinal for ordinal, _ in spans}) < len(spans):
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
     counters, cuts, start = [], [], 0
-    for span in spans:
-        ordinal, nbytes, first = span if len(span) == 3 else (*span, 0)
-        if nbytes < 0 or first < 0:
-            raise ValueError("nbytes and the first block must be nonnegative")
+    for ordinal, nbytes in spans:
+        if nbytes < 0:
+            raise ValueError("nbytes must be nonnegative")
+        if nbytes > MAX_KEYSTREAM_BYTES:
+            raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
         nblocks = -(-nbytes // BLOCK_SIZE)
-        if first + nblocks > 1 << 32:
-            raise CounterOverflow(f"{nbytes} bytes from block {first} exceed the 32-bit block counter")
         head = CounterBlock(nonce, ordinal, 0).to_bytes()[:12]
+        for high in range(0, nblocks, 1 << 16):
+            # Blocks high to high + 65,535, whose bytes 12-13 do not step.
+            run = min(nblocks - high, 1 << 16)
+            blocks = bytearray((head + high.to_bytes(4, "big")) * run)
+            blocks[14::16] = _INDEX_BYTE_14[:run]
+            blocks[15::16] = _INDEX_BYTE_15[:run]
+            counters.append(blocks)
         cuts.append((start, nbytes))
         start += BLOCK_SIZE * nblocks
-        stop = first + nblocks
-        while first < stop:
-            # The blocks up to the next step of bytes 12-13.
-            low, run = first & 0xFFFF, min(stop, (first | 0xFFFF) + 1) - first
-            blocks = bytearray((head + (first - low).to_bytes(4, "big")) * run)
-            blocks[14::16] = _INDEX_BYTE_14[low : low + run]
-            blocks[15::16] = _INDEX_BYTE_15[low : low + run]
-            counters.append(blocks)
-            first += run
     data, step = b"".join(counters), BLOCK_SIZE * _CHUNK_BLOCKS
     view = memoryview(b"".join([encrypt_blocks(data[i : i + step], ks) for i in range(0, start, step)]))
     return b"".join([view[s : s + n] for s, n in cuts])

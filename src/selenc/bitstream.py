@@ -154,12 +154,13 @@ class NalUnit:
         check_escaping refuses; None for other NALs and for a header that
         does not parse. It is read from the first 16 payload bytes: they
         unescape to a prefix of the RBSP of at least 88 bits, more than
-        parse_slice_info reads from any header it accepts."""
+        parse_slice_info reads from any header it accepts. Any prefix of a
+        clean payload is clean, so they are stripped without a second scan."""
         h = self.header
         if h is None or h.nal_unit_type not in VCL_TYPES or self.escape_violation is not None:
             return None
         try:
-            return parse_slice_info(ebsp_to_rbsp(self.ebsp[:16]))
+            return parse_slice_info(ebsp_to_rbsp(self.ebsp[:16], None))
         except (OutOfBits, OutOfRange):
             return None
 

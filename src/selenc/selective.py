@@ -104,44 +104,29 @@ def check_cipherable(nals: Sequence[NalUnit], ordinals: Iterable[int]) -> None:
 
 def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     """Apply ``transform`` to nals[o] for each listed ordinal o, each with
-    its unescaped payload and its keystream, after check_cipherable.
+    its unescaped payload and its cut of the keystream, after check_cipherable.
 
     check_cipherable has read each listed NAL's escape verdict, so the
     unescape is handed that verdict and only strips. The listed NALs are
-    taken in stream order, and their keystream is made in groups of exactly
-    _CHUNK_BLOCKS counter blocks, one ctr_keystream call each, the last
-    group taking what is left. A NAL whose blocks straddle a group's end
-    carries the rest into the next call, from the block where it stopped,
-    and is ciphered once its whole keystream is in hand. Each group's NALs
-    are ciphered before the next NAL is unescaped, so one group's payloads
-    and keystream are held at a time. ``ordinals`` come from a CipherHeader,
-    strictly increasing, so no call sees one twice.
+    taken in stream order, in groups that end once they reach _CHUNK_BLOCKS
+    counter blocks: each group is unescaped, keyed by one ctr_keystream call
+    and ciphered before the next is unescaped, so one group's payloads and
+    keystream are held at a time. ``ordinals`` come from a CipherHeader,
+    strictly increasing, so no two groups share one.
     """
     check_cipherable(nals, ordinals)
-    out, held, spans, room, carry = list(nals), [], [], _CHUNK_BLOCKS, []
+    out, group, blocks = list(nals), [], 0
     for k, o in enumerate(ordinals, 1):
         rbsp = ebsp_to_rbsp(nals[o].ebsp, nals[o].escape_violation)
-        held.append((o, rbsp))
-        first, left = 0, len(rbsp)  # the next block to key, and the bytes after it
-        while True:
-            take = min(room, -(-left // BLOCK_SIZE))
-            nbytes = min(left, BLOCK_SIZE * take)
-            spans.append((o, nbytes, first))
-            first, left, room = first + take, left - nbytes, room - take
-            if room and k < len(ordinals):
-                break
-            # The call is full, or this is the last NAL. A NAL with bytes
-            # left keeps its pieces of keystream in carry until it has all.
-            keystream, pos = ctr_keystream(ks, nonce, spans), 0
-            for (g, r), (_, n, _) in zip(held, spans):
-                carry.append(keystream[pos : pos + n])
-                pos += n
-                if not left or g != o:
-                    out[g] = transform(nals[g], r, b"".join(carry))
-                    carry = []
-            held, spans, room = held[-1:] if left else [], [], _CHUNK_BLOCKS
-            if not left:
-                break
+        group.append((o, rbsp))
+        blocks += -(-len(rbsp) // BLOCK_SIZE)
+        if blocks < _CHUNK_BLOCKS and k < len(ordinals):
+            continue
+        keystream, pos = ctr_keystream(ks, nonce, [(g, len(r)) for g, r in group]), 0
+        for g, r in group:
+            out[g] = transform(nals[g], r, keystream[pos : pos + len(r)])
+            pos += len(r)
+        group, blocks = [], 0
     return out
 
 

@@ -365,12 +365,6 @@ class TestCounterMode:
             ctr_keystream(ks, b"\x00" * 8, [(0, (1 << 32) * 16 + 1)])
         with pytest.raises(ValueError):
             ctr_keystream(ks, b"\x00" * 8, [(0, -1)])
-        # A span from an offset may end at the last block index, not past it.
-        assert len(ctr_keystream(ks, b"\x00" * 8, [(0, 33, 2**32 - 3)])) == 33
-        with pytest.raises(CounterOverflow):
-            ctr_keystream(ks, b"\x00" * 8, [(0, 49, 2**32 - 3)])
-        with pytest.raises(ValueError):
-            ctr_keystream(ks, b"\x00" * 8, [(0, 16, -1)])
 
     @pytest.mark.parametrize(
         "spans", [[(3, 16), (3, 16)], [(3, 16), (4, 8), (3, 0)], [(0, 0), (0, 0)]]
@@ -495,11 +489,11 @@ class TestOnePassKeystream:
 
 
 def counter_blocks(spans) -> bytes:
-    # Each span's CounterBlock inputs in block order, from its first block.
+    # Each span's CounterBlock inputs in block order.
     return b"".join(
         CounterBlock(PASS_NONCE, ordinal, b).to_bytes()
-        for ordinal, nbytes, *first in spans
-        for b in range(sum(first), sum(first) + -(-nbytes // 16))
+        for ordinal, nbytes in spans
+        for b in range(-(-nbytes // 16))
     )
 
 
@@ -527,10 +521,4 @@ class TestCounterBlocks:
 
     def test_several_spans(self, engine_input):
         spans = [(0, 16 * 255 + 1), (2**32 - 1, 16 * 257), (7, 0), (8, 16 * 65537 - 5), (9, 16)]
-        assert engine_input(spans) == counter_blocks(spans)
-
-    @pytest.mark.parametrize("first", [1, 255, 256, 65280, 65535, 65536, 2**24 - 1, 2**32 - 300])
-    def test_spans_from_an_offset(self, engine_input, first):
-        # Each span ends at or crosses a carry of byte 15, 14 or 13.
-        spans = [(2**32 - 1, 16 * 300, first), (0, 16 * 256, first - 1), (5, 1, first)]
         assert engine_input(spans) == counter_blocks(spans)

@@ -706,11 +706,10 @@ class TestOnePass:
     prefix of each non-IDR slice; an IDR is picked by its header byte.
 
     A payload is scanned for a forbidden run once, when its NAL's verdict is
-    first read: no check reads it again, and the cipher pass hands each
-    unescape the verdict already read. Only a slice's header prefix, read
-    from bare bytes, is scanned again by its unescape. Reading a stream
-    scans nothing, and the cipher commands judge only the NALs they rewrite
-    and, under all-i, the non-IDR slices whose header they read."""
+    first read: no check reads it again, and each unescape is handed the
+    verdict already read. Reading a stream scans nothing, and the cipher
+    commands judge only the NALs they rewrite and, under all-i, the non-IDR
+    slices whose header they read."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -748,10 +747,9 @@ class TestOnePass:
         assert ciphered == 3
         headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
         # Judged: each NAL to cipher before the key (its plaintext) and at
-        # the splice (its ciphertext), and each slice whose header is read,
-        # whose 16-byte prefix its unescape scans again.
-        scans = {EncryptionPolicy.IDR_ONLY: 6, EncryptionPolicy.ALL_INTRA: 24}[policy]
-        assert scans == 2 * ciphered + 2 * headers
+        # the splice (its ciphertext), and each slice whose header is read.
+        scans = {EncryptionPolicy.IDR_ONLY: 6, EncryptionPolicy.ALL_INTRA: 15}[policy]
+        assert scans == 2 * ciphered + headers
         assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
 
         counts.clear()
@@ -762,7 +760,7 @@ class TestOnePass:
         counts.clear()
         cmd_inspect(plain, policy)
         # Each of the 14 NALs with a header byte is judged.
-        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices, "scan": 14 + slices}
+        assert counts == {"classify_stream": 1, "ebsp_to_rbsp": slices, "scan": 14}
 
     def test_reading_a_stream_scans_nothing(self, counts):
         bad_sps = b"\x00\x00\x00\x01\x67\x00\x00\x02"
@@ -799,12 +797,9 @@ class TestOnePass:
         assert result.aes_blocks_selective == 3 * 6
         # The naive pass unescapes each of the 14 NALs with a header byte.
         headers = 9 if policy is EncryptionPolicy.ALL_INTRA else 0
-        # check_cipherable judges those 14 first, not the header-less 15th;
-        # no ciphered NAL is judged, and only the header prefixes are
-        # scanned again by their unescape.
-        scans = {EncryptionPolicy.IDR_ONLY: 14, EncryptionPolicy.ALL_INTRA: 23}[policy]
-        assert scans == 14 + headers
-        assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": scans}
+        # check_cipherable judges those 14 first, not the header-less 15th,
+        # and nothing is judged again.
+        assert counts == {"ebsp_to_rbsp": headers + 3 + 14, "scan": 14}
 
     @pytest.mark.parametrize(
         "sps,error,text",

@@ -421,24 +421,6 @@ class TestStreamEncryption:
         for o in sel.selected_ordinals:
             assert enc[o] == encrypt_nal(*masked(nals[o]))
 
-    def test_groups_end_on_chunk_boundaries(self, monkeypatch):
-        # 40 IDR slices of 600 blocks, which do not divide _CHUNK_BLOCKS:
-        # every engine call is a full chunk but the last, and a slice that
-        # straddles two calls takes its keystream from both.
-        data = gen_test_stream(None, gop=1, frames=40, payload_size=9600, seed=3)
-        nals = split_annexb(data)[1]
-        sel = select(nals, EncryptionPolicy.IDR_ONLY)
-        assert {-(-nals[o].rbsp_size // 16) for o in sel.selected_ordinals} == {600}
-        calls = []
-        real = aes.encrypt_blocks
-        monkeypatch.setattr(aes, "encrypt_blocks", lambda d, k: calls.append(len(d) // 16) or real(d, k))
-        enc, header = encrypt_stream(nals, KS, sel, NONCE)
-        assert calls == [aes._CHUNK_BLOCKS] * 11 + [40 * 600 - 11 * aes._CHUNK_BLOCKS]
-        monkeypatch.undo()
-        for o in sel.selected_ordinals:
-            assert enc[o] == encrypt_nal(*masked(nals[o]))
-        assert serialize_annexb(decrypt_stream(enc, KS, header)) == data
-
     def test_cipher_pass_holds_one_group(self):
         # 500 IDR slices, 4.22 MB: the pass holds the ciphered payloads it
         # returns and one group's RBSPs and keystream, not every RBSP and the
