@@ -151,6 +151,9 @@ KDF_VECTORS = (
     ("open sesame", 3, "2a3a6506c47136680caf48d62960cde7"),
     ("sixteen byte msg", 2, "7de49d49f033dff947cedd01d80929d5"),
     ("päss", 4, "a0dc66e99c9756688fa9af08e82c9c9b"),
+    # The byte 0xe9 alone is not UTF-8; Python hands it over from argv as a
+    # lone surrogate, and the key is derived from the bytes typed.
+    ("pa\udce9ss", 2, "4eae4812d0193fc9833533de02b8f35b"),
 )
 
 # Frozen the same way at realistic iteration counts; checked against
@@ -200,7 +203,7 @@ def kdf_oracle(passphrase: str, iterations: int) -> bytes:
     """Straight-line restatement of the key-stretching definition, kept
     independent of pipeline._kdf on purpose: each step runs unrolled_encrypt,
     so the oracle shares no lookup table with the cipher core _kdf calls."""
-    message = passphrase.encode("utf-8") + b"\x80"
+    message = passphrase.encode("utf-8", "surrogateescape") + b"\x80"
     while len(message) % 16 != 0:
         message += b"\x00"
     h = b"\x00" * 16
@@ -212,18 +215,34 @@ def kdf_oracle(passphrase: str, iterations: int) -> bytes:
     return h
 
 
+def _require(ok: bool, detail: str) -> None:
+    """Fail the running check with ``detail`` unless ``ok``. Checks fail
+    through this, not assert, so they still fail under python -O."""
+    if not ok:
+        raise AssertionError(detail)
+
+
+def _require_refusal(error: "type[Exception]", call: Callable[[], object], detail: str) -> None:
+    """Fail the running check with ``detail`` unless ``call()`` raises ``error``."""
+    try:
+        call()
+    except error:
+        return
+    _require(False, detail)
+
+
 def _check_cipher_known_answers(rng: random.Random) -> str:
     for key_hex, pt_hex, ct_hex in KNOWN_ANSWERS:
         ks = key_expansion(bytes.fromhex(key_hex))
         got = aes.encrypt_block(bytes.fromhex(pt_hex), ks)
-        assert got.hex() == ct_hex, f"encrypt({pt_hex}) -> {got.hex()}, want {ct_hex}"
+        _require(got.hex() == ct_hex, f"encrypt({pt_hex}) -> {got.hex()}, want {ct_hex}")
         back = aes.decrypt_block(bytes.fromhex(ct_hex), ks)
-        assert back.hex() == pt_hex, f"decrypt({ct_hex}) -> {back.hex()}, want {pt_hex}"
+        _require(back.hex() == pt_hex, f"decrypt({ct_hex}) -> {back.hex()}, want {pt_hex}")
     for key_hex, words in EXPANSION_ANCHORS.items():
         ks = key_expansion(bytes.fromhex(key_hex))
         for i, want in words.items():
             got = ks.words[i].hex()
-            assert got == want, f"{key_hex}: W[{i}] = {got}, want {want}"
+            _require(got == want, f"{key_hex}: W[{i}] = {got}, want {want}")
     anchors = sum(map(len, EXPANSION_ANCHORS.values()))
     return f"{len(KNOWN_ANSWERS)} cipher vectors, {anchors} schedule anchors"
 
@@ -233,14 +252,14 @@ def _check_key_schedule_recurrences(rng: random.Random) -> str:
     for _ in range(trials):
         key = rng.randbytes(16)
         ks = key_expansion(key)
-        assert b"".join(ks.words[:4]) == key
+        _require(b"".join(ks.words[:4]) == key, f"W[0..3] are not the key {key.hex()}")
         for i in range(4, 44):
             if i % 4 == 0:
                 t = aes._t_transform(ks.words[i - 1], aes.ROUND_CONSTANTS[i // 4 - 1])
                 want = bytes(a ^ b for a, b in zip(t, ks.words[i - 4]))
             else:
                 want = bytes(a ^ b for a, b in zip(ks.words[i - 1], ks.words[i - 4]))
-            assert ks.words[i] == want, f"W[{i}] recurrence broken for key {key.hex()}"
+            _require(ks.words[i] == want, f"W[{i}] recurrence broken for key {key.hex()}")
     return f"{trials} random keys, all 44 words"
 
 
@@ -253,8 +272,8 @@ def _check_cipher_round_trip(rng: random.Random) -> str:
             plain_of.clear()
         block = rng.randbytes(16)
         ct = aes.encrypt_block(block, ks)
-        assert aes.decrypt_block(ct, ks) == block
-        assert plain_of.setdefault(ct, block) == block, "two plaintexts share a ciphertext"
+        _require(aes.decrypt_block(ct, ks) == block, f"decrypt(encrypt({block.hex()})) differs")
+        _require(plain_of.setdefault(ct, block) == block, "two plaintexts share a ciphertext")
     return f"{trials} random round trips, no ciphertext collisions"
 
 
@@ -264,8 +283,9 @@ def _check_cipher_composition(rng: random.Random) -> str:
         if t % 500 == 0:
             ks = key_expansion(rng.randbytes(16))
         block = rng.randbytes(16)
-        assert aes.encrypt_block(block, ks) == unrolled_encrypt(block, ks), (
-            f"fast path diverges from unrolled rounds on block {block.hex()}"
+        _require(
+            aes.encrypt_block(block, ks) == unrolled_encrypt(block, ks),
+            f"fast path diverges from unrolled rounds on block {block.hex()}",
         )
     return f"{trials} (key, block) pairs agree with the unrolled rounds"
 
@@ -274,19 +294,25 @@ def _check_ctr_keystream(rng: random.Random) -> str:
     ks = key_expansion(rng.randbytes(16))
     nonce = rng.randbytes(8)
     first = ctr_keystream(ks, nonce, [(7, 16)])
-    assert first == aes.encrypt_block(CounterBlock(nonce, 7, 0).to_bytes(), ks)
+    _require(
+        first == aes.encrypt_block(CounterBlock(nonce, 7, 0).to_bytes(), ks),
+        "one-block keystream is not the encrypted counter",
+    )
     long = ctr_keystream(ks, nonce, [(7, 40)])
-    assert long[:16] == first and len(long) == 40
+    _require(long[:16] == first and len(long) == 40, "40-byte keystream does not extend block 0")
     # Several NALs in one pass, one of them past an engine chunk, so a chunk
     # holds the end of one NAL's counters and the start of the next.
     spans = [(7, 40), (9, 0), (3, 16 * aes._CHUNK_BLOCKS + 5), (2**32 - 1, 17)]
     joined = b"".join(per_block_keystream(ks, nonce, o, n) for o, n in spans)
-    assert ctr_keystream(ks, nonce, spans) == joined, "multi-NAL keystream diverges"
-    assert ctr_keystream(ks, nonce, []) == ctr_keystream(ks, nonce, [(7, 0)]) == b""
+    _require(ctr_keystream(ks, nonce, spans) == joined, "multi-NAL keystream diverges")
+    _require(
+        ctr_keystream(ks, nonce, []) == ctr_keystream(ks, nonce, [(7, 0)]) == b"",
+        "an empty keystream request returned bytes",
+    )
     for _ in range(50):
         data = rng.randbytes(rng.randrange(0, 200))
         mask = ctr_keystream(ks, nonce, [(3, len(data))])
-        assert xor_bytes(xor_bytes(data, mask), mask) == data
+        _require(xor_bytes(xor_bytes(data, mask), mask) == data, f"XOR twice changed {data.hex()}")
     return "counter layout, agreement with encrypt_block for one and several NALs, XOR symmetry"
 
 
@@ -297,14 +323,11 @@ def _check_escaping_round_trip(rng: random.Random) -> str:
         n = rng.randrange(0, 64)
         rbsp = bytes(rng.choice(alphabet) for _ in range(n))
         ebsp = rbsp_to_ebsp(rbsp)
-        assert find_escape_violation(ebsp) == -1, f"violation left in {ebsp.hex()}"
-        assert ebsp_to_rbsp(ebsp) == rbsp, f"round trip broke on {rbsp.hex()}"
+        _require(find_escape_violation(ebsp) == -1, f"violation left in {ebsp.hex()}")
+        _require(ebsp_to_rbsp(ebsp) == rbsp, f"round trip broke on {rbsp.hex()}")
     for bad in (b"\x00\x00\x00", b"\x00\x00\x01", b"\xaa\x00\x00\x02", b"\x00\x00\x03\x04"):
-        try:
-            ebsp_to_rbsp(bad)
-            raise AssertionError(f"{bad.hex()} accepted as escaped payload")
-        except MalformedEscape:
-            pass
+        _require_refusal(MalformedEscape, lambda: ebsp_to_rbsp(bad),
+                         f"{bad.hex()} accepted as escaped payload")
     return f"{trials} zero-heavy payloads plus rejection cases"
 
 
@@ -313,10 +336,10 @@ def _check_exp_golomb_exhaustive(rng: random.Random) -> str:
         w = BitWriter()
         w.write_ue(n)
         want_bits = 2 * ((n + 1).bit_length() - 1) + 1
-        assert w.bit_length == want_bits, f"ue({n}) used {w.bit_length} bits"
+        _require(w.bit_length == want_bits, f"ue({n}) used {w.bit_length} bits")
         r = BitReader(w.to_bytes())
-        assert r.read_ue() == n, f"ue round trip broke at {n}"
-        assert r.position == want_bits, f"ue({n}) consumed {r.position} bits"
+        _require(r.read_ue() == n, f"ue round trip broke at {n}")
+        _require(r.position == want_bits, f"ue({n}) consumed {r.position} bits")
     return "values 0..65535, value and bit-count exact"
 
 
@@ -331,8 +354,8 @@ def _check_annexb_round_trip(rng: random.Random) -> str:
             seed=rng.randrange(1 << 30),
         )
         leading, nals = split_annexb(data)
-        assert leading == b"" and serialize_annexb(nals) == data
-        assert [n.ordinal for n in nals] == list(range(len(nals)))
+        _require(leading == b"" and serialize_annexb(nals) == data, "stream does not re-serialize")
+        _require([n.ordinal for n in nals] == list(range(len(nals))), "ordinals are not 0..n-1")
     return f"{trials} generated streams re-serialize byte-exactly"
 
 
@@ -348,20 +371,18 @@ def _check_stream_compliance(rng: random.Random) -> str:
             selection = select(nals, policy)
             enc_nals, header = encrypt_stream(nals, ks, selection, nonce)
             for n in enc_nals:
-                assert find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} escaping violated"
+                _require(find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} escaping violated")
             enc_data = serialize_annexb(enc_nals)
             rescan = split_annexb(enc_data)[1]
-            assert len(rescan) == len(nals)
+            _require(len(rescan) == len(nals), "encryption changed the NAL count")
             for a, b in zip(nals, rescan):
-                assert (a.ordinal, a.start_code_len, a.header) == (
-                    b.ordinal,
-                    b.start_code_len,
-                    b.header,
-                ), f"NAL {a.ordinal} layout changed after encryption"
+                layout = (a.ordinal, a.start_code_len, a.header)
+                _require(layout == (b.ordinal, b.start_code_len, b.header),
+                         f"NAL {a.ordinal} layout changed after encryption")
             dec = decrypt_stream(rescan, ks, header)
             for n in dec:
-                assert find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} decrypt escaping"
-            assert serialize_annexb(dec) == data, "decryption did not restore the stream"
+                _require(find_escape_violation(n.ebsp) == -1, f"NAL {n.ordinal} decrypt escaping")
+            _require(serialize_annexb(dec) == data, "decryption did not restore the stream")
             streams += 1
     return f"{streams} encrypted streams keep NAL layout and decrypt byte-exactly"
 
@@ -371,13 +392,16 @@ def _check_selectivity_arithmetic(rng: random.Random) -> str:
     nals = split_annexb(data)[1]
     ks = key_expansion(rng.randbytes(16))
     res = bench(nals, ks, EncryptionPolicy.IDR_ONLY)
-    assert res.selective_encrypted_bytes == 5 * 256
-    assert res.vcl_payload_bytes == 60 * 256
-    assert abs(res.selective_fraction - 5 / 60) < 1e-12
-    assert res.aes_blocks_selective == 5 * 16  # 256-byte payloads are 16 blocks each
-    assert res.selective_encrypted_bytes <= res.naive_encrypted_bytes
+    sel = res.selective_encrypted_bytes
+    _require(sel == 5 * 256, f"selective bytes {sel}")
+    _require(res.vcl_payload_bytes == 60 * 256, f"VCL payload bytes {res.vcl_payload_bytes}")
+    _require(abs(res.selective_fraction - 5 / 60) < 1e-12, f"fraction {res.selective_fraction}")
+    # 256-byte payloads are 16 blocks each.
+    _require(res.aes_blocks_selective == 5 * 16, f"selective blocks {res.aes_blocks_selective}")
+    _require(sel <= res.naive_encrypted_bytes, "selective pass ciphered more than naive")
     sizes = [len(ebsp_to_rbsp(n.ebsp)) for n in nals]
-    assert res.aes_blocks_naive == sum(-(-s // 16) for s in sizes)
+    naive = res.aes_blocks_naive
+    _require(naive == sum(-(-s // 16) for s in sizes), f"naive blocks {naive}")
     return "5/60 fraction and exact block counts on the 60-frame stream"
 
 
@@ -393,12 +417,10 @@ def _check_end_to_end_files(rng: random.Random) -> str:
         pipeline.cmd_encrypt(plain, enc, meta, key, EncryptionPolicy.ALL_INTRA,
                              nonce=rng.randbytes(8))
         pipeline.cmd_decrypt(enc, meta, out, key)
-        assert out.read_bytes() == plain.read_bytes(), "file round trip not byte-identical"
-        try:
-            pipeline.cmd_decrypt(enc, meta, out, KeySource.from_passphrase("wrong", iterations=3))
-            raise AssertionError("wrong passphrase was accepted")
-        except WrongKey:
-            pass
+        _require(out.read_bytes() == plain.read_bytes(), "file round trip not byte-identical")
+        wrong = KeySource.from_passphrase("wrong", iterations=3)
+        _require_refusal(WrongKey, lambda: pipeline.cmd_decrypt(enc, meta, out, wrong),
+                         "wrong passphrase was accepted")
     return "encrypt/decrypt file round trip and wrong-key rejection"
 
 
@@ -407,10 +429,10 @@ def _check_kdf_oracle(rng: random.Random) -> str:
         got = derive_key(KeySource.from_passphrase(phrase, iterations=iters)).hex()
         want = kdf_oracle(phrase, iters).hex()
         detail = f"KDF({phrase!r}, {iters}) = {got}, oracle {want}, frozen {frozen}"
-        assert got == want == frozen, detail
+        _require(got == want == frozen, detail)
     a = derive_key(KeySource.from_passphrase("a", iterations=1))
     b = derive_key(KeySource.from_passphrase("a", iterations=2))
-    assert a != b, "iteration count has no effect"
+    _require(a != b, "iteration count has no effect")
     return f"{len(KDF_VECTORS)} passphrase vectors match the oracle and their frozen outputs"
 
 

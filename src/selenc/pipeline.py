@@ -3,6 +3,7 @@ synthetic test-stream generator."""
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import random
@@ -65,7 +66,7 @@ class KeySource:
 def _kdf(passphrase: str, iterations: int) -> bytes:
     # Iterated block-cipher construction (NOT a standard KDF): the padded
     # passphrase blocks act as cipher keys folded into a running digest.
-    data = passphrase.encode("utf-8") + b"\x80"
+    data = passphrase.encode("utf-8", "surrogateescape") + b"\x80"
     data += b"\x00" * (-len(data) % 16)
     # The digest stays an integer, so no step converts it to bytes and back.
     round_keys = [key_expansion(data[i : i + 16]).round_key_ints for i in range(0, len(data), 16)]
@@ -213,11 +214,13 @@ def build_report(
 def _atomic_write(*files) -> None:
     # Write each (path, parts) pair, parts being a sequence of buffers, to a
     # temporary file in its destination directory, then rename them in the
-    # order given: a failed write replaces no target, and a failed or killed
-    # process never leaves a half-written file at a target path. Nothing is
-    # fsynced, so that does not hold across a power loss. A file gets the mode
-    # open(path, "wb") would give it: a replaced one keeps its mode, and a
-    # new one is created 0666 less the umask.
+    # order given. A failed write replaces no target, but a failed rename
+    # leaves the targets renamed before it replaced; renaming onto a
+    # directory fails, so the cipher commands refuse one before any work. A
+    # failed or killed process never leaves a half-written file at a target
+    # path. Nothing is fsynced, so that does not hold across a power loss. A
+    # file gets the mode open(path, "wb") would give it: a replaced one keeps
+    # its mode, and a new one is created 0666 less the umask.
     staged = []
     try:
         for path, parts in files:
@@ -246,11 +249,16 @@ def _read_stream(path) -> "tuple[bytes, bytes, list[NalUnit]]":
     return data, leading, nals
 
 
-def _refuse_sidecar_clash(meta_path, in_path, out_path) -> None:
-    # A stream written over the sidecar would lose its nonce. Both cipher
-    # commands check this before they read the stream or derive a key.
+def _refuse_targets(meta_path, in_path, out_path) -> None:
+    # A stream written over the sidecar would lose its nonce, and so would a
+    # sidecar renamed into place before the stream's rename failed on a
+    # directory. Both cipher commands check this before they read the stream
+    # or derive a key.
     if Path(meta_path).resolve() in (Path(in_path).resolve(), Path(out_path).resolve()):
         raise ValueError(f"sidecar path {meta_path} names the input or the output file")
+    for path in (out_path, meta_path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def cmd_encrypt(
@@ -267,8 +275,9 @@ def cmd_encrypt(
     random bytes are drawn and recorded in the sidecar. Before any key work,
     a nonce that is not 8 bytes is refused, check_cipherable refuses a NAL
     to cipher that breaks escaping or ends in 00 00 03, and a sidecar path
-    that names the input or the output file is refused: the stream would
-    replace the sidecar, and with it the nonce. A
+    that names the input or the output file, or an output or sidecar path
+    that is a directory, is refused: the stream would replace the sidecar,
+    or the sidecar would be replaced alone, and with it the nonce. A
     NAL left in the clear is copied byte for byte and not judged, so a badly
     escaped one round-trips; inspect flags it.
     """
@@ -276,7 +285,7 @@ def cmd_encrypt(
         nonce = os.urandom(8)
     elif len(nonce) != 8:
         raise ValueError("nonce must be 8 bytes")
-    _refuse_sidecar_clash(meta_path, in_path, out_path)
+    _refuse_targets(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     selection = select(nals, policy)
     check_cipherable(nals, selection.selected_ordinals)
@@ -294,10 +303,10 @@ def cmd_encrypt(
 def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     """Decrypt a stream file using its sidecar; inverse of cmd_encrypt. The
     summary's total_bytes is the size of the file written. A sidecar path
-    that names the input or the output file is refused, as cmd_encrypt does,
-    and so, before any key work, is any listed ordinal check_cipherable
-    refuses."""
-    _refuse_sidecar_clash(meta_path, in_path, out_path)
+    that names the input or the output file, or an output or sidecar path
+    that is a directory, is refused, as cmd_encrypt does, and so, before any
+    key work, is any listed ordinal check_cipherable refuses."""
+    _refuse_targets(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
     check_cipherable(nals, header.ordinals)

@@ -30,6 +30,9 @@ from .errors import BadMagic, BadVersion, MalformedEscape, MalformedHeader, Ordi
 
 SIDECAR_MAGIC = b"SEH1"
 SIDECAR_VERSION = 1
+# Sidecar head: magic, version, policy byte, key check, nonce, ordinal count;
+# the big-endian u32 ordinals follow it.
+_HEAD = struct.Struct(">4sBB4s8sI")
 
 
 class EncryptionPolicy(Enum):
@@ -157,32 +160,26 @@ class CipherHeader:
 
     def to_bytes(self) -> bytes:
         count = len(self.ordinals)
-        return (
-            SIDECAR_MAGIC
-            + bytes((SIDECAR_VERSION, self.policy.value))
-            + self.key_check
-            + self.nonce
-            + struct.pack(f">I{count}I", count, *self.ordinals)
-        )
+        head = (SIDECAR_MAGIC, SIDECAR_VERSION, self.policy.value, self.key_check, self.nonce, count)
+        return _HEAD.pack(*head) + struct.pack(f">{count}I", *self.ordinals)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherHeader":
-        if len(data) < 22:
-            raise MalformedHeader(f"sidecar truncated: {len(data)} bytes, need at least 22")
-        if data[:4] != SIDECAR_MAGIC:
-            raise BadMagic(f"sidecar magic {data[:4]!r} is not {SIDECAR_MAGIC!r}")
-        if data[4] != SIDECAR_VERSION:
-            raise BadVersion(f"sidecar version {data[4]} is not {SIDECAR_VERSION}")
-        if data[5] not in (p.value for p in EncryptionPolicy):
-            raise MalformedHeader(f"unknown policy byte {data[5]:#04x}")
-        (count,) = struct.unpack_from(">I", data, 18)
-        if len(data) != 22 + 4 * count:
-            raise MalformedHeader(
-                f"sidecar length {len(data)} does not match ordinal count {count}"
-            )
-        ordinals = struct.unpack_from(f">{count}I", data, 22)
+        if len(data) < _HEAD.size:
+            raise MalformedHeader(f"sidecar truncated: {len(data)} bytes, need at least {_HEAD.size}")
+        magic, version, policy, key_check, nonce, count = _HEAD.unpack_from(data)
+        if magic != SIDECAR_MAGIC:
+            raise BadMagic(f"sidecar magic {magic!r} is not {SIDECAR_MAGIC!r}")
+        if version != SIDECAR_VERSION:
+            raise BadVersion(f"sidecar version {version} is not {SIDECAR_VERSION}")
+        if policy not in (p.value for p in EncryptionPolicy):
+            raise MalformedHeader(f"unknown policy byte {policy:#04x}")
+        ordinals_format = f">{count}I"
+        if len(data) != _HEAD.size + struct.calcsize(ordinals_format):
+            raise MalformedHeader(f"sidecar length {len(data)} does not match ordinal count {count}")
+        ordinals = struct.unpack_from(ordinals_format, data, _HEAD.size)
         try:
-            return cls(EncryptionPolicy(data[5]), data[6:10], data[10:18], ordinals)
+            return cls(EncryptionPolicy(policy), key_check, nonce, ordinals)
         except ValueError as exc:
             raise MalformedHeader(str(exc)) from exc
 

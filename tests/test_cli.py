@@ -93,6 +93,20 @@ class TestEncryptDecrypt:
                    "--passphrase", "sesame", "--kdf-iters", "3") == 0
         assert out.read_bytes() == stream_file.read_bytes()
 
+    def test_passphrase_that_is_not_utf8(self, stream_file, tmp_path, capsys):
+        # Python hands an argv byte that is not UTF-8 over as a lone
+        # surrogate. The passphrase is the bytes typed, and no error echoes
+        # one of them.
+        enc = tmp_path / "enc.264"
+        meta = tmp_path / "meta.seh"
+        out = tmp_path / "round.264"
+        assert run("encrypt", "--in", str(stream_file), "--out", str(enc), "--meta", str(meta),
+                   "--passphrase", "pa\udce9ss", "--kdf-iters", "3") == 0
+        assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(out),
+                   "--passphrase", "pa\udce9ss", "--kdf-iters", "3") == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == stream_file.read_bytes()
+
     def test_wrong_key_diagnostic(self, stream_file, tmp_path, capsys):
         enc = tmp_path / "enc.264"
         meta = tmp_path / "meta.seh"

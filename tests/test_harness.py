@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from selenc import aes
@@ -117,3 +122,20 @@ class TestOracleSuite:
         assert not self._result(report, "stream_compliance").passed
         for untouched in ("cipher_known_answers", "escaping_round_trip", "exp_golomb_exhaustive"):
             assert self._result(report, untouched).passed, untouched
+
+    def test_broken_cipher_fails_under_python_O(self):
+        # python -O strips assert statements, so the checks must fail
+        # another way. With decrypt_block returning zeros, the two checks
+        # that decrypt fail and no other.
+        script = (
+            "from selenc import aes\n"
+            "from selenc.harness import oracle_suite\n"
+            "aes.decrypt_block = lambda block, ks: bytes(16)\n"
+            "print(*(c.name for c in oracle_suite(0).failures()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-O", "-B", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["cipher_known_answers", "cipher_round_trip"]

@@ -619,6 +619,27 @@ class TestFileCommands:
         cmd_decrypt(enc, sidecar, enc, KEY)
         assert enc.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize("target", ["out", "meta"])
+    def test_directory_target_writes_nothing(self, tmp_path, monkeypatch, target):
+        # The sidecar is renamed into place first, and renaming the stream
+        # onto a directory then fails: the old ciphertext would be left with
+        # a new sidecar's nonce. A directory target is refused before any
+        # key work, and every file is left as it was.
+        plain, enc, meta, _ = self.make_files(tmp_path)
+        cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x10" * 8)
+        before = {p: p.read_bytes() for p in (plain, enc, meta)}
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        keyed = []
+        monkeypatch.setattr(pipeline, "derive_key", lambda k: keyed.append(k) or derive_key(k))
+        out, sidecar = (folder, meta) if target == "out" else (enc, folder)
+        with pytest.raises(IsADirectoryError) as refusal:
+            cmd_encrypt(plain, out, sidecar, KEY)
+        assert refusal.value.filename == str(folder) and keyed == []
+        assert {p: p.read_bytes() for p in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["enc.264", "folder", "meta.seh", "plain.264"]
+        assert list(folder.iterdir()) == []
+
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_new_files_get_the_mode_open_gives(self, tmp_path, umask):
         old = os.umask(umask)

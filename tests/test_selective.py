@@ -30,6 +30,7 @@ from selenc.errors import (
     OrdinalOutOfRange,
     OutOfBits,
     OutOfRange,
+    SelencError,
     WrongKey,
 )
 from selenc.pipeline import gen_test_stream
@@ -305,6 +306,44 @@ class TestCipherHeader:
             CipherHeader.from_bytes(swapped)
         with pytest.raises(ValueError):
             CipherHeader(EncryptionPolicy.IDR_ONLY, b"\x00" * 4, b"\x00" * 8, (2, 2))
+
+    @given(
+        st.builds(
+            CipherHeader,
+            st.sampled_from(EncryptionPolicy),
+            st.binary(min_size=4, max_size=4),
+            st.binary(min_size=8, max_size=8),
+            st.lists(st.integers(0, 2**32 - 1), unique=True, max_size=6).map(lambda v: tuple(sorted(v))),
+        ),
+        st.data(),
+    )
+    def test_parser_is_total(self, header, data):
+        # Any bytes, and any valid sidecar with bytes flipped, cut or added,
+        # either parse to a header that writes exactly those bytes back or
+        # are refused with a SelencError.
+        wire = header.to_bytes()
+        assert CipherHeader.from_bytes(wire) == header
+
+        def flip(flips):
+            out = bytearray(wire)
+            for i, mask in flips:
+                out[i] ^= mask
+            return bytes(out)
+
+        blob = data.draw(
+            st.one_of(
+                st.binary(max_size=64),
+                st.lists(st.tuples(st.integers(0, len(wire) - 1), st.integers(1, 255)),
+                         min_size=1, max_size=4).map(flip),
+                st.integers(0, len(wire) - 1).map(lambda n: wire[:n]),
+                st.binary(min_size=1, max_size=12).map(lambda tail: wire + tail),
+            )
+        )
+        try:
+            parsed = CipherHeader.from_bytes(blob)
+        except SelencError:
+            return
+        assert parsed.to_bytes() == blob
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
