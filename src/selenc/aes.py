@@ -19,23 +19,26 @@ forward fast enough for real work:
   integers (the T-table formulation of Daemen & Rijmen, The Design of
   Rijndael, 2002, section 4.2). The final round is 16 lookups too, through
   16 more import-time tables that fold SubBytes and ShiftRows.
-- encrypt_blocks runs N concatenated blocks in lockstep, byte-sliced: slab j
-  holds byte j of every block, and each state row of four slabs is one big
-  integer. AddRoundKey and SubBytes are one ``bytes.translate`` per slab
-  through an import-time table of SBOX[x ^ k] for that slab's round-key byte
-  k, ShiftRows is the order in which the slabs are joined into rows, and
+- _rounds runs N blocks in lockstep, byte-sliced: slab j holds byte j of
+  every block, and each state row of four slabs is one big integer.
+  AddRoundKey and SubBytes are one ``bytes.translate`` per slab through an
+  import-time table of SBOX[x ^ k] for that slab's round-key byte k,
+  ShiftRows is the order in which the slabs are joined into rows, and
   MixColumns XORs whole rows. This is the byte-level variant of bitsliced
-  AES (Kasper & Schwabe, CHES 2009). The counter-mode keystream
-  (ctr_keystream) writes the counter blocks of all the NAL spans it is
-  given as byte runs, one slice assignment per block-index byte rather
-  than one integer per block, and runs them through encrypt_blocks a chunk
-  at a time. One call holds its whole counter buffer, so the commands call
-  it once per group of NALs.
+  AES (Kasper & Schwabe, CHES 2009). It is the one batched round loop and
+  starts at any round: encrypt_blocks enters it at round 1 with N arbitrary
+  blocks. The counter-mode keystream (ctr_keystream) enters it at round 3
+  and builds no counter block: its counters differ only in the last two
+  bytes, so the first two rounds are computed once per run of 256 blocks
+  from byte tables (counter-mode caching, Bernstein & Schwabe, INDOCRYPT
+  2008). One call holds the round-3 slabs of all its spans, so the commands
+  call it once per group of NALs.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
-in _encrypt_int are indexed by secret-dependent bytes, and encrypt_blocks
-picks one of 256 S-box tables per slab by round-key byte, so the cache
-footprint of both leaks key material to a co-resident observer.
+in _encrypt_int are indexed by secret-dependent bytes, _rounds picks one of
+256 S-box tables per slab by round-key byte, and ctr_keystream's first two
+rounds look up tables by counter bytes XORed with key bytes, so the cache
+footprint of all three leaks key material to a co-resident observer.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ _ROUND_TABLES = _build_round_tables()
 _FINAL_TABLES = tuple(tuple(v << 8 * (15 - j) for v in SBOX) for j in _INV_SHIFT_PERM)
 
 
-# Byte-sliced tables for encrypt_blocks. _XOR_TABLES[k] maps x to x ^ k and
+# Byte-sliced tables for _rounds. _XOR_TABLES[k] maps x to x ^ k and
 # _KEYED_SBOX[k] maps x to SBOX[x ^ k], so one ``bytes.translate`` adds a
 # round-key byte and substitutes. About 130 KB; whole-table XORs build them
 # in under a millisecond at import, where a per-entry loop took 5 ms.
@@ -148,7 +151,16 @@ _XOR_TABLES = tuple(
 )
 _KEYED_SBOX = tuple(t.translate(SBOX) for t in _XOR_TABLES)
 
-# encrypt_blocks keeps the state of N blocks as 16 slabs: the slab at
+# MixColumns multiplies the byte in row b of a column by _MIX_ROW[(b - r) % 4]
+# on its way to row r. ctr_keystream follows counter byte 15 through its first
+# two rounds with it: round 1 moves byte 15, in row 3, to column 0, and round
+# 2's ShiftRows moves row b of column 0 to column -b % 4. Entry j of
+# _ROUND2_FROM_COLUMN0 is (b, (b - r) % 4) for the row b of column 0 that
+# reaches block byte j, in row r = j & 3.
+_MIX_ROW = (_MUL2, _MUL3, _MUL1, _MUL1)
+_ROUND2_FROM_COLUMN0 = tuple((-(j >> 2) % 4, (-(j >> 2) - (j & 3)) % 4) for j in range(16))
+
+# _rounds keeps the state of N blocks as 16 slabs: the slab at
 # position p = 4r + c holds state cell (row r, column c), block byte r + 4c,
 # of every block. Four consecutive positions form one state row.
 _SLAB_BYTE = tuple((p >> 2) + 4 * (p & 3) for p in range(16))
@@ -318,38 +330,36 @@ def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     return add_round_key(inv_sub_bytes(inv_shift_rows(s)), rk[0]).to_block()
 
 
-def encrypt_blocks(data: bytes, ks: KeySchedule) -> bytes:
-    """Encrypt N concatenated 16-byte blocks in lockstep.
+def _rounds(slabs: "list[bytes]", ks: KeySchedule, first: int) -> bytes:
+    """Finish encrypting N blocks whose state has been through the SubBytes
+    of round ``first``: slab j holds byte j of all N blocks. Returns the N
+    ciphertext blocks concatenated.
 
-    Equal to encrypt_block over each block in turn. The state is byte-sliced:
-    slab j holds byte j of all N blocks, and each state row of four slabs is
-    one 4N-byte big integer, so every step of a round is a handful of
-    C-speed operations over all blocks at once:
+    Each state row of four slabs is one 4N-byte big integer, so every step
+    of a round is a handful of C-speed operations over all blocks at once:
 
     - AddRoundKey and SubBytes are one translate per slab through the
       _KEYED_SBOX table of that slab's round-key byte;
     - ShiftRows is the order in which the translated slabs are joined;
     - MixColumns XORs whole rows, so its column rotations are renamings.
 
-    The last round key goes in through the same per-slab translate while
-    the slabs are put back in block order. The tables are built from SBOX
-    at import, so patching ``SBOX`` later does not reach this path.
+    The final round's SubBytes and last round key are one translate per slab
+    too, through the _KEYED_SBOX table composed with an _XOR_TABLES one.
     """
-    size = len(data)
-    if size % BLOCK_SIZE:
-        raise ValueError(f"data must be whole 16-byte blocks, got {size} bytes")
-    n = size // BLOCK_SIZE
+    n = len(slabs[0])
     width = 4 * n  # bytes in one state row
     bit0 = int.from_bytes(b"\x01" * width, "big")
     low7 = bit0 * 0x7F
     # Per slab position: (row, start, end) of its ShiftRows source within the
-    # row bytes, and the block byte that source holds.
-    cuts = [(j & 3, (j >> 2) * n, (j >> 2) * n + n, j) for j in _GATHER]
-    rows = [b"".join([data[i::16] for i in _SLAB_BYTE[4 * r : 4 * r + 4]]) for r in range(4)]
-    keyed = _KEYED_SBOX
-    rk = ks.round_keys
-    for key in rk[:9]:
-        t = [rows[r][lo:hi].translate(keyed[key[j]]) for r, lo, hi, j in cuts]
+    # row bytes.
+    cuts = [(j & 3, (j >> 2) * n, (j >> 2) * n + n) for j in _GATHER]
+    keyed, rk = _KEYED_SBOX, ks.round_keys
+    # Per remaining round, the table each slab position is translated through.
+    tables = [[keyed[key[j]] for j in _GATHER] for key in rk[first:9]]
+    last, final = rk[9], rk[10]
+    tables.append([keyed[last[j]].translate(_XOR_TABLES[final[i]]) for j, i in zip(_GATHER, _SLAB_BYTE)])
+    t = [slabs[j] for j in _GATHER]
+    for round_tables in tables:
         a0, a1, a2, a3 = [int.from_bytes(b"".join(t[i : i + 4]), "big") for i in (0, 4, 8, 12)]
         # MixColumns, rows indexed mod 4: row r becomes
         # 2a[r] ^ 3a[r+1] ^ a[r+2] ^ a[r+3] = a[r+1] ^ v[r+2] ^ 2v[r] with
@@ -359,11 +369,27 @@ def encrypt_blocks(data: bytes, ks: KeySchedule) -> bytes:
         d0, d1, d2 = [((v & low7) << 1) ^ ((v >> 7 & bit0) * 0x1B) for v in (v0, v1, v2)]
         mixed = (a1 ^ v2 ^ d0, a2 ^ v3 ^ d1, a3 ^ v0 ^ d2, a0 ^ v1 ^ d0 ^ d1 ^ d2)
         rows = [x.to_bytes(width, "big") for x in mixed]
-    last, final = rk[9], rk[10]
-    out = bytearray(size)
-    for (r, lo, hi, j), i in zip(cuts, _SLAB_BYTE):
-        out[i::16] = rows[r][lo:hi].translate(keyed[last[j]].translate(_XOR_TABLES[final[i]]))
+        t = [rows[r][lo:hi].translate(table) for (r, lo, hi), table in zip(cuts, round_tables)]
+    out = bytearray(BLOCK_SIZE * n)
+    for slab, i in zip(t, _SLAB_BYTE):
+        out[i::16] = slab
     return bytes(out)
+
+
+def encrypt_blocks(data: bytes, ks: KeySchedule) -> bytes:
+    """Encrypt N concatenated 16-byte blocks in lockstep.
+
+    Equal to encrypt_block over each block in turn. The blocks are
+    byte-sliced, slab j holding byte j of every block, and round 1's
+    AddRoundKey and SubBytes are one translate per slab; _rounds runs the
+    rest. The tables are built from SBOX at import, so patching ``SBOX``
+    later does not reach this path.
+    """
+    size = len(data)
+    if size % BLOCK_SIZE:
+        raise ValueError(f"data must be whole 16-byte blocks, got {size} bytes")
+    first = ks.round_keys[0]
+    return _rounds([data[j::16].translate(_KEYED_SBOX[first[j]]) for j in range(16)], ks, 1)
 
 
 @dataclass(frozen=True)
@@ -397,51 +423,85 @@ class CounterBlock:
 MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 
 
-# Blocks per encrypt_blocks call. Over an 8192-block keystream the engine took
-# 1.09, 0.85, 0.72, 0.64 and 0.62 us per block in chunks of 256, 512, 1024,
-# 2048 and 4096 blocks, and 0.65 at 8192; 2048 is within 3% of the fastest at
-# half its working set.
+# Blocks per _rounds call in ctr_keystream. Over an 8192-block keystream the
+# engine took 1.09, 0.85, 0.72, 0.64 and 0.62 us per block in chunks of 256,
+# 512, 1024, 2048 and 4096 blocks, and 0.65 at 8192; 2048 is within 3% of the
+# fastest at half its working set.
 _CHUNK_BLOCKS = 2048
-
-
-# Bytes 14 and 15 of the counter blocks with indices 0 to 65,535: byte 15
-# cycles through every value and byte 14 steps once every 256 blocks.
-_INDEX_BYTE_14 = b"".join(bytes((v,)) * 256 for v in range(256))
-_INDEX_BYTE_15 = bytes(range(256)) * 256
 
 
 def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
     """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
     the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
-    Counter blocks are independent (NIST SP 800-38A, 6.5), so the counters of
-    all spans are joined in block order and encrypt_blocks takes them a
-    _CHUNK_BLOCKS chunk at a time. A span's counters are its nonce and
-    ordinal repeated, with the block index written as byte runs: byte 15
-    cycles through every value, byte 14 steps every 256 blocks and bytes
-    12-13 every 65,536. One call holds all its counters, 16 bytes per
-    keystream block: the commands keep that small by calling it once per
-    group of about _CHUNK_BLOCKS blocks.
     An ordinal may appear once: two NALs on one keystream would leak their XOR.
+
+    No counter block is built. Within a span, counter bytes 0-13 stay fixed
+    for 65,536 blocks, byte 14 (t) steps every 256 blocks and byte 15 (x)
+    takes every value, so the first two rounds are computed once per run
+    rather than once per block (counter-mode caching, Bernstein & Schwabe,
+    INDOCRYPT 2008). With T = _ROUND_TABLES and k = the first round key,
+    round 1 gives R ^ T15[x ^ k15] ^ T14[t ^ k14], where R holds the terms
+    of bytes 0-13 and round 1's key; T15 fills column 0 only and T14 column
+    1 only. ShiftRows sends each column-0 byte of that to a different column
+    in round 2, so round 3's input byte j is P_j[x] ^ D_j(t):
+
+    - P_j, a 256-byte table per run of 65,536 blocks, is what row
+      -(j >> 2) % 4 of column 0 adds to byte j through round 2;
+    - D(t), once per 256 blocks, is the third round key XORed with round 2
+      over the other twelve bytes, the column-1 ones holding t's terms.
+
+    A run of up to 256 blocks, x from 0 to x1 - 1, then enters round 3's
+    SubBytes as one translate per slab, P_j[:x1] through _KEYED_SBOX[D_j(t)],
+    and _rounds, resolved through the module, takes the slabs of all spans
+    in block order a _CHUNK_BLOCKS chunk at a time. The slabs hold 16 bytes per keystream
+    block: the commands keep that small by calling this once per group of
+    about _CHUNK_BLOCKS blocks.
+
+    Not constant-time: besides the engine's own lookups, the tables that
+    build R, P and D are indexed by counter bytes XORed with key bytes.
     """
     if len({ordinal for ordinal, _ in spans}) < len(spans):
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
-    counters, cuts, start = [], [], 0
+    tables, k, rk = _ROUND_TABLES, ks.round_keys[0], ks.round_key_ints
+    t14, t4, t5, t6, t7 = tables[14], *tables[4:8]
+    # Round 1 up to its round key, from the nonce (bytes 0-7) and from x:
+    # x's term is rows 0-3 of column 0, each a table over x.
+    base = rk[1]
+    for i, c in enumerate(nonce[:8]):
+        base ^= tables[i][c ^ k[i]]
+    column_x = [_KEYED_SBOX[k[15]].translate(_MIX_ROW[(3 - b) % 4]) for b in range(4)]
+    segments, cuts, start = [], [], 0
     for ordinal, nbytes in spans:
         if nbytes < 0:
             raise ValueError("nbytes must be nonnegative")
         if nbytes > MAX_KEYSTREAM_BYTES:
             raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
         nblocks = -(-nbytes // BLOCK_SIZE)
-        head = CounterBlock(nonce, ordinal, 0).to_bytes()[:12]
+        head = CounterBlock(nonce, ordinal, 0).to_bytes()
         for high in range(0, nblocks, 1 << 16):
-            # Blocks high to high + 65,535, whose bytes 12-13 do not step.
+            # Blocks high to high + 65,535, whose bytes 0-13 do not step.
             run = min(nblocks - high, 1 << 16)
-            blocks = bytearray((head + high.to_bytes(4, "big")) * run)
-            blocks[14::16] = _INDEX_BYTE_14[:run]
-            blocks[15::16] = _INDEX_BYTE_15[:run]
-            counters.append(blocks)
-        cuts.append((start, nbytes))
-        start += BLOCK_SIZE * nblocks
-    data, step = b"".join(counters), BLOCK_SIZE * _CHUNK_BLOCKS
-    view = memoryview(b"".join([encrypt_blocks(data[i : i + step], ks) for i in range(0, start, step)]))
+            r = base
+            for i, c in enumerate(head[8:12] + (high >> 16).to_bytes(2, "big"), 8):
+                r ^= tables[i][c ^ k[i]]
+            rb = r.to_bytes(16, "big")
+            # P: row b of column 0 through round 2's SubBytes, then times
+            # each _MIX_ROW factor (2, 3, 1, 1) for MixColumns.
+            sub = [x.translate(_KEYED_SBOX[rb[b]]) for b, x in enumerate(column_x)]
+            mixed = [(v.translate(_MUL2), v.translate(_MUL3), v, v) for v in sub]
+            p = [mixed[b][m] for b, m in _ROUND2_FROM_COLUMN0]
+            # D(t) less the column-1 terms, which t changes.
+            fixed = rk[2]
+            for i in range(8, 16):
+                fixed ^= tables[i][rb[i]]
+            for t in range(-(-run // 256)):
+                s1 = (r ^ t14[t ^ k[14]]).to_bytes(16, "big")
+                d = (fixed ^ t4[s1[4]] ^ t5[s1[5]] ^ t6[s1[6]] ^ t7[s1[7]]).to_bytes(16, "big")
+                x1 = min(run - 256 * t, 256)
+                segments.append([pj[:x1].translate(_KEYED_SBOX[dj]) for pj, dj in zip(p, d)])
+        cuts.append((BLOCK_SIZE * start, nbytes))
+        start += nblocks
+    slabs, step = [b"".join(slab) for slab in zip(*segments)], _CHUNK_BLOCKS
+    chunks = [_rounds([slab[i : i + step] for slab in slabs], ks, 3) for i in range(0, start, step)]
+    view = memoryview(b"".join(chunks))
     return b"".join([view[s : s + n] for s, n in cuts])

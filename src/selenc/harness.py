@@ -301,7 +301,7 @@ def _check_ctr_keystream(rng: random.Random) -> str:
     long = ctr_keystream(ks, nonce, [(7, 40)])
     _require(long[:16] == first and len(long) == 40, "40-byte keystream does not extend block 0")
     # Several NALs in one pass, one of them past an engine chunk, so a chunk
-    # holds the end of one NAL's counters and the start of the next.
+    # holds the end of one NAL's keystream blocks and the start of the next.
     spans = [(7, 40), (9, 0), (3, 16 * aes._CHUNK_BLOCKS + 5), (2**32 - 1, 17)]
     joined = b"".join(per_block_keystream(ks, nonce, o, n) for o, n in spans)
     _require(ctr_keystream(ks, nonce, spans) == joined, "multi-NAL keystream diverges")

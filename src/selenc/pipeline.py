@@ -214,17 +214,20 @@ def build_report(
 def _atomic_write(*files) -> None:
     # Write each (path, parts) pair, parts being a sequence of buffers, to a
     # temporary file in its destination directory, then rename them in the
-    # order given. A failed write replaces no target, but a failed rename
-    # leaves the targets renamed before it replaced; renaming onto a
-    # directory fails, so the cipher commands refuse one before any work. A
-    # failed or killed process never leaves a half-written file at a target
-    # path. Nothing is fsynced, so that does not hold across a power loss. A
-    # file gets the mode open(path, "wb") would give it: a replaced one keeps
-    # its mode, and a new one is created 0666 less the umask.
+    # order given. A path that is a symlink is written through, as by
+    # open(path, "wb"): the file staged and replaced is the one the link
+    # resolves to, created if the link dangles, and the link stays. A failed
+    # write replaces no target, but a failed rename leaves the targets
+    # renamed before it replaced; renaming onto a directory fails, so the
+    # cipher commands refuse one before any work. A failed or killed process
+    # never leaves a half-written file at a target path. Nothing is fsynced,
+    # so that does not hold across a power loss. A file gets the mode
+    # open(path, "wb") would give it: a replaced one keeps its mode, and a
+    # new one is created 0666 less the umask.
+    targets = [Path(os.path.realpath(path)) for path, _ in files]
     staged = []
     try:
-        for path, parts in files:
-            path = Path(path)
+        for path, (_, parts) in zip(targets, files):
             tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append(tmp)
@@ -232,7 +235,7 @@ def _atomic_write(*files) -> None:
                 fh.writelines(parts)
             with suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        for tmp, (path, _) in zip(staged, files):
+        for tmp, path in zip(staged, targets):
             os.replace(tmp, path)
     except BaseException:
         for tmp in staged:

@@ -170,12 +170,12 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         assert abs(fraction - 5 / 60) <= 0.02 * (5 / 60)
 
         # Count the blocks the cipher actually computes during the selective
-        # pass. The keystream generator resolves the batched engine through
-        # the aes module, so only payload keystream blocks are counted.
+        # pass. The keystream generator resolves the batched round loop
+        # through the aes module, so only payload keystream blocks are counted.
         blocks = []
-        real = aes.encrypt_blocks
+        real = aes._rounds
         monkeypatch.setattr(
-            aes, "encrypt_blocks", lambda d, k: blocks.append(len(d) // 16) or real(d, k)
+            aes, "_rounds", lambda s, k, f: blocks.append(len(s[0])) or real(s, k, f)
         )
         selection = select(nals, EncryptionPolicy.IDR_ONLY)
         encrypt_stream(nals, ks, selection, b"\x22" * 8)

@@ -478,47 +478,46 @@ class TestOnePassKeystream:
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
         calls = []
-        real = aes.encrypt_blocks
-        monkeypatch.setattr(aes, "encrypt_blocks", lambda d, k: calls.append(len(d)) or real(d, k))
+        real = aes._rounds
+        monkeypatch.setattr(aes, "_rounds", lambda s, k, f: calls.append(len(s[0])) or real(s, k, f))
         spans = [(o, 16 * aes._CHUNK_BLOCKS // 3 + 1) for o in range(7)]
         ctr_keystream(PASS_KS, PASS_NONCE, spans)
         blocks = 7 * (aes._CHUNK_BLOCKS // 3 + 1)
-        assert calls == [16 * aes._CHUNK_BLOCKS] * (blocks // aes._CHUNK_BLOCKS) + [
-            16 * (blocks % aes._CHUNK_BLOCKS)
+        assert calls == [aes._CHUNK_BLOCKS] * (blocks // aes._CHUNK_BLOCKS) + [
+            blocks % aes._CHUNK_BLOCKS
         ]
 
 
-def counter_blocks(spans) -> bytes:
-    # Each span's CounterBlock inputs in block order.
-    return b"".join(
-        CounterBlock(PASS_NONCE, ordinal, b).to_bytes()
-        for ordinal, nbytes in spans
-        for b in range(-(-nbytes // 16))
-    )
+# Block indices at the carries of block-index bytes 15, 14 and 13.
+CARRY_INDICES = (0, 255, 256, 257, 65535, 65536)
 
 
 class TestCounterBlocks:
-    """ctr_keystream hands encrypt_blocks the counter blocks of its spans in
-    block order, across the carries of block-index bytes 15, 14 and 13."""
+    """ctr_keystream builds no counter block, so its blocks are checked
+    against encrypt_block of the counter block they stand for, at the
+    carries of block-index bytes 15, 14 and 13 and at each span's last
+    (partial) block."""
 
-    @pytest.fixture
-    def engine_input(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(aes, "encrypt_blocks", lambda d, k: seen.append(d) or d)
-
-        def run(spans):
-            seen.clear()
-            ctr_keystream(PASS_KS, PASS_NONCE, spans)
-            return b"".join(seen)
-
-        return run
+    def check(self, spans):
+        got, pos = ctr_keystream(PASS_KS, PASS_NONCE, spans), 0
+        assert len(got) == sum(n for _, n in spans)
+        for ordinal, nbytes in spans:
+            nblocks = -(-nbytes // 16)
+            for i in {i for i in (*CARRY_INDICES, nblocks - 1) if 0 <= i < nblocks}:
+                block = got[pos + 16 * i : pos + min(16 * i + 16, nbytes)]
+                want = encrypt_block(CounterBlock(PASS_NONCE, ordinal, i).to_bytes(), PASS_KS)
+                assert block == want[: len(block)], (ordinal, i)
+            pos += nbytes
 
     @pytest.mark.parametrize("blocks", [1, 255, 256, 257, 65536, 65537])
     @pytest.mark.parametrize("ordinal", [0, 2**32 - 1])
-    def test_one_span(self, engine_input, blocks, ordinal):
-        spans = [(ordinal, 16 * blocks - 3)]
-        assert engine_input(spans) == counter_blocks(spans)
+    def test_one_span(self, blocks, ordinal):
+        self.check([(ordinal, 16 * blocks - 3)])
 
-    def test_several_spans(self, engine_input):
-        spans = [(0, 16 * 255 + 1), (2**32 - 1, 16 * 257), (7, 0), (8, 16 * 65537 - 5), (9, 16)]
-        assert engine_input(spans) == counter_blocks(spans)
+    def test_several_spans(self):
+        self.check([(0, 16 * 255 + 1), (2**32 - 1, 16 * 257), (7, 0), (8, 16 * 65537 - 5), (9, 16)])
+
+    def test_matches_cryptography_past_a_byte_13_carry(self):
+        nbytes = 16 * 65537
+        got = ctr_keystream(PASS_KS, PASS_NONCE, [(2**32 - 1, nbytes)])
+        assert got == cryptography_keystream(PASS_KEY, PASS_NONCE, 2**32 - 1, nbytes)

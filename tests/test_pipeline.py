@@ -668,6 +668,31 @@ class TestFileCommands:
         modes = [stat.S_IMODE(p.stat().st_mode) for p in (plain, meta, out)]
         assert modes == [0o640, 0o644, 0o604]
 
+    @pytest.mark.parametrize("dangling", [False, True], ids=["existing", "dangling"])
+    def test_symlinked_targets_are_written_through(self, tmp_path, dangling):
+        # open(path, "wb") writes through a symlink, so both cipher commands
+        # do too: each link is left in place and the file it names, created
+        # if the link dangles, gets the bytes. One link is relative.
+        plain, enc, meta, out = self.make_files(tmp_path)
+        real = tmp_path / "real"
+        real.mkdir()
+        names = ("enc.264", "meta.seh", "out.264")
+        for name in names:
+            if not dangling:
+                (real / name).write_bytes(b"old")
+        enc.symlink_to(real / "enc.264")
+        meta.symlink_to(Path("real") / "meta.seh")
+        out.symlink_to(real / "out.264")
+        cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x11" * 8)
+        cmd_decrypt(enc, meta, out, KEY)
+        ref_enc, ref_meta = tmp_path / "ref.264", tmp_path / "ref.seh"
+        cmd_encrypt(plain, ref_enc, ref_meta, KEY, nonce=b"\x11" * 8)
+        assert all(p.is_symlink() for p in (enc, meta, out))
+        assert (real / "enc.264").read_bytes() == ref_enc.read_bytes()
+        assert (real / "meta.seh").read_bytes() == ref_meta.read_bytes()
+        assert (real / "out.264").read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in real.iterdir()) == sorted(names)
+
     def test_wrong_key(self, tmp_path):
         plain, enc, meta, out = self.make_files(tmp_path)
         cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x04" * 8)

@@ -393,7 +393,7 @@ class TestStreamEncryption:
         # unescaped or keyed before the refusal.
         nals = split_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))[1]
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -413,7 +413,7 @@ class TestStreamEncryption:
         offset = len(enc[o].ebsp) + 1
         refusal = f"^NAL {o}: 00 00 03 05 at payload offset {offset}$"
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -427,18 +427,18 @@ class TestStreamEncryption:
         assert calls == {}
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        # 200 short IDR slices share one keystream pass: one encrypt_blocks
-        # call per _CHUNK_BLOCKS counter blocks, not one per NAL.
+        # 200 short IDR slices share one keystream pass: one _rounds call
+        # per _CHUNK_BLOCKS keystream blocks, not one per NAL.
         nals = split_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
         blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
         calls = []
-        real = aes.encrypt_blocks
-        monkeypatch.setattr(aes, "encrypt_blocks", lambda d, k: calls.append(len(d)) or real(d, k))
+        real = aes._rounds
+        monkeypatch.setattr(aes, "_rounds", lambda s, k, f: calls.append(len(s[0])) or real(s, k, f))
         encrypt_stream(nals, KS, sel, NONCE)
         assert len(sel.selected_ordinals) == 200
         assert len(calls) == -(-blocks // aes._CHUNK_BLOCKS)
-        assert sum(calls) == 16 * blocks
+        assert sum(calls) == blocks
 
     def test_groups_are_ciphered_before_the_next_is_unescaped(self, monkeypatch):
         # 12 IDR slices of 512 blocks each: groups of 4 reach _CHUNK_BLOCKS,
@@ -579,7 +579,7 @@ class TestDecryptStream:
         nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "encrypt_blocks")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -589,7 +589,7 @@ class TestDecryptStream:
         assert calls == {}
         # The same watch sees the work of a decrypt with the right key.
         decrypt_stream(enc, KS, header)
-        assert calls["ebsp_to_rbsp"] == len(header.ordinals) and calls["encrypt_blocks"] == 1
+        assert calls["ebsp_to_rbsp"] == len(header.ordinals) and calls["_rounds"] == 1
 
     def test_tampered_ciphertext_refused(self):
         nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
