@@ -25,14 +25,17 @@ forward fast enough for real work:
   import-time table of SBOX[x ^ k] for that slab's round-key byte k,
   ShiftRows is the order in which the slabs are joined into rows, and
   MixColumns XORs whole rows. This is the byte-level variant of bitsliced
-  AES (Kasper & Schwabe, CHES 2009). It is the one batched round loop and
-  starts at any round: encrypt_blocks enters it at round 1 with N arbitrary
-  blocks. The counter-mode keystream (ctr_keystream) enters it at round 3
-  and builds no counter block: its counters differ only in the last two
-  bytes, so the first two rounds are computed once per run of 256 blocks
-  from byte tables (counter-mode caching, Bernstein & Schwabe, INDOCRYPT
-  2008). One call holds the round-3 slabs of all its spans, so the commands
-  call it once per group of NALs.
+  AES (Kasper & Schwabe, CHES 2009). It is the one batched round loop, and
+  the counter-mode keystream (ctr_keystream) is its one caller. It enters
+  the loop at round 3 and builds no counter block: its counters differ only
+  in the last two bytes, so the first two rounds are computed once per run
+  of 256 blocks from byte tables (counter-mode caching, Bernstein &
+  Schwabe, INDOCRYPT 2008). One call holds the round-3 slabs of all its
+  spans, so the commands call it once per group of NALs.
+
+What depends only on the key is built once per key: key_expansion keeps the
+loop's per-round slab tables and the keystream's column_x tables on the
+KeySchedule, and the engine only reads them.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, _rounds picks one of
@@ -43,7 +46,7 @@ footprint of all three leaks key material to a co-resident observer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadKeyLength, CounterOverflow
 
@@ -250,12 +253,22 @@ class KeySchedule:
     """Expanded AES-128 key: 44 four-byte words, grouped into 11 round keys.
 
     ``round_key_ints`` holds the same 11 round keys as big-endian integers,
-    the form _encrypt_int XORs into its state.
+    the form _encrypt_int XORs into its state. The keystream engine's
+    per-key tables are built here once, from the round keys and
+    import-time tables, and left out of repr and equality:
+
+    - ``slab_tables``: per round from round 4's SubBytes on, the table each
+      _rounds slab position is translated through, the last one composed
+      with the final round key;
+    - ``column_x``: ctr_keystream's round-1 term of counter byte 15, one
+      256-byte table per row of column 0.
     """
 
     words: "tuple[bytes, ...]"
     round_keys: "tuple[bytes, ...]"
     round_key_ints: "tuple[int, ...]"
+    slab_tables: "tuple[tuple[bytes, ...], ...]" = field(repr=False, compare=False)
+    column_x: "tuple[bytes, ...]" = field(repr=False, compare=False)
 
 
 def _t_transform(word: bytes, rcon: int) -> bytes:
@@ -281,7 +294,15 @@ def key_expansion(key: bytes) -> KeySchedule:
         words.append(bytes(a ^ b for a, b in zip(prev, words[i - 4])))
     round_keys = tuple(b"".join(words[4 * r : 4 * r + 4]) for r in range(11))
     round_key_ints = tuple(int.from_bytes(k, "big") for k in round_keys)
-    return KeySchedule(tuple(words), round_keys, round_key_ints)
+    # The tables' tuples are made from lists: tuples grown from generators
+    # raised peak RSS by about 0.5 MB over 3,000 expansions (CPython 3.11).
+    keyed, last, final = _KEYED_SBOX, round_keys[9], round_keys[10]
+    slab_tables = [tuple([keyed[rk[j]] for j in _GATHER]) for rk in round_keys[3:9]]
+    slab_tables.append(
+        tuple([keyed[last[j]].translate(_XOR_TABLES[final[i]]) for j, i in zip(_GATHER, _SLAB_BYTE)])
+    )
+    column_x = tuple([keyed[round_keys[0][15]].translate(_MIX_ROW[(3 - b) % 4]) for b in range(4)])
+    return KeySchedule(tuple(words), round_keys, round_key_ints, tuple(slab_tables), column_x)
 
 
 def _encrypt_int(s: int, rk: "tuple[int, ...]") -> int:
@@ -330,10 +351,10 @@ def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     return add_round_key(inv_sub_bytes(inv_shift_rows(s)), rk[0]).to_block()
 
 
-def _rounds(slabs: "list[bytes]", ks: KeySchedule, first: int) -> bytes:
-    """Finish encrypting N blocks whose state has been through the SubBytes
-    of round ``first``: slab j holds byte j of all N blocks. Returns the N
-    ciphertext blocks concatenated.
+def _rounds(slabs: "list[bytes]", ks: KeySchedule) -> bytes:
+    """Finish encrypting N blocks whose state has been through round 3's
+    SubBytes: slab j holds byte j of all N blocks. Returns the N ciphertext
+    blocks concatenated.
 
     Each state row of four slabs is one 4N-byte big integer, so every step
     of a round is a handful of C-speed operations over all blocks at once:
@@ -345,6 +366,7 @@ def _rounds(slabs: "list[bytes]", ks: KeySchedule, first: int) -> bytes:
 
     The final round's SubBytes and last round key are one translate per slab
     too, through the _KEYED_SBOX table composed with an _XOR_TABLES one.
+    Every table comes from ks.slab_tables, built once per key.
     """
     n = len(slabs[0])
     width = 4 * n  # bytes in one state row
@@ -353,13 +375,8 @@ def _rounds(slabs: "list[bytes]", ks: KeySchedule, first: int) -> bytes:
     # Per slab position: (row, start, end) of its ShiftRows source within the
     # row bytes.
     cuts = [(j & 3, (j >> 2) * n, (j >> 2) * n + n) for j in _GATHER]
-    keyed, rk = _KEYED_SBOX, ks.round_keys
-    # Per remaining round, the table each slab position is translated through.
-    tables = [[keyed[key[j]] for j in _GATHER] for key in rk[first:9]]
-    last, final = rk[9], rk[10]
-    tables.append([keyed[last[j]].translate(_XOR_TABLES[final[i]]) for j, i in zip(_GATHER, _SLAB_BYTE)])
     t = [slabs[j] for j in _GATHER]
-    for round_tables in tables:
+    for round_tables in ks.slab_tables:
         a0, a1, a2, a3 = [int.from_bytes(b"".join(t[i : i + 4]), "big") for i in (0, 4, 8, 12)]
         # MixColumns, rows indexed mod 4: row r becomes
         # 2a[r] ^ 3a[r+1] ^ a[r+2] ^ a[r+3] = a[r+1] ^ v[r+2] ^ 2v[r] with
@@ -376,20 +393,13 @@ def _rounds(slabs: "list[bytes]", ks: KeySchedule, first: int) -> bytes:
     return bytes(out)
 
 
-def encrypt_blocks(data: bytes, ks: KeySchedule) -> bytes:
-    """Encrypt N concatenated 16-byte blocks in lockstep.
-
-    Equal to encrypt_block over each block in turn. The blocks are
-    byte-sliced, slab j holding byte j of every block, and round 1's
-    AddRoundKey and SubBytes are one translate per slab; _rounds runs the
-    rest. The tables are built from SBOX at import, so patching ``SBOX``
-    later does not reach this path.
-    """
-    size = len(data)
-    if size % BLOCK_SIZE:
-        raise ValueError(f"data must be whole 16-byte blocks, got {size} bytes")
-    first = ks.round_keys[0]
-    return _rounds([data[j::16].translate(_KEYED_SBOX[first[j]]) for j in range(16)], ks, 1)
+def _check_counter_head(nonce: bytes, ordinal: int) -> None:
+    # CounterBlock's nonce and ordinal checks; ctr_keystream makes them on
+    # each span without building a CounterBlock.
+    if len(nonce) != 8:
+        raise ValueError("nonce must be 8 bytes")
+    if not 0 <= ordinal < 1 << 32:
+        raise ValueError("nal_ordinal must fit in 32 bits")
 
 
 @dataclass(frozen=True)
@@ -405,10 +415,7 @@ class CounterBlock:
     block_index: int
 
     def __post_init__(self) -> None:
-        if len(self.nonce) != 8:
-            raise ValueError("nonce must be 8 bytes")
-        if not (0 <= self.nal_ordinal < 1 << 32):
-            raise ValueError("nal_ordinal must fit in 32 bits")
+        _check_counter_head(self.nonce, self.nal_ordinal)
         if not (0 <= self.block_index < 1 << 32):
             raise ValueError("block_index must fit in 32 bits")
 
@@ -453,7 +460,8 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
     A run of up to 256 blocks, x from 0 to x1 - 1, then enters round 3's
     SubBytes as one translate per slab, P_j[:x1] through _KEYED_SBOX[D_j(t)],
     and _rounds, resolved through the module, takes the slabs of all spans
-    in block order a _CHUNK_BLOCKS chunk at a time. The slabs hold 16 bytes per keystream
+    in block order a _CHUNK_BLOCKS chunk at a time. The tables that depend
+    only on the key come from ks. The slabs hold 16 bytes per keystream
     block: the commands keep that small by calling this once per group of
     about _CHUNK_BLOCKS blocks.
 
@@ -464,30 +472,29 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
     tables, k, rk = _ROUND_TABLES, ks.round_keys[0], ks.round_key_ints
     t14, t4, t5, t6, t7 = tables[14], *tables[4:8]
-    # Round 1 up to its round key, from the nonce (bytes 0-7) and from x:
-    # x's term is rows 0-3 of column 0, each a table over x.
+    # Round 1 up to its round key, from the nonce (bytes 0-7); x's term is
+    # rows 0-3 of column 0, each a table over x in ks.column_x.
     base = rk[1]
     for i, c in enumerate(nonce[:8]):
         base ^= tables[i][c ^ k[i]]
-    column_x = [_KEYED_SBOX[k[15]].translate(_MIX_ROW[(3 - b) % 4]) for b in range(4)]
     segments, cuts, start = [], [], 0
     for ordinal, nbytes in spans:
         if nbytes < 0:
             raise ValueError("nbytes must be nonnegative")
         if nbytes > MAX_KEYSTREAM_BYTES:
             raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
+        _check_counter_head(nonce, ordinal)
         nblocks = -(-nbytes // BLOCK_SIZE)
-        head = CounterBlock(nonce, ordinal, 0).to_bytes()
         for high in range(0, nblocks, 1 << 16):
             # Blocks high to high + 65,535, whose bytes 0-13 do not step.
             run = min(nblocks - high, 1 << 16)
             r = base
-            for i, c in enumerate(head[8:12] + (high >> 16).to_bytes(2, "big"), 8):
+            for i, c in enumerate((ordinal << 16 | high >> 16).to_bytes(6, "big"), 8):
                 r ^= tables[i][c ^ k[i]]
             rb = r.to_bytes(16, "big")
             # P: row b of column 0 through round 2's SubBytes, then times
             # each _MIX_ROW factor (2, 3, 1, 1) for MixColumns.
-            sub = [x.translate(_KEYED_SBOX[rb[b]]) for b, x in enumerate(column_x)]
+            sub = [x.translate(_KEYED_SBOX[rb[b]]) for b, x in enumerate(ks.column_x)]
             mixed = [(v.translate(_MUL2), v.translate(_MUL3), v, v) for v in sub]
             p = [mixed[b][m] for b, m in _ROUND2_FROM_COLUMN0]
             # D(t) less the column-1 terms, which t changes.
@@ -502,6 +509,6 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
         cuts.append((BLOCK_SIZE * start, nbytes))
         start += nblocks
     slabs, step = [b"".join(slab) for slab in zip(*segments)], _CHUNK_BLOCKS
-    chunks = [_rounds([slab[i : i + step] for slab in slabs], ks, 3) for i in range(0, start, step)]
+    chunks = [_rounds([slab[i : i + step] for slab in slabs], ks) for i in range(0, start, step)]
     view = memoryview(b"".join(chunks))
     return b"".join([view[s : s + n] for s, n in cuts])

@@ -109,6 +109,8 @@ class NalUnit:
     header byte 00 and the payload after it, with its offset, as text, or
     None. It is judged on first read and kept, so a NAL that is never read
     past its header byte, as a cipher command copies most, is never scanned.
+    ``rbsp_size`` is kept the same way, unless the unit is built from an
+    RBSP of known length and given it.
     """
 
     ordinal: int
@@ -117,7 +119,13 @@ class NalUnit:
     ebsp: "bytes | memoryview"
 
     def __init__(
-        self, ordinal: int, start_code_len: int, header: Optional[NalHeader], ebsp: "bytes | memoryview"
+        self,
+        ordinal: int,
+        start_code_len: int,
+        header: Optional[NalHeader],
+        ebsp: "bytes | memoryview",
+        *,
+        rbsp_size: Optional[int] = None,
     ) -> None:
         # One dict update rather than a frozen dataclass's setattr per
         # field: split_annexb makes one unit per NAL on every command.
@@ -126,6 +134,8 @@ class NalUnit:
         if header is None and ebsp:
             raise ValueError("a NAL with no header byte has no payload")
         self.__dict__.update(ordinal=ordinal, start_code_len=start_code_len, header=header, ebsp=ebsp)
+        if rbsp_size is not None:
+            self.__dict__.update(rbsp_size=rbsp_size)
 
     def start_code(self) -> bytes:
         return START_CODE_4 if self.start_code_len == 4 else START_CODE_3
@@ -138,7 +148,7 @@ class NalUnit:
     def wire_size(self) -> int:
         return self.start_code_len + (0 if self.header is None else 1 + len(self.ebsp))
 
-    @property
+    @_Kept
     def rbsp_size(self) -> int:
         """RBSP bytes of a clean payload: its size less its 00 00 03 count."""
         return len(self.ebsp) - bytes(self.ebsp).count(b"\x00\x00\x03")

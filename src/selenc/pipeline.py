@@ -4,7 +4,6 @@ synthetic test-stream generator."""
 from __future__ import annotations
 
 import errno
-import math
 import os
 import random
 import stat
@@ -98,35 +97,6 @@ def derive_key(source: KeySource) -> bytes:
     return _kdf(source.passphrase, source.kdf_iterations)
 
 
-@dataclass(frozen=True)
-class PassphraseStrength:
-    bits: float
-    weak: bool  # estimate falls below the 128-bit key size
-
-
-def estimate_passphrase_bits(passphrase: str) -> PassphraseStrength:
-    """Charset-size entropy model: length x log2(alphabet size).
-
-    The alphabet sums the sizes of the character classes present: lowercase
-    26, uppercase 26, digits 10, everything else 33. A crude model, but it
-    reproduces the rule of thumb that a single ordinary password falls far
-    short of 128 bits.
-    """
-    if not passphrase:
-        return PassphraseStrength(0.0, True)
-    charset = 0
-    if any("a" <= c <= "z" for c in passphrase):
-        charset += 26
-    if any("A" <= c <= "Z" for c in passphrase):
-        charset += 26
-    if any("0" <= c <= "9" for c in passphrase):
-        charset += 10
-    if any(not ("a" <= c <= "z" or "A" <= c <= "Z" or "0" <= c <= "9") for c in passphrase):
-        charset += 33
-    bits = len(passphrase) * math.log2(charset)
-    return PassphraseStrength(bits, bits < 128.0)
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunSummary(SelectionResult):
     """What a command did to a stream: the selection it ciphered (or would
@@ -187,8 +157,8 @@ def summarize(
 ) -> RunSummary:
     """Count a selection over a cipher command's NALs or over
     classify_stream's rows: units[o].rbsp_size sizes selected ordinal o (a
-    NAL's is exact once its escape verdict is clean, as the cipher commands
-    require of each NAL they cipher), and each selected
+    NAL's is exact once its escape verdict is clean, and a ciphered NAL's is
+    the length of the RBSP it was made from), and each selected
     NAL costs ceil(size / 16) AES blocks. The one place that counts a
     selection, which the summary carries through."""
     sizes = [units[o].rbsp_size for o in selection.selected_ordinals]
@@ -297,9 +267,8 @@ def cmd_encrypt(
     parts = splice_annexb(data, leading, nals, out_nals)
     # Sidecar first: a stream written over its input must keep its nonce.
     _atomic_write((meta_path, [header.to_bytes()]), (out_path, parts))
-    # Ciphering keeps each RBSP's length and the splice has judged each
-    # ciphered NAL clean, so the ciphertext, which holds few zero bytes,
-    # sizes the selection.
+    # Each ciphered NAL was given the length of the RBSP it was made from,
+    # which ciphering keeps, so the selection is sized without a rescan.
     return summarize(out_nals, selection, leading, len(data))
 
 
@@ -318,12 +287,13 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     parts = splice_annexb(data, leading, nals, out_nals)
     _atomic_write((out_path, parts))
     # The NALs the sidecar does not list are the plaintext's own, so select
-    # finds the slices all-i left in the clear among them. Ciphering keeps
-    # each RBSP's length, so the ciphertext sizes the selection.
+    # finds the slices all-i left in the clear among them. Each deciphered
+    # NAL was given the length of the RBSP it was made from, so the
+    # selection is sized without a rescan.
     listed = frozenset(header.ordinals)
     gap = select((n for n in nals if n.ordinal not in listed), header.policy).unparsed_ordinals
     selection = SelectionResult(header.policy, header.ordinals, gap)
-    return summarize(nals, selection, leading, sum(map(len, parts)))
+    return summarize(out_nals, selection, leading, sum(map(len, parts)))
 
 
 def cmd_inspect(in_path, policy: EncryptionPolicy = EncryptionPolicy.IDR_ONLY) -> StreamReport:

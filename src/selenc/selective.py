@@ -13,7 +13,7 @@ ordinals were touched; nothing is signaled in-band.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -78,9 +78,11 @@ def encrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
 
     The header byte stays in the clear; ordinal and start-code length are
     untouched. The escaped length may grow or shrink when the ciphered bytes
-    trigger different emulation prevention, but the RBSP length is preserved.
+    trigger different emulation prevention, but the RBSP length is preserved,
+    so the new unit is given it as its rbsp_size.
     """
-    return replace(nal, ebsp=rbsp_to_ebsp(xor_bytes(rbsp, mask)))
+    ebsp = rbsp_to_ebsp(xor_bytes(rbsp, mask))
+    return NalUnit(nal.ordinal, nal.start_code_len, nal.header, ebsp, rbsp_size=len(rbsp))
 
 
 def decrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:

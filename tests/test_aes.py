@@ -367,6 +367,55 @@ class TestCounterMode:
             ctr_keystream(ks, b"\x00" * 8, [(0, -1)])
 
     @pytest.mark.parametrize(
+        "nonce,spans,refusal",
+        [
+            (b"\x01" * 7, [(0, 16)], (b"\x01" * 7, 0)),
+            (b"\x01" * 7, [(0, 0)], (b"\x01" * 7, 0)),
+            (b"\x01" * 9, [(5, 0)], (b"\x01" * 9, 5)),
+            (b"\x01" * 8, [(-1, 16)], (b"\x01" * 8, -1)),
+            (b"\x01" * 8, [(-1, 0)], (b"\x01" * 8, -1)),
+            (b"\x01" * 8, [(2**32, 16)], (b"\x01" * 8, 2**32)),
+            (b"\x01" * 8, [(2**32, 0)], (b"\x01" * 8, 2**32)),
+            # CounterBlock judges the nonce before the ordinal.
+            (b"\x01" * 7, [(2**32, 0)], (b"\x01" * 7, 2**32)),
+            # Each span is judged in turn, after the spans before it.
+            (b"\x01" * 8, [(0, 40), (2**32, 0)], (b"\x01" * 8, 2**32)),
+        ],
+    )
+    def test_counter_refusals_keep_counter_block_text(self, monkeypatch, nonce, spans, refusal):
+        with pytest.raises(ValueError) as want:
+            CounterBlock(*refusal, 0)
+        calls = []
+        real = aes._rounds
+        monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
+        with pytest.raises(ValueError) as got:
+            ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
+        assert type(got.value) is ValueError and str(got.value) == str(want.value)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "nonce,spans,refusal",
+        [
+            (b"\x01" * 7, [(2**32, 16), (2**32, 0)], "a repeated NAL ordinal would reuse its keystream"),
+            (b"\x01" * 7, [(2**32, -1)], "nbytes must be nonnegative"),
+            (b"\x01" * 8, [(-1, -1)], "nbytes must be nonnegative"),
+            (b"\x01" * 8, [(0, -1), (2**32, 16)], "nbytes must be nonnegative"),
+            (b"\x01" * 8, [(2**32, 16), (0, -1)], "nal_ordinal must fit in 32 bits"),
+            (b"\x01" * 7, [(0, 16), (1, -1)], "nonce must be 8 bytes"),
+        ],
+    )
+    def test_refusal_order(self, nonce, spans, refusal):
+        # The repeated-ordinal check comes first, then per span: nbytes, the
+        # nonce, the ordinal.
+        with pytest.raises(ValueError) as got:
+            ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
+        assert str(got.value) == refusal
+
+    def test_counter_overflow_comes_before_the_counter_checks(self):
+        with pytest.raises(CounterOverflow):
+            ctr_keystream(key_expansion(b"\x00" * 16), b"\x01" * 7, [(2**32, (1 << 32) * 16 + 1)])
+
+    @pytest.mark.parametrize(
         "spans", [[(3, 16), (3, 16)], [(3, 16), (4, 8), (3, 0)], [(0, 0), (0, 0)]]
     )
     def test_repeated_ordinal_would_reuse_keystream(self, spans):
@@ -399,13 +448,15 @@ MULTI_CHUNK_BYTES = 2 * aes._CHUNK_BLOCKS * 16 + 9
 
 
 class TestBatchedEngine:
-    def test_encrypt_blocks_matches_encrypt_block(self):
+    def test_keystream_matches_encrypt_block_at_engine_sizes(self):
+        # Whole-block spans of 0 to one past a chunk, each under a fresh key,
+        # against one encrypt_block call per counter block.
         rng = random.Random(21)
         for n in (0, 1, 2, 3, 16, 33, 64, 511, 512, aes._CHUNK_BLOCKS, aes._CHUNK_BLOCKS + 1):
             ks = key_expansion(rng.randbytes(16))
-            data = rng.randbytes(16 * n)
-            want = b"".join(encrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16))
-            assert aes.encrypt_blocks(data, ks) == want
+            nonce, ordinal = rng.randbytes(8), rng.randrange(1 << 32)
+            want = per_block_keystream(ks, nonce, ordinal, 16 * n)
+            assert ctr_keystream(ks, nonce, [(ordinal, 16 * n)]) == want, n
 
     # 32777 bytes is 2048 whole blocks and a partial one.
     @pytest.mark.parametrize("nbytes", [0, 1, 15, 16, 17, 100, 4096, 32777, MULTI_CHUNK_BYTES])
@@ -433,10 +484,45 @@ class TestBatchedEngine:
         got = ctr_keystream(key_expansion(key), nonce, [(ordinal, MULTI_CHUNK_BYTES)])
         assert got == cryptography_keystream(key, nonce, ordinal, MULTI_CHUNK_BYTES)
 
-    @pytest.mark.parametrize("size", [1, 15, 17, 31])
-    def test_encrypt_blocks_rejects_partial_blocks(self, size):
-        with pytest.raises(ValueError):
-            aes.encrypt_blocks(b"\x00" * size, key_expansion(b"\x00" * 16))
+
+class TestPerKeyTables:
+    """key_expansion builds the engine's per-key tables once; ctr_keystream
+    and _rounds only read them, so no key's tables reach another key's
+    keystream, and the tables stay out of equality and repr."""
+
+    def test_interleaved_keys_match_per_block_calls(self):
+        rng = random.Random(33)
+        first, second = key_expansion(rng.randbytes(16)), key_expansion(rng.randbytes(16))
+        nonce = rng.randbytes(8)
+        spans = [(0, 40), (7, 16 * aes._CHUNK_BLOCKS + 9), (2**32 - 1, 17)]
+        for ks in (first, second, first, second, second, first):
+            want = b"".join(per_block_keystream(ks, nonce, o, n) for o, n in spans)
+            assert ctr_keystream(ks, nonce, spans) == want
+
+    def test_equality_and_repr_ignore_the_tables(self):
+        key = bytes(range(16))
+        ks, again = key_expansion(key), key_expansion(key)
+        assert ks == again and hash(ks) == hash(again)
+        assert ks.slab_tables is not again.slab_tables and ks.slab_tables == again.slab_tables
+        assert ks != key_expansion(bytes(16))
+        assert repr(ks) == (
+            f"KeySchedule(words={ks.words!r}, round_keys={ks.round_keys!r}, "
+            f"round_key_ints={ks.round_key_ints!r})"
+        )
+
+    def test_tables_follow_the_round_keys(self):
+        # Rounds 4-9 SubBytes, then the final round composed with the last
+        # round key; each slab position reads its ShiftRows source byte.
+        ks = key_expansion(bytes(range(16, 32)))
+        rk = ks.round_keys
+        assert len(ks.slab_tables) == 7 and all(len(t) == 16 for t in ks.slab_tables)
+        for r, tables in enumerate(ks.slab_tables[:-1], 3):
+            assert tables == tuple(aes._KEYED_SBOX[rk[r][j]] for j in aes._GATHER)
+        for table, j, i in zip(ks.slab_tables[-1], aes._GATHER, aes._SLAB_BYTE):
+            assert table == bytes(aes.SBOX[x ^ rk[9][j]] ^ rk[10][i] for x in range(256))
+        for b, table in enumerate(ks.column_x):
+            factor = aes._MIX_ROW[(3 - b) % 4]
+            assert table == bytes(factor[aes.SBOX[x ^ rk[0][15]]] for x in range(256))
 
 
 # Span lists for one keystream pass: distinct ordinals, sizes with partial
@@ -479,7 +565,7 @@ class TestOnePassKeystream:
     def test_one_engine_call_per_chunk(self, monkeypatch):
         calls = []
         real = aes._rounds
-        monkeypatch.setattr(aes, "_rounds", lambda s, k, f: calls.append(len(s[0])) or real(s, k, f))
+        monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
         spans = [(o, 16 * aes._CHUNK_BLOCKS // 3 + 1) for o in range(7)]
         ctr_keystream(PASS_KS, PASS_NONCE, spans)
         blocks = 7 * (aes._CHUNK_BLOCKS // 3 + 1)

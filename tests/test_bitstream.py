@@ -819,9 +819,10 @@ class TestSliceInfo:
 
 
 class TestRecords:
-    """NalUnit is a frozen dataclass of four fields with two kept values,
-    escape_violation and slice_info, that are no fields, so equality and
-    hashing ignore them; SliceInfo and ReportRow are named tuples."""
+    """NalUnit is a frozen dataclass of four fields with three kept values,
+    escape_violation, slice_info and rbsp_size, that are no fields, so
+    equality and hashing ignore them; SliceInfo and ReportRow are named
+    tuples."""
 
     def nal(self, ebsp=b"\x88\xaa"):
         return NalUnit(0, 4, parse_nal_header(0x65), ebsp)
@@ -859,6 +860,17 @@ class TestRecords:
         for kept in ("escape_violation", "slice_info"):
             with pytest.raises(TypeError):
                 replace(nal, **{kept: None})
+
+    def test_rbsp_size_is_counted_once_or_given(self):
+        # Counted from the escaped payload on first read and kept, unless the
+        # unit was built from an RBSP and given its length; a replace copy
+        # starts uncounted.
+        nal = self.nal(b"\x88\x00\x00\x03\x01\x00\x00\x03")
+        assert "rbsp_size" not in vars(nal)
+        assert nal.rbsp_size == 6 and vars(nal)["rbsp_size"] == 6
+        given = NalUnit(0, 4, nal.header, nal.ebsp, rbsp_size=6)
+        assert vars(given)["rbsp_size"] == 6 and given == nal and hash(given) == hash(nal)
+        assert "rbsp_size" not in vars(replace(given))
 
     def test_kept_values_read_on_the_class_are_their_descriptors(self):
         # help(NalUnit) and pydoc read the class attribute: it must be the

@@ -1,4 +1,3 @@
-import math
 import os
 import re
 import stat
@@ -13,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selenc import bitstream, harness, pipeline, selective
-from selenc.aes import key_expansion
+from selenc.aes import ctr_keystream, key_expansion
 from selenc.bitstream import (
     START_CODE_3,
     START_CODE_4,
     BitWriter,
     NalUnit,
     classify_stream,
+    ebsp_to_rbsp,
     parse_nal_header,
     parse_slice_info,
     rbsp_to_ebsp,
@@ -47,7 +47,6 @@ from selenc.pipeline import (
     cmd_encrypt,
     cmd_inspect,
     derive_key,
-    estimate_passphrase_bits,
     gen_test_stream,
 )
 from selenc.selective import (
@@ -139,43 +138,6 @@ class TestDeriveKey:
     def test_deterministic(self):
         src = KeySource.from_passphrase("repeat me", iterations=5)
         assert derive_key(src) == derive_key(src)
-
-
-class TestPassphraseBits:
-    def test_empty(self):
-        est = estimate_passphrase_bits("")
-        assert est.bits == 0.0 and est.weak
-
-    @pytest.mark.parametrize(
-        "phrase,charset",
-        [
-            ("aaaaaaaa", 26),
-            ("AAAA", 26),
-            ("1234", 10),
-            ("Aa1!Aa1!", 95),
-            ("a1a1", 36),
-            ("!!!!", 33),
-        ],
-    )
-    def test_charset_model(self, phrase, charset):
-        est = estimate_passphrase_bits(phrase)
-        assert est.bits == pytest.approx(len(phrase) * math.log2(charset))
-
-    def test_spec_examples(self):
-        assert estimate_passphrase_bits("aaaaaaaa").bits == pytest.approx(37.6, abs=0.05)
-        assert estimate_passphrase_bits("Aa1!Aa1!").bits == pytest.approx(52.6, abs=0.05)
-
-    def test_weak_flag_threshold(self):
-        assert estimate_passphrase_bits("Aa1!Aa1!").weak
-        strong = "Aa1!" * 7  # 28 chars x log2(95) = 184 bits
-        assert not estimate_passphrase_bits(strong).weak
-
-    @given(st.text(alphabet="abcxyz", min_size=1, max_size=30), st.text(alphabet="abcxyz", min_size=1, max_size=10))
-    def test_monotone_in_length_for_fixed_charset(self, base, extra):
-        assert (
-            estimate_passphrase_bits(base + extra).bits
-            >= estimate_passphrase_bits(base).bits
-        )
 
 
 class TestGenerator:
@@ -972,6 +934,32 @@ def test_cipher_summaries_match_inspect(tmp_path, capsys, data, policy):
         _print_summary(report)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[0] == lines[1] == lines[2]
+
+
+@pytest.mark.parametrize("policy", list(EncryptionPolicy))
+def test_cipher_summaries_count_the_bytes_they_wrote(tmp_path, policy):
+    # The IDR slice's plaintext is chosen so that its ciphertext RBSP holds
+    # 00 00 00 00, which escapes to 00 00 03 00 00: each command's
+    # selected_bytes and aes_blocks must equal a recount of the RBSPs of
+    # the listed NALs in the file it wrote, not a size of escaped bytes.
+    nonce = b"\x0c" * 8
+    nals = split_annexb(gen_test_stream(None, gop=8, frames=6, payload_size=300, seed=4))[1]
+    o = next(n.ordinal for n in nals if n.header.nal_unit_type == 5)
+    rbsp = bytearray(ebsp_to_rbsp(nals[o].ebsp))
+    rbsp[100:104] = ctr_keystream(key_expansion(derive_key(KEY)), nonce, [(o, len(rbsp))])[100:104]
+    nals[o] = NalUnit(o, nals[o].start_code_len, nals[o].header, rbsp_to_ebsp(bytes(rbsp)))
+    plain, enc, meta, out = (tmp_path / n for n in ("p.264", "e.264", "m.seh", "o.264"))
+    plain.write_bytes(serialize_annexb(nals))
+    summaries = {enc: cmd_encrypt(plain, enc, meta, KEY, policy, nonce=nonce)}
+    summaries[out] = cmd_decrypt(enc, meta, out, KEY)
+    assert out.read_bytes() == plain.read_bytes()
+    assert b"\x00\x00\x03\x00\x00" in bytes(split_annexb(enc.read_bytes())[1][o].ebsp)
+    for path, summary in summaries.items():
+        assert o in summary.selected_ordinals
+        written = split_annexb(path.read_bytes())[1]
+        sizes = [len(ebsp_to_rbsp(bytes(written[k].ebsp))) for k in summary.selected_ordinals]
+        assert summary.selected_bytes == sum(sizes)
+        assert summary.aes_blocks == sum(-(-n // 16) for n in sizes)
 
 
 @st.composite

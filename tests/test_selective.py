@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selenc import aes, selective
-from selenc.aes import ctr_keystream, key_expansion
+from selenc.aes import ctr_keystream, key_expansion, xor_bytes
 from selenc.bitstream import (
     BitWriter,
     NalUnit,
@@ -33,6 +33,7 @@ from selenc.errors import (
     SelencError,
     WrongKey,
 )
+from selenc.harness import per_block_keystream
 from selenc.pipeline import gen_test_stream
 from selenc.selective import (
     CipherHeader,
@@ -426,6 +427,18 @@ class TestStreamEncryption:
             decrypt_stream(enc, KS, header)
         assert calls == {}
 
+    def test_interleaved_keys_match_per_block_keystreams(self):
+        # Each ciphered RBSP is its plaintext RBSP XOR its own key's per-block
+        # keystream, whichever key the call before used.
+        nals = split_annexb(gen_test_stream(None, gop=3, frames=9, payload_size=700, seed=12))[1]
+        sel = select(nals, EncryptionPolicy.IDR_ONLY)
+        other = key_expansion(bytes(range(100, 116)))
+        for ks in (KS, other, KS, other):
+            enc, _ = encrypt_stream(nals, ks, sel, NONCE)
+            for o in sel.selected_ordinals:
+                plain, cipher = ebsp_to_rbsp(nals[o].ebsp), ebsp_to_rbsp(enc[o].ebsp)
+                assert xor_bytes(plain, cipher) == per_block_keystream(ks, NONCE, o, len(plain))
+
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # 200 short IDR slices share one keystream pass: one _rounds call
         # per _CHUNK_BLOCKS keystream blocks, not one per NAL.
@@ -434,7 +447,7 @@ class TestStreamEncryption:
         blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
         calls = []
         real = aes._rounds
-        monkeypatch.setattr(aes, "_rounds", lambda s, k, f: calls.append(len(s[0])) or real(s, k, f))
+        monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
         encrypt_stream(nals, KS, sel, NONCE)
         assert len(sel.selected_ordinals) == 200
         assert len(calls) == -(-blocks // aes._CHUNK_BLOCKS)
