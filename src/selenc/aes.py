@@ -393,40 +393,6 @@ def _rounds(slabs: "list[bytes]", ks: KeySchedule) -> bytes:
     return bytes(out)
 
 
-def _check_counter_head(nonce: bytes, ordinal: int) -> None:
-    # CounterBlock's nonce and ordinal checks; ctr_keystream makes them on
-    # each span without building a CounterBlock.
-    if len(nonce) != 8:
-        raise ValueError("nonce must be 8 bytes")
-    if not 0 <= ordinal < 1 << 32:
-        raise ValueError("nal_ordinal must fit in 32 bits")
-
-
-@dataclass(frozen=True)
-class CounterBlock:
-    """16-byte counter-mode input: nonce || NAL ordinal || block index.
-
-    Integers are big-endian. Structural uniqueness: within one stream and
-    nonce, every (ordinal, index) pair names a distinct block.
-    """
-
-    nonce: bytes
-    nal_ordinal: int
-    block_index: int
-
-    def __post_init__(self) -> None:
-        _check_counter_head(self.nonce, self.nal_ordinal)
-        if not (0 <= self.block_index < 1 << 32):
-            raise ValueError("block_index must fit in 32 bits")
-
-    def to_bytes(self) -> bytes:
-        return (
-            self.nonce
-            + self.nal_ordinal.to_bytes(4, "big")
-            + self.block_index.to_bytes(4, "big")
-        )
-
-
 MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 
 
@@ -439,8 +405,11 @@ _CHUNK_BLOCKS = 2048
 
 def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
     """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
-    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...
-    An ordinal may appear once: two NALs on one keystream would leak their XOR.
+    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...,
+    each counter the 8-byte nonce, then the ordinal and the block index as
+    big-endian 32-bit integers. Structural uniqueness: within one stream and
+    nonce every (ordinal, index) pair names a distinct counter, so an
+    ordinal may appear once: two NALs on one keystream would leak their XOR.
 
     No counter block is built. Within a span, counter bytes 0-13 stay fixed
     for 65,536 blocks, byte 14 (t) steps every 256 blocks and byte 15 (x)
@@ -483,7 +452,10 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
             raise ValueError("nbytes must be nonnegative")
         if nbytes > MAX_KEYSTREAM_BYTES:
             raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
-        _check_counter_head(nonce, ordinal)
+        if len(nonce) != 8:
+            raise ValueError("nonce must be 8 bytes")
+        if not 0 <= ordinal < 1 << 32:
+            raise ValueError("nal_ordinal must fit in 32 bits")
         nblocks = -(-nbytes // BLOCK_SIZE)
         for high in range(0, nblocks, 1 << 16):
             # Blocks high to high + 65,535, whose bytes 0-13 do not step.

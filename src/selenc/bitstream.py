@@ -327,13 +327,13 @@ def splice_annexb(
     of those NALs, each with one of the same start code (as encrypt_nal
     makes; another start code, or lists of other lengths, raise
     ValueError). Each run of kept NALs is one view of ``data``, and each
-    replaced NAL is its serialize_annexb bytes; nothing is joined.
+    replaced NAL is its to_bytes(); nothing is joined.
 
-    Only the replaced NALs are judged, by check_escaping's rule. The kept
-    NALs and ``leading`` are the bytes split_annexb read them from, so they
-    read back as themselves: a kept NAL that breaks the escaping rule is
-    copied byte for byte, unscanned. Where every NAL passes, the joined
-    parts are serialize_annexb(out_nals, leading)."""
+    Only the replaced NALs are judged, each once, by check_escaping's rule.
+    The kept NALs and ``leading`` are the bytes split_annexb read them from,
+    so they read back as themselves: a kept NAL that breaks the escaping
+    rule is copied byte for byte, unscanned. Where every NAL passes, the
+    joined parts are serialize_annexb(out_nals, leading)."""
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)
@@ -342,7 +342,7 @@ def splice_annexb(
             if out.start_code_len != nal.start_code_len:
                 raise ValueError(f"NAL {nal.ordinal} is replaced by one with another start code")
             _judge(out, out_nals[k].start_code_len if k < len(out_nals) else 0)
-            parts += (view[copied:pos], serialize_annexb((out,)))
+            parts += (view[copied:pos], out.to_bytes())
             copied = pos + nal.wire_size()
         pos += nal.wire_size()
     parts.append(view[copied:])

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import aes, pipeline
-from .aes import CounterBlock, KeySchedule, ctr_keystream, key_expansion, xor_bytes
+from .aes import KeySchedule, ctr_keystream, key_expansion, xor_bytes
 from .bitstream import (
     VCL_TYPES,
     BitReader,
@@ -182,7 +182,7 @@ def unrolled_encrypt(block: bytes, ks: KeySchedule) -> bytes:
 
 def per_block_keystream(ks: KeySchedule, nonce: bytes, ordinal: int, nbytes: int) -> bytes:
     """Counter-mode keystream of one NAL, one encrypt_block call per block."""
-    counters = (CounterBlock(nonce, ordinal, j).to_bytes() for j in range(-(-nbytes // 16)))
+    counters = (nonce + ordinal.to_bytes(4, "big") + j.to_bytes(4, "big") for j in range(-(-nbytes // 16)))
     return b"".join(aes.encrypt_block(c, ks) for c in counters)[:nbytes]
 
 
@@ -295,7 +295,7 @@ def _check_ctr_keystream(rng: random.Random) -> str:
     nonce = rng.randbytes(8)
     first = ctr_keystream(ks, nonce, [(7, 16)])
     _require(
-        first == aes.encrypt_block(CounterBlock(nonce, 7, 0).to_bytes(), ks),
+        first == aes.encrypt_block(nonce + (7).to_bytes(4, "big") + (0).to_bytes(4, "big"), ks),
         "one-block keystream is not the encrypted counter",
     )
     long = ctr_keystream(ks, nonce, [(7, 40)])

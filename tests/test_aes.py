@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from selenc import aes
 from selenc.aes import (
     AesState,
-    CounterBlock,
     add_round_key,
     ctr_keystream,
     decrypt_block,
@@ -319,16 +318,13 @@ class TestBlockCipher:
 
 class TestCounterMode:
     def test_counter_block_layout(self):
-        cb = CounterBlock(b"\x01" * 8, 0x0203, 7)
-        assert cb.to_bytes() == b"\x01" * 8 + b"\x00\x00\x02\x03" + b"\x00\x00\x00\x07"
-
-    def test_counter_block_validation(self):
-        with pytest.raises(ValueError):
-            CounterBlock(b"\x01" * 7, 0, 0)
-        with pytest.raises(ValueError):
-            CounterBlock(b"\x01" * 8, 1 << 32, 0)
-        with pytest.raises(ValueError):
-            CounterBlock(b"\x01" * 8, 0, -1)
+        # Block 7 of NAL 0x0203 is E(nonce || ordinal || 7), both integers
+        # big-endian 32-bit, in the reference and in the engine.
+        ks = key_expansion(bytes(range(16)))
+        counter = b"\x01" * 8 + b"\x00\x00\x02\x03" + b"\x00\x00\x00\x07"
+        want = encrypt_block(counter, ks)
+        assert per_block_keystream(ks, b"\x01" * 8, 0x0203, 8 * 16)[7 * 16 :] == want
+        assert ctr_keystream(ks, b"\x01" * 8, [(0x0203, 8 * 16)])[7 * 16 :] == want
 
     def test_empty_keystream(self):
         ks = key_expansion(b"\x00" * 16)
@@ -339,7 +335,7 @@ class TestCounterMode:
         ks = key_expansion(bytes(range(16)))
         nonce = b"\xab" * 8
         first = ctr_keystream(ks, nonce, [(3, 16)])
-        assert first == encrypt_block(CounterBlock(nonce, 3, 0).to_bytes(), ks)
+        assert first == encrypt_block(nonce + b"\x00\x00\x00\x03" + bytes(4), ks)
 
     def test_prefix_property(self):
         ks = key_expansion(bytes(range(16)))
@@ -369,28 +365,27 @@ class TestCounterMode:
     @pytest.mark.parametrize(
         "nonce,spans,refusal",
         [
-            (b"\x01" * 7, [(0, 16)], (b"\x01" * 7, 0)),
-            (b"\x01" * 7, [(0, 0)], (b"\x01" * 7, 0)),
-            (b"\x01" * 9, [(5, 0)], (b"\x01" * 9, 5)),
-            (b"\x01" * 8, [(-1, 16)], (b"\x01" * 8, -1)),
-            (b"\x01" * 8, [(-1, 0)], (b"\x01" * 8, -1)),
-            (b"\x01" * 8, [(2**32, 16)], (b"\x01" * 8, 2**32)),
-            (b"\x01" * 8, [(2**32, 0)], (b"\x01" * 8, 2**32)),
-            # CounterBlock judges the nonce before the ordinal.
-            (b"\x01" * 7, [(2**32, 0)], (b"\x01" * 7, 2**32)),
+            (b"\x01" * 7, [(0, 16)], "nonce must be 8 bytes"),
+            (b"\x01" * 7, [(0, 0)], "nonce must be 8 bytes"),
+            (b"\x01" * 9, [(5, 0)], "nonce must be 8 bytes"),
+            (b"\x01" * 8, [(-1, 16)], "nal_ordinal must fit in 32 bits"),
+            (b"\x01" * 8, [(-1, 0)], "nal_ordinal must fit in 32 bits"),
+            (b"\x01" * 8, [(2**32, 16)], "nal_ordinal must fit in 32 bits"),
+            (b"\x01" * 8, [(2**32, 0)], "nal_ordinal must fit in 32 bits"),
+            # The nonce is judged before the ordinal.
+            (b"\x01" * 7, [(2**32, 0)], "nonce must be 8 bytes"),
             # Each span is judged in turn, after the spans before it.
-            (b"\x01" * 8, [(0, 40), (2**32, 0)], (b"\x01" * 8, 2**32)),
+            (b"\x01" * 8, [(0, 40), (2**32, 0)], "nal_ordinal must fit in 32 bits"),
         ],
     )
-    def test_counter_refusals_keep_counter_block_text(self, monkeypatch, nonce, spans, refusal):
-        with pytest.raises(ValueError) as want:
-            CounterBlock(*refusal, 0)
+    def test_counter_refusals(self, monkeypatch, nonce, spans, refusal):
+        # Refused before any keystream block is computed.
         calls = []
         real = aes._rounds
         monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
         with pytest.raises(ValueError) as got:
             ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
-        assert type(got.value) is ValueError and str(got.value) == str(want.value)
+        assert type(got.value) is ValueError and str(got.value) == refusal
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -438,7 +433,7 @@ class TestCounterMode:
 
 def cryptography_keystream(key: bytes, nonce: bytes, ordinal: int, nbytes: int) -> bytes:
     ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
-    counter = CounterBlock(nonce, ordinal, 0).to_bytes()
+    counter = nonce + ordinal.to_bytes(4, "big") + bytes(4)
     enc = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.CTR(counter)).encryptor()
     return enc.update(bytes(nbytes)) + enc.finalize()
 
@@ -580,7 +575,7 @@ CARRY_INDICES = (0, 255, 256, 257, 65535, 65536)
 
 class TestCounterBlocks:
     """ctr_keystream builds no counter block, so its blocks are checked
-    against encrypt_block of the counter block they stand for, at the
+    against encrypt_block of the counter they stand for, at the
     carries of block-index bytes 15, 14 and 13 and at each span's last
     (partial) block."""
 
@@ -591,7 +586,8 @@ class TestCounterBlocks:
             nblocks = -(-nbytes // 16)
             for i in {i for i in (*CARRY_INDICES, nblocks - 1) if 0 <= i < nblocks}:
                 block = got[pos + 16 * i : pos + min(16 * i + 16, nbytes)]
-                want = encrypt_block(CounterBlock(PASS_NONCE, ordinal, i).to_bytes(), PASS_KS)
+                counter = PASS_NONCE + ordinal.to_bytes(4, "big") + i.to_bytes(4, "big")
+                want = encrypt_block(counter, PASS_KS)
                 assert block == want[: len(block)], (ordinal, i)
             pos += nbytes
 

@@ -465,6 +465,25 @@ class TestSplice:
         else:
             assert written == want
 
+    def test_judges_each_replaced_nal_once(self, monkeypatch):
+        # Each replaced NAL is judged once, before the start code after it,
+        # and written as its own bytes: no serialize_annexb pass judges it
+        # again.
+        stream = gen_test_stream(None, gop=2, frames=6, payload_size=40, seed=1)
+        leading, nals = split_annexb(stream)
+        replaced = {2, 4, len(nals) - 1}
+        out_nals = [replace(n, ebsp=b"\xab" * 9) if n.ordinal in replaced else n for n in nals]
+        judged, serialized = [], []
+        judge, serialize = bitstream._judge, bitstream.serialize_annexb
+        monkeypatch.setattr(bitstream, "_judge", lambda n, scl: judged.append(n) or judge(n, scl))
+        monkeypatch.setattr(
+            bitstream, "serialize_annexb", lambda *a: serialized.append(a) or serialize(*a)
+        )
+        written = b"".join(splice_annexb(stream, leading, nals, out_nals))
+        assert judged == [n for n in out_nals if n.ordinal in replaced]
+        assert serialized == []
+        assert split_annexb(written) == (leading, out_nals)
+
     @pytest.mark.parametrize("drop", [1, -1])
     def test_refuses_a_nal_list_of_another_length(self, drop):
         stream = bytes.fromhex("00000001" "67" "aa" "000001" "65" "bb")
