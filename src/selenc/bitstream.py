@@ -107,10 +107,10 @@ class NalUnit:
     ciphered unit holds bytes. Both compare and hash by content.
     ``escape_violation`` is the first forbidden run in the payload, or in a
     header byte 00 and the payload after it, with its offset, as text, or
-    None. It is judged on first read and kept, so a NAL that is never read
-    past its header byte, as a cipher command copies most, is never scanned.
-    ``rbsp_size`` is kept the same way, unless the unit is built from an
-    RBSP of known length and given it.
+    None. It is judged on first read and kept, so a NAL that no command
+    writes or reports, as a cipher command copies most, is never scanned:
+    slice_info does not read it. ``rbsp_size`` is kept the same way, unless
+    the unit is built from an RBSP of known length and given it.
     """
 
     ordinal: int
@@ -160,14 +160,14 @@ class NalUnit:
 
     @_Kept
     def slice_info(self) -> "Optional[SliceInfo]":
-        """The slice header of a slice NAL whose payload holds no run that
-        check_escaping refuses; None for other NALs and for a header that
-        does not parse. It is read from the first 16 payload bytes: they
-        unescape to a prefix of the RBSP of at least 88 bits, more than
-        parse_slice_info reads from any header it accepts. Any prefix of a
-        clean payload is clean, so they are stripped without a second scan."""
+        """The slice header of a slice NAL, whatever runs its payload holds;
+        None for other NALs and for a header that does not parse. It is read
+        from the first 16 payload bytes, stripped unjudged: they strip to a
+        prefix of the whole stripped payload of at least 88 bits, more than
+        parse_slice_info reads from any header it accepts. The escape verdict
+        is left to the code that writes or reports the NAL."""
         h = self.header
-        if h is None or h.nal_unit_type not in VCL_TYPES or self.escape_violation is not None:
+        if h is None or h.nal_unit_type not in VCL_TYPES:
             return None
         try:
             return parse_slice_info(ebsp_to_rbsp(self.ebsp[:16], None))
@@ -209,10 +209,10 @@ def ebsp_to_rbsp(ebsp: bytes, verdict: "Optional[str] | object" = _UNJUDGED) -> 
     """Strip emulation-prevention bytes: the 03 of every 00 00 03 goes.
 
     Raises MalformedEscape on a run that find_escape_violation finds, which
-    a properly escaped payload can never contain. A caller that has already
-    read the payload's verdict, as a NAL's escape_violation, passes it as
-    ``verdict``: the payload is then not scanned again, and a verdict that
-    is set is raised as the scan's would be.
+    a properly escaped payload can never contain. A caller passes a verdict
+    it has read, as a NAL's escape_violation, or None for bytes it leaves
+    unjudged, as slice_info's header prefix: the payload is then not
+    scanned, and a verdict that is set is raised as the scan's would be.
     """
     v = _violation(ebsp) if verdict is _UNJUDGED else verdict
     if v is not None:

@@ -45,8 +45,8 @@ class EncryptionPolicy(Enum):
 @dataclass(frozen=True)
 class SelectionResult:
     """The ordinals a policy picks from a stream, and the slices it left in
-    the clear because their header did not parse: the CLI warns about those
-    rather than leave them to a row flag."""
+    the clear because their header did not parse, whatever their payload
+    holds: the CLI warns about those rather than leave them to a row flag."""
 
     policy: EncryptionPolicy
     selected_ordinals: "tuple[int, ...]"
@@ -55,9 +55,9 @@ class SelectionResult:
 
 def select(nals: Iterable[NalUnit], policy: EncryptionPolicy) -> SelectionResult:
     """Pick the ordinals the policy covers: every IDR slice, by its header
-    byte, and under ALL_INTRA every non-IDR slice whose slice_info parsed as
-    intra; a non-IDR slice whose slice_info is None goes to
-    unparsed_ordinals. No other NAL is read past its header byte."""
+    byte, and under ALL_INTRA each non-IDR slice whose slice_info is intra,
+    or to unparsed_ordinals if it is None. No other NAL is read past its
+    header byte, and no payload is judged: check_cipherable judges each pick."""
     all_intra = policy is EncryptionPolicy.ALL_INTRA
     picked, unparsed = [], []
     for n in nals:

@@ -867,15 +867,17 @@ class TestRecords:
         nal = self.nal()
         assert not {"escape_violation", "slice_info"} & set(vars(nal))
         assert nal.slice_info == SliceInfo(0, 7)
-        assert vars(nal)["escape_violation"] is None and vars(nal)["slice_info"] == SliceInfo(0, 7)
+        assert "escape_violation" not in vars(nal) and vars(nal)["slice_info"] == SliceInfo(0, 7)
         for copy in (replace(nal), replace(nal, ebsp=b"\xe0"), replace(nal, ebsp=b"\x88\x00\x00\x02")):
             assert not {"escape_violation", "slice_info"} & set(vars(copy))
         clean = replace(nal, ebsp=b"\xe0")
         assert clean.slice_info == SliceInfo(0, 0) and clean.escape_violation is None
         assert (clean.ordinal, clean.start_code_len, clean.header) == (0, 4, nal.header)
+        # The slice header is read from the payload's prefix whatever the
+        # payload holds; the escape verdict is judged on its own.
         bad = replace(nal, ebsp=b"\x88\x00\x00\x02")
+        assert bad.slice_info == SliceInfo(0, 7) and "escape_violation" not in vars(bad)
         assert bad.escape_violation == "00 00 02 at payload offset 1"
-        assert bad.slice_info is None
         for kept in ("escape_violation", "slice_info"):
             with pytest.raises(TypeError):
                 replace(nal, **{kept: None})
@@ -902,7 +904,7 @@ class TestRecords:
         assert [f.name for f in fields(NalUnit)] == ["ordinal", "start_code_len", "header", "ebsp"]
         assert all(f.compare for f in fields(NalUnit))
         read, unread = self.nal(), self.nal(memoryview(b"\x88\xaa"))
-        assert read.slice_info is not None
+        assert read.slice_info is not None and read.escape_violation is None
         assert vars(read)["slice_info"] == SliceInfo(0, 7) and "slice_info" not in vars(unread)
         assert "escape_violation" in vars(read) and "escape_violation" not in vars(unread)
         assert read == unread and hash(read) == hash(unread)
@@ -955,7 +957,8 @@ class TestClassify:
 
 def classify_reference(nals):
     """classify_stream before its shortcuts: every payload is unescaped in
-    full, its length is the RBSP size and a slice header is parsed from it."""
+    full and its length is the RBSP size, and a slice header is parsed from
+    the whole payload stripped, whatever runs it holds."""
     rows = []
     for nal in nals:
         if nal.header is None:
@@ -969,13 +972,10 @@ def classify_reference(nals):
         info = None
         unparsed = False
         if t in VCL_TYPES:
-            if rbsp is None:
+            try:
+                info = parse_slice_info(ebsp_to_rbsp(nal.ebsp, None))
+            except (OutOfBits, OutOfRange):
                 unparsed = True
-            else:
-                try:
-                    info = parse_slice_info(rbsp)
-                except (OutOfBits, OutOfRange):
-                    unparsed = True
         rows.append(
             ReportRow(
                 ordinal=nal.ordinal,

@@ -149,6 +149,23 @@ class TestEncryptDecrypt:
                    "--out", str(tmp_path / "d.264"), "--key", KEY) == 0
         assert capsys.readouterr().err == ""
 
+    def test_all_i_copies_a_badly_escaped_non_intra_slice_silently(self, stream_file, tmp_path, capsys):
+        # The prefixed non-IDR slice holds 00 00 02 past its header, which
+        # reads as slice_type 1: all-i leaves it in the clear, and its
+        # header parsed, so neither command warns.
+        stream = tmp_path / "bad_p.264"
+        stream.write_bytes(b"\x00\x00\x00\x01\x41\xa0" + b"\xaa" * 20 + b"\x00\x00\x02\x11"
+                           + stream_file.read_bytes())
+        enc, meta, out = tmp_path / "e.264", tmp_path / "m.seh", tmp_path / "d.264"
+        assert run("encrypt", "--in", str(stream), "--out", str(enc), "--meta", str(meta),
+                   "--key", KEY, "--policy", "all-i", "--nonce", "33" * 8) == 0
+        assert capsys.readouterr().err == ""
+        assert 0 not in CipherHeader.from_bytes(meta.read_bytes()).ordinals
+        assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(out),
+                   "--key", KEY) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == stream.read_bytes()
+
     @pytest.mark.parametrize("out", ["plain.264", "enc.264"])
     def test_sidecar_over_the_input_is_refused(self, stream_file, tmp_path, capsys, out):
         before = stream_file.read_bytes()

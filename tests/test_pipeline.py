@@ -360,6 +360,10 @@ class TestFileCommands:
 
     BAD_SPS = b"\x00\x00\x00\x01\x67\x42\x00\x00\x02\x1e"
     BAD_IDR = b"\x00\x00\x00\x01\x65\x88\x00\x00\x02\x11"
+    # A non-IDR I slice (slice_type 7) whose 00 00 02 lies past its 16-byte
+    # header prefix, and a non-IDR P slice (slice_type 0) that holds one.
+    BAD_I = b"\x00\x00\x00\x01\x41\x88" + b"\xaa" * 20 + b"\x00\x00\x02\x11"
+    BAD_P = b"\x00\x00\x00\x01\x41\xc0\x00\x00\x02\x11"
 
     def test_forbidden_run_in_a_rewritten_nal_writes_nothing(self, tmp_path, monkeypatch):
         # A NAL the command would rewrite that holds a forbidden 00 00 0X is
@@ -389,26 +393,32 @@ class TestFileCommands:
             assert not out.exists() and keyed == []
             enc.unlink()
             meta.unlink()
+        # All-i picks a non-IDR I slice by its header, read whatever its
+        # payload holds, and so refuses it the same way.
+        for stream, ordinal in ((self.BAD_I + clean, 0), (clean + self.BAD_I, 14)):
+            dirty.write_bytes(stream)
+            with pytest.raises(EscapingViolation, match=f"^NAL {ordinal}: 00 00 02 at payload offset 21$"):
+                cmd_encrypt(dirty, enc, meta, KEY, EncryptionPolicy.ALL_INTRA, nonce=b"\x0a" * 8)
+            assert not enc.exists() and not meta.exists() and keyed == []
 
     def test_forbidden_run_left_in_the_clear_round_trips(self, tmp_path):
         # A badly escaped NAL that no command rewrites is copied byte for
-        # byte, and inspect flags it. Under all-i a bad non-IDR slice has no
-        # readable header, so it is reported as left in the clear.
+        # byte, and inspect flags it malformed. A bad non-intra slice still
+        # has a readable header, so no policy reports it unparsed.
         plain, enc, meta, out = self.make_files(tmp_path)
         clean = plain.read_bytes()
-        bad_p = b"\x00\x00\x00\x01\x41\x88\x00\x00\x02\x11"
         dirty = tmp_path / "dirty.264"
         for policy in EncryptionPolicy:
-            gap = (14,) if policy is EncryptionPolicy.ALL_INTRA else ()
-            cases = ((self.BAD_SPS + clean, 0, ()), (clean + self.BAD_SPS, 14, ()), (clean + bad_p, 14, gap))
-            for stream, ordinal, unparsed in cases:
+            cases = ((self.BAD_SPS + clean, 0), (clean + self.BAD_SPS, 14), (clean + self.BAD_P, 14))
+            for stream, ordinal in cases:
                 dirty.write_bytes(stream)
                 report = cmd_encrypt(dirty, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
-                assert ordinal not in report.selected_ordinals and report.unparsed_ordinals == unparsed
-                assert cmd_decrypt(enc, meta, out, KEY).unparsed_ordinals == unparsed
+                assert ordinal not in report.selected_ordinals and report.unparsed_ordinals == ()
+                assert cmd_decrypt(enc, meta, out, KEY).unparsed_ordinals == ()
                 assert out.read_bytes() == stream
                 row = cmd_inspect(dirty, policy).rows[ordinal]
-                assert (row.malformed_escape, row.unparsed) == (True, row.nal_type == 1)
+                assert (row.malformed_escape, row.unparsed) == (True, False)
+                assert row.slice_info == ((0, 0) if row.nal_type == 1 else None)
             # A bad SPS appended after the ciphertext is a NAL the sidecar
             # does not list, so decryption copies it.
             cmd_encrypt(plain, enc, meta, KEY, policy, nonce=b"\x0a" * 8)
@@ -716,8 +726,8 @@ class TestOnePass:
     A payload is scanned for a forbidden run once, when its NAL's verdict is
     first read: no check reads it again, and each unescape is handed the
     verdict already read. Reading a stream scans nothing, and the cipher
-    commands judge only the NALs they rewrite and, under all-i, the non-IDR
-    slices whose header they read."""
+    commands judge only the NALs they rewrite: a slice header is read from
+    its prefix without a scan."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -754,10 +764,9 @@ class TestOnePass:
         ciphered = len(report.selected_ordinals)
         assert ciphered == 3
         headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
-        # Judged: each NAL to cipher before the key (its plaintext) and at
-        # the splice (its ciphertext), and each slice whose header is read.
-        scans = {EncryptionPolicy.IDR_ONLY: 6, EncryptionPolicy.ALL_INTRA: 15}[policy]
-        assert scans == 2 * ciphered + headers
+        # Judged under either policy: each NAL to cipher before the key (its
+        # plaintext) and at the splice (its ciphertext), 6 in all.
+        scans = 2 * ciphered
         assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
 
         counts.clear()

@@ -70,29 +70,23 @@ def make_stream(types_and_rbsp) -> list:
 
 
 def select_reference(nals, policy):
-    """Per-NAL selection that unescapes and parses each slice itself; the
-    behaviour select must keep now that it reads slice headers from a
-    prefix, the slices all-i leaves unparsed included."""
+    """Per-NAL selection that strips and parses each slice's whole payload
+    itself, whatever runs it holds; the behaviour select must keep now that
+    it reads slice headers from a prefix, the slices all-i leaves unparsed
+    included."""
     chosen = []
     unparsed = []
     for nal in nals:
         if nal.header is None or nal.header.nal_unit_type not in (1, 5):
             continue
-        try:
-            rbsp = ebsp_to_rbsp(nal.ebsp)
-        except MalformedEscape:
-            rbsp = None
         take = False
         if nal.header.nal_unit_type == 5:
             take = True
         elif policy is EncryptionPolicy.ALL_INTRA:
-            if rbsp is None:
+            try:
+                take = parse_slice_info(ebsp_to_rbsp(nal.ebsp, None)).is_intra
+            except (OutOfBits, OutOfRange):
                 unparsed.append(nal.ordinal)
-            else:
-                try:
-                    take = parse_slice_info(rbsp).is_intra
-                except (OutOfBits, OutOfRange):
-                    unparsed.append(nal.ordinal)
         if take:
             chosen.append(nal.ordinal)
     return SelectionResult(policy, tuple(chosen), tuple(unparsed))
