@@ -37,15 +37,34 @@ What depends only on the key is built once per key: key_expansion keeps the
 loop's per-round slab tables and the keystream's column_x tables on the
 KeySchedule, and the engine only reads them.
 
+CTR's block calls are independent (NIST SP 800-38A, section 6.5), so a
+ctr_keystream call of two or more _CHUNK_BLOCKS chunks runs on two cores:
+_hand_off sends every odd chunk to a keystream helper, a child interpreter
+that runs the same _rounds (_serve_helper), while the caller runs the even
+ones, and the results are joined in block order. Each process id has one
+helper, started by its first such call and never waited for: until its
+ready byte has come, and whenever another thread holds it, chunks run
+locally. Requests and replies are length-prefixed raw bytes over two pipes,
+the slab tables sent with each chunk. If the helper cannot start or fails
+an exchange it is killed, the chunk runs locally, and the process stays
+serial; the output bytes are the same in every case. The helper exits at
+the end of its stdin, and an atexit hook of the process that started it
+kills and reaps it.
+
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, _rounds picks one of
 256 S-box tables per slab by round-key byte, and ctr_keystream's first two
 rounds look up tables by counter bytes XORed with key bytes, so the cache
-footprint of all three leaks key material to a co-resident observer.
+footprint of all three leaks key material to a co-resident observer. The
+slab tables the helper is sent are key material too: they cross an
+anonymous pipe to a child of the same user.
 """
 
 from __future__ import annotations
 
+import _thread
+import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import BadKeyLength, CounterOverflow
@@ -402,6 +421,173 @@ MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 # fastest at half its working set.
 _CHUNK_BLOCKS = 2048
 
+# The keystream helper protocol. Each request is two big-endian u32, the
+# count of slab-table rounds and the chunk's block count n, then the tables
+# (4,096 bytes a round) and the 16 slabs of n bytes; each reply is its length
+# as a u32, then the chunk's 16n keystream bytes.
+_READY = b"R"
+_HELPER_ERRORS = (OSError, ValueError, EOFError)
+
+
+def _serve_helper() -> None:
+    """The keystream helper's loop, run in the child process: write the
+    ready byte, then answer each request on stdin with _rounds on its slabs
+    until stdin reaches its end."""
+    read, out = sys.stdin.buffer.read, sys.stdout.buffer
+    out.write(_READY)
+    out.flush()
+    while len(head := read(8)) == 8:
+        size, n = 4096 * int.from_bytes(head[:4], "big"), int.from_bytes(head[4:], "big")
+        body = read(size + 16 * n)
+        if len(body) != size + 16 * n:
+            return
+        tables = [tuple(body[i : i + 256] for i in range(r, r + 4096, 256)) for r in range(0, size, 4096)]
+        slabs = [body[size + j * n : size + j * n + n] for j in range(16)]
+        blocks = _rounds(slabs, KeySchedule((), (), (), tuple(tables), ()))
+        out.write(len(blocks).to_bytes(4, "big") + blocks)
+        out.flush()
+
+
+class _Helper:
+    """One process's keystream helper: a child interpreter that runs
+    _serve_helper over two pipes. Every method but stop is called with
+    ``lock`` held, which callers take without blocking. Any error of an
+    exchange, and any interruption of one, which could leave a frame half
+    written or half read, drops the child for good."""
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.lock = _thread.allocate_lock()
+        self.proc = None
+        self.booted = False
+        self.failed = False
+
+    def ready(self, timeout: float) -> bool:
+        """Start the child if need be, without waiting for it to boot, and
+        say whether its ready byte has come within ``timeout`` s."""
+        try:
+            if self.proc is None and not self.failed:
+                self._start()
+            if not self.failed and not self.booted:
+                if self.select([self.proc.stdout], [], [], timeout)[0]:
+                    if self.proc.stdout.read(1) != _READY:
+                        raise EOFError("the keystream helper exited before it was ready")
+                    self.booted = True
+        except BaseException as exc:
+            self._fail(exc)
+        return self.booted and not self.failed
+
+    def _start(self) -> None:
+        # The child imports only selenc.aes and selenc.errors, from this
+        # package's directory; the marker on the first line of its -c text
+        # names it in a process list.
+        import atexit
+        import select
+        import subprocess
+
+        if not sys.executable:
+            raise OSError("no interpreter to run the keystream helper")
+        code = (
+            "# selenc keystream helper\n"
+            "import sys, types\n"
+            "package = types.ModuleType('selenc')\n"
+            f"package.__path__ = [{os.path.dirname(os.path.abspath(__file__))!r}]\n"
+            "sys.modules['selenc'] = package\n"
+            "from selenc.aes import _serve_helper\n"
+            "_serve_helper()\n"
+        )
+        flags = ["-I", "-S"] + ["-B"] * sys.flags.dont_write_bytecode
+        self.select = select.select
+        self.proc = subprocess.Popen(
+            [sys.executable, *flags, "-c", code],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        atexit.register(self.stop)
+
+    def send(self, slabs: "list[bytes]", ks: KeySchedule) -> bool:
+        """Send one chunk's request; whether it was sent."""
+        head = len(ks.slab_tables).to_bytes(4, "big") + len(slabs[0]).to_bytes(4, "big")
+        try:
+            self.proc.stdin.write(b"".join([head, *(t for r in ks.slab_tables for t in r), *slabs]))
+            self.proc.stdin.flush()
+            return True
+        except BaseException as exc:
+            self._fail(exc)
+            return False
+
+    def receive(self, n: int) -> "bytes | None":
+        """Read the reply to the request just sent, the blocks of an
+        n-block chunk, or None if the child failed; release ``lock``."""
+        blocks = None
+        try:
+            if self.proc.stdout.read(4) == (16 * n).to_bytes(4, "big"):
+                got = self.proc.stdout.read(16 * n)
+                blocks = got if len(got) == 16 * n else None
+        except _HELPER_ERRORS:
+            pass
+        finally:
+            if blocks is None:
+                self._fail(None)
+            self.lock.release()
+        return blocks
+
+    def _fail(self, exc: "BaseException | None") -> None:
+        """Stop the child for good, so this process stays serial, and
+        re-raise ``exc`` unless it is an error of the exchange itself."""
+        self.failed = True
+        self.stop()
+        if exc is not None and not isinstance(exc, _HELPER_ERRORS):
+            raise exc
+
+    def stop(self) -> None:
+        """Kill and reap the child, from the process that started it only."""
+        if self.proc is not None and os.getpid() == self.pid:
+            self.proc.kill()
+            self.proc.wait()
+            self.proc.stdout.close()
+            try:
+                self.proc.stdin.close()
+            except OSError:  # a request that never reached the child
+                pass
+
+
+# The keystream helper of each process id; a forked child starts its own.
+_helpers: "dict[int, _Helper]" = {}
+
+
+def _helper() -> _Helper:
+    pid = os.getpid()
+    return _helpers.get(pid) or _helpers.setdefault(pid, _Helper())
+
+
+def _hand_off(slabs: "list[bytes]", ks: KeySchedule):
+    """Offer one engine chunk, _rounds' arguments, to this process's helper.
+
+    Returns None if it declines: the caller runs the chunk itself. It
+    declines while another thread holds the helper, while the helper boots
+    (the first offer starts it), and for good once the helper has failed.
+    Otherwise the chunk is sent, and the result is a function that returns
+    its blocks, or None if the helper failed on it. The caller must call it.
+    """
+    helper = _helper()
+    if not helper.lock.acquire(blocking=False):
+        return None
+    sent = False
+    try:
+        sent = helper.ready(0) and helper.send(slabs, ks)
+    finally:
+        if not sent:
+            helper.lock.release()
+    return (lambda: helper.receive(len(slabs[0]))) if sent else None
+
+
+def _helper_ready(timeout: float) -> bool:
+    """Start this process's helper if need be and wait up to ``timeout`` s
+    for it to be ready. For tests: the keystream never waits."""
+    helper = _helper()
+    with helper.lock:
+        return helper.ready(timeout)
+
 
 def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
     """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
@@ -429,10 +615,11 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
     A run of up to 256 blocks, x from 0 to x1 - 1, then enters round 3's
     SubBytes as one translate per slab, P_j[:x1] through _KEYED_SBOX[D_j(t)],
     and _rounds, resolved through the module, takes the slabs of all spans
-    in block order a _CHUNK_BLOCKS chunk at a time. The tables that depend
+    in block order a _CHUNK_BLOCKS chunk at a time, every odd chunk offered
+    to the helper first through _hand_off. The tables that depend
     only on the key come from ks. The slabs hold 16 bytes per keystream
     block: the commands keep that small by calling this once per group of
-    about _CHUNK_BLOCKS blocks.
+    about two _CHUNK_BLOCKS chunks.
 
     Not constant-time: besides the engine's own lookups, the tables that
     build R, P and D are indexed by counter bytes XORed with key bytes.
@@ -481,6 +668,17 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
         cuts.append((BLOCK_SIZE * start, nbytes))
         start += nblocks
     slabs, step = [b"".join(slab) for slab in zip(*segments)], _CHUNK_BLOCKS
-    chunks = [_rounds([slab[i : i + step] for slab in slabs], ks) for i in range(0, start, step)]
+    chunks = []
+    for i in range(0, start, 2 * step):
+        odd = [slab[i + step : i + 2 * step] for slab in slabs] if i + step < start else None
+        receive = odd and _hand_off(odd, ks)
+        # The reply is read even if the even chunk raises, so the helper is
+        # never left holding an unread reply.
+        try:
+            chunks.append(_rounds([slab[i : i + step] for slab in slabs], ks))
+        finally:
+            blocks = receive and receive()
+        if odd:
+            chunks.append(blocks or _rounds(odd, ks))
     view = memoryview(b"".join(chunks))
     return b"".join([view[s : s + n] for s, n in cuts])

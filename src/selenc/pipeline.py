@@ -25,7 +25,7 @@ from .bitstream import (
     splice_annexb,
     split_annexb,
 )
-from .errors import BadHex, EmptyPassphrase, NoStartCode
+from .errors import BadHex, EmptyPassphrase, NoStartCode, WrongKey
 from .selective import (
     CipherHeader,
     EncryptionPolicy,
@@ -277,13 +277,22 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     summary's total_bytes is the size of the file written. A sidecar path
     that names the input or the output file, or an output or sidecar path
     that is a directory, is refused, as cmd_encrypt does, and so, before any
-    key work, is any listed ordinal check_cipherable refuses."""
+    key work, is any listed ordinal check_cipherable refuses. A passphrase
+    whose key check fails may be right at another --kdf-iters, which the
+    sidecar does not record, so its WrongKey says so."""
     _refuse_targets(meta_path, in_path, out_path)
     data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
     check_cipherable(nals, header.ordinals)
     ks = key_expansion(derive_key(key))
-    out_nals = decrypt_stream(nals, ks, header)
+    try:
+        out_nals = decrypt_stream(nals, ks, header)
+    except WrongKey as exc:
+        if key.passphrase is None:
+            raise
+        raise WrongKey(
+            f"{exc} (a passphrase also needs encrypt's --kdf-iters; the sidecar does not record it)"
+        ) from exc
     parts = splice_annexb(data, leading, nals, out_nals)
     _atomic_write((out_path, parts))
     # The NALs the sidecar does not list are the plaintext's own, so select

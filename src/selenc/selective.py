@@ -113,11 +113,13 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
 
     check_cipherable has read each listed NAL's escape verdict, so the
     unescape is handed that verdict and only strips. The listed NALs are
-    taken in stream order, in groups that end once they reach _CHUNK_BLOCKS
-    counter blocks: each group is unescaped, keyed by one ctr_keystream call
-    and ciphered before the next is unescaped, so one group's payloads and
-    keystream are held at a time. ``ordinals`` come from a CipherHeader,
-    strictly increasing, so no two groups share one.
+    taken in stream order, in groups that end once they reach two
+    _CHUNK_BLOCKS chunks of counter blocks: each group is unescaped, keyed by
+    one ctr_keystream call and ciphered before the next is unescaped, so one
+    group's payloads and keystream are held at a time. Two chunks give
+    ctr_keystream one to hand to its helper process while it runs the other.
+    ``ordinals`` come from a CipherHeader, strictly increasing, so no two
+    groups share one.
     """
     check_cipherable(nals, ordinals)
     out, group, blocks = list(nals), [], 0
@@ -125,7 +127,7 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
         rbsp = ebsp_to_rbsp(nals[o].ebsp, nals[o].escape_violation)
         group.append((o, rbsp))
         blocks += -(-len(rbsp) // BLOCK_SIZE)
-        if blocks < _CHUNK_BLOCKS and k < len(ordinals):
+        if blocks < 2 * _CHUNK_BLOCKS and k < len(ordinals):
             continue
         keystream, pos = ctr_keystream(ks, nonce, [(g, len(r)) for g, r in group]), 0
         for g, r in group:

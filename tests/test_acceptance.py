@@ -170,13 +170,31 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         assert abs(fraction - 5 / 60) <= 0.02 * (5 / 60)
 
         # Count the blocks the cipher actually computes during the selective
-        # pass. The keystream generator resolves the batched round loop
-        # through the aes module, so only payload keystream blocks are counted.
+        # pass. The keystream generator resolves the batched round loop and
+        # the hand-off of a chunk to its helper process through the aes
+        # module, so only payload keystream blocks are counted, wherever they
+        # are computed: a chunk the helper returns is counted at the
+        # hand-off, one it declines or fails on at the loop.
         blocks = []
-        real = aes._rounds
+        real, real_hand_off = aes._rounds, aes._hand_off
+
+        def hand_off(s, k):
+            receive = real_hand_off(s, k)
+            if receive is None:
+                return None
+
+            def counted():
+                got = receive()
+                if got is not None:
+                    blocks.append(len(s[0]))
+                return got
+
+            return counted
+
         monkeypatch.setattr(
             aes, "_rounds", lambda s, k: blocks.append(len(s[0])) or real(s, k)
         )
+        monkeypatch.setattr(aes, "_hand_off", hand_off)
         selection = select(nals, EncryptionPolicy.IDR_ONLY)
         encrypt_stream(nals, ks, selection, b"\x22" * 8)
         monkeypatch.undo()

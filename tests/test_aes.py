@@ -1,5 +1,10 @@
 import functools
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -379,10 +384,11 @@ class TestCounterMode:
         ],
     )
     def test_counter_refusals(self, monkeypatch, nonce, spans, refusal):
-        # Refused before any keystream block is computed.
+        # Refused before any keystream block is computed here or handed off.
         calls = []
-        real = aes._rounds
-        monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
+        for name in ("_rounds", "_hand_off"):
+            real = getattr(aes, name)
+            monkeypatch.setattr(aes, name, lambda s, k, real=real: calls.append(len(s[0])) or real(s, k))
         with pytest.raises(ValueError) as got:
             ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
         assert type(got.value) is ValueError and str(got.value) == refusal
@@ -558,15 +564,20 @@ class TestOnePassKeystream:
         assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        calls = []
+        # The helper is offered every odd chunk; declined here, each runs
+        # locally, in block order.
+        calls, offered = [], []
         real = aes._rounds
         monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
+        monkeypatch.setattr(aes, "_hand_off", lambda s, k: offered.append(len(s[0])))
         spans = [(o, 16 * aes._CHUNK_BLOCKS // 3 + 1) for o in range(7)]
-        ctr_keystream(PASS_KS, PASS_NONCE, spans)
+        want = b"".join(longest_per_block_keystream(o)[:n] for o, n in spans)
+        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
         blocks = 7 * (aes._CHUNK_BLOCKS // 3 + 1)
         assert calls == [aes._CHUNK_BLOCKS] * (blocks // aes._CHUNK_BLOCKS) + [
             blocks % aes._CHUNK_BLOCKS
         ]
+        assert offered == [aes._CHUNK_BLOCKS]
 
 
 # Block indices at the carries of block-index bytes 15, 14 and 13.
@@ -603,3 +614,148 @@ class TestCounterBlocks:
         nbytes = 16 * 65537
         got = ctr_keystream(PASS_KS, PASS_NONCE, [(2**32 - 1, nbytes)])
         assert got == cryptography_keystream(PASS_KEY, PASS_NONCE, 2**32 - 1, nbytes)
+
+
+HELPER_MARKER = b"selenc keystream helper"
+
+
+def helper_pids() -> "set[int]":
+    """Processes whose command line holds the helper's marker."""
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and HELPER_MARKER in (entry / "cmdline").read_bytes():
+                pids.add(int(entry.name))
+        except OSError:  # the process ended while the table was read
+            pass
+    return pids
+
+
+def forget_helper():
+    helper = aes._helpers.pop(os.getpid(), None)
+    if helper is not None:
+        helper.stop()
+
+
+class TestKeystreamHelper:
+    """ctr_keystream hands every odd chunk of a call with two or more to a
+    helper process. Each test starts from a fresh helper and waits, with a
+    timeout, until it is ready; what a test kills is forgotten after it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        forget_helper()
+        assert aes._helper_ready(timeout=60)
+        yield aes._helper()
+        forget_helper()
+
+    @staticmethod
+    def watch(monkeypatch) -> "list[int]":
+        """Blocks of each chunk the helper computed."""
+        handed, real = [], aes._hand_off
+
+        def hand_off(slabs, ks):
+            receive = real(slabs, ks)
+            if receive is None:
+                return None
+
+            def counted():
+                blocks = receive()
+                if blocks is not None:
+                    handed.append(len(slabs[0]))
+                return blocks
+
+            return counted
+
+        monkeypatch.setattr(aes, "_hand_off", hand_off)
+        return handed
+
+    def test_three_chunks_match_cryptography_and_per_block_calls(self, monkeypatch):
+        handed = self.watch(monkeypatch)
+        spans = [(3, 16 * 3000), (9, 16 * 2500 + 5), (2**32 - 1, 40)]
+        got = ctr_keystream(PASS_KS, PASS_NONCE, spans)
+        assert handed == [aes._CHUNK_BLOCKS]
+        assert got == b"".join(per_block_keystream(PASS_KS, PASS_NONCE, o, n) for o, n in spans)
+        assert got == b"".join(cryptography_keystream(PASS_KEY, PASS_NONCE, o, n) for o, n in spans)
+
+    def test_matches_per_block_calls_and_cryptography_past_a_byte_13_carry(self, monkeypatch):
+        handed = self.watch(monkeypatch)
+        nbytes = 16 * 65537
+        got = ctr_keystream(PASS_KS, PASS_NONCE, [(7, nbytes)])
+        assert handed == [aes._CHUNK_BLOCKS] * 16
+        assert got == per_block_keystream(PASS_KS, PASS_NONCE, 7, nbytes)
+        assert got == cryptography_keystream(PASS_KEY, PASS_NONCE, 7, nbytes)
+
+    @pytest.mark.parametrize("after_send", [False, True])
+    def test_a_killed_helper_leaves_the_process_serial(self, monkeypatch, fresh_helper, after_send):
+        # Killed between two calls, or right after a chunk was sent to it:
+        # both calls return the same bytes, and nothing is handed off again.
+        spans = [(1, 16 * 5000), (2, 33)]
+        first = ctr_keystream(PASS_KS, PASS_NONCE, spans)
+        if after_send:
+            real = aes._hand_off
+
+            def hand_off(slabs, ks):
+                receive = real(slabs, ks)
+                fresh_helper.proc.kill()
+                fresh_helper.proc.wait()
+                return receive
+
+            monkeypatch.setattr(aes, "_hand_off", hand_off)
+        else:
+            fresh_helper.proc.kill()
+            fresh_helper.proc.wait()
+        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == first
+        assert fresh_helper.failed and fresh_helper.proc.returncode is not None
+        monkeypatch.undo()
+        handed = self.watch(monkeypatch)
+        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == first
+        assert handed == [] and not aes._helper_ready(timeout=0)
+        assert aes._helper() is fresh_helper
+
+    def test_two_threads_share_one_helper(self, monkeypatch, fresh_helper):
+        # One thread at a time holds the helper; the other runs its chunks
+        # itself. Both keystreams must come out whole.
+        handed = self.watch(monkeypatch)
+        keys = [key_expansion(bytes([k]) * 16) for k in (1, 2)]
+        spans = [(0, 16 * 3 * aes._CHUNK_BLOCKS), (1, 100)]
+        want = [b"".join(per_block_keystream(ks, PASS_NONCE, o, n) for o, n in spans) for ks in keys]
+        got = {0: [], 1: []}
+
+        def work(i):
+            for _ in range(6):
+                got[i].append(ctr_keystream(keys[i], PASS_NONCE, spans))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {0: [want[0]] * 6, 1: [want[1]] * 6}
+        assert handed and not fresh_helper.failed
+
+    @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+    def test_cli_leaves_no_helper(self, tmp_path, fresh_helper):
+        # 10 IDR slices of 512 blocks: the first keystream group has two
+        # chunks, so the command starts a helper, and it must reap it.
+        from selenc.pipeline import gen_test_stream
+
+        clip = tmp_path / "clip.264"
+        gen_test_stream(clip, gop=1, frames=10, payload_size=8192, seed=5)
+        before = helper_pids()
+        assert fresh_helper.proc.pid in before
+        env = dict(os.environ, PYTHONPATH=str(Path(aes.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "selenc.cli", "encrypt", "--in", str(clip),
+             "--out", str(tmp_path / "enc.264"), "--meta", str(tmp_path / "enc.seh"),
+             "--key", "00" * 16],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert helper_pids() - before == set()

@@ -81,10 +81,18 @@ class TestEncryptDecrypt:
                    "--passphrase", "sesame", "--kdf-iters", "3") == 0
         capsys.readouterr()
         # The sidecar does not record --kdf-iters, and a passphrase stretched
-        # by other iterations is another key: the key check refuses it, and
-        # nothing is written.
+        # by other iterations is another key: the key check refuses it, the
+        # error names the count as a cause, and nothing is written.
         assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(out),
                    "--passphrase", "sesame", "--kdf-iters", "4") == 1
+        assert capsys.readouterr().err == (
+            "selenc: error: sidecar key check does not match the supplied key (a passphrase"
+            " also needs encrypt's --kdf-iters; the sidecar does not record it)\n"
+        )
+        assert not out.exists()
+        # A raw key has no count to name.
+        assert run("decrypt", "--in", str(enc), "--meta", str(meta), "--out", str(out),
+                   "--key", KEY) == 1
         assert capsys.readouterr().err == (
             "selenc: error: sidecar key check does not match the supplied key\n"
         )

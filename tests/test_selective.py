@@ -388,7 +388,7 @@ class TestStreamEncryption:
         # unescaped or keyed before the refusal.
         nals = split_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))[1]
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_hand_off")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -408,7 +408,7 @@ class TestStreamEncryption:
         offset = len(enc[o].ebsp) + 1
         refusal = f"^NAL {o}: 00 00 03 05 at payload offset {offset}$"
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_hand_off")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -434,23 +434,27 @@ class TestStreamEncryption:
                 assert xor_bytes(plain, cipher) == per_block_keystream(ks, NONCE, o, len(plain))
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        # 200 short IDR slices share one keystream pass: one _rounds call
-        # per _CHUNK_BLOCKS keystream blocks, not one per NAL.
+        # 200 short IDR slices share one keystream pass: one engine chunk
+        # per _CHUNK_BLOCKS keystream blocks, not one per NAL, each run here
+        # or offered to the helper (declined here, so it runs here too).
         nals = split_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
         blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
-        calls = []
+        calls, offered = [], []
         real = aes._rounds
         monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
+        monkeypatch.setattr(aes, "_hand_off", lambda s, k: offered.append(len(s[0])))
         encrypt_stream(nals, KS, sel, NONCE)
         assert len(sel.selected_ordinals) == 200
         assert len(calls) == -(-blocks // aes._CHUNK_BLOCKS)
         assert sum(calls) == blocks
+        assert offered == calls[1::2]
 
     def test_groups_are_ciphered_before_the_next_is_unescaped(self, monkeypatch):
-        # 12 IDR slices of 512 blocks each: groups of 4 reach _CHUNK_BLOCKS,
-        # and each is unescaped, keyed once and ciphered in turn. The output
-        # equals each NAL ciphered on its own.
+        # 12 IDR slices of 512 blocks each: a group of 8 reaches two
+        # _CHUNK_BLOCKS chunks and the last 4 end the stream, and each group
+        # is unescaped, keyed once and ciphered in turn. The output equals
+        # each NAL ciphered on its own.
         nals = split_annexb(gen_test_stream(None, gop=1, frames=12, payload_size=8192, seed=4))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
         events = []
@@ -460,9 +464,11 @@ class TestStreamEncryption:
                 selective, name, lambda *a, real=real, name=name: events.append(name) or real(*a)
             )
         enc, _ = encrypt_stream(nals, KS, sel, NONCE)
-        group = ["ebsp_to_rbsp"] * 4 + ["ctr_keystream"] + ["encrypt_nal"] * 4
+        def group(k):
+            return ["ebsp_to_rbsp"] * k + ["ctr_keystream"] + ["encrypt_nal"] * k
+
         assert aes._CHUNK_BLOCKS == 4 * 512
-        assert events == group * 3
+        assert events == group(8) + group(4)
         monkeypatch.undo()
         for o in sel.selected_ordinals:
             assert enc[o] == encrypt_nal(*masked(nals[o]))
@@ -586,7 +592,7 @@ class TestDecryptStream:
         nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_hand_off")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
