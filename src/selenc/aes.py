@@ -44,20 +44,20 @@ that runs the same _rounds (_serve_helper), while the caller runs the even
 ones, and the results are joined in block order. Each process id has one
 helper, started by its first such call and never waited for: until its
 ready byte has come, and whenever another thread holds it, chunks run
-locally. Requests and replies are length-prefixed raw bytes over two pipes,
-the slab tables sent with each chunk. If the helper cannot start or fails
-an exchange it is killed, the chunk runs locally, and the process stays
-serial; the output bytes are the same in every case. The helper exits at
-the end of its stdin, and an atexit hook of the process that started it
-kills and reaps it.
+locally. Over two pipes, a request is the chunk's block count, key and
+slabs, and a reply its blocks after their length: the helper expands each
+new key itself. If the helper cannot start or fails an exchange it is
+killed, the chunk runs locally, and the process stays serial; the output
+bytes are the same in every case. The helper exits at the end of its stdin,
+and an atexit hook of the process that started it kills and reaps it.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, _rounds picks one of
 256 S-box tables per slab by round-key byte, and ctr_keystream's first two
 rounds look up tables by counter bytes XORed with key bytes, so the cache
 footprint of all three leaks key material to a co-resident observer. The
-slab tables the helper is sent are key material too: they cross an
-anonymous pipe to a child of the same user.
+key the helper is sent crosses an anonymous pipe to a child of the same
+user.
 """
 
 from __future__ import annotations
@@ -421,10 +421,10 @@ MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 # fastest at half its working set.
 _CHUNK_BLOCKS = 2048
 
-# The keystream helper protocol. Each request is two big-endian u32, the
-# count of slab-table rounds and the chunk's block count n, then the tables
-# (4,096 bytes a round) and the 16 slabs of n bytes; each reply is its length
-# as a u32, then the chunk's 16n keystream bytes.
+# The keystream helper protocol. Each request is the chunk's block count n
+# as a big-endian u32, the 16-byte key and the 16 slabs of n bytes, 20 + 16n
+# bytes in all; each reply is its length as a u32, then the chunk's 16n
+# keystream blocks. The reply's length is what finds a pipe out of frame.
 _READY = b"R"
 _HELPER_ERRORS = (OSError, ValueError, EOFError)
 
@@ -432,18 +432,21 @@ _HELPER_ERRORS = (OSError, ValueError, EOFError)
 def _serve_helper() -> None:
     """The keystream helper's loop, run in the child process: write the
     ready byte, then answer each request on stdin with _rounds on its slabs
-    until stdin reaches its end."""
+    until stdin reaches its end. The child expands each new key with its own
+    import of this module and keeps the schedule while the key repeats, so a
+    patch of the parent's module (of SBOX or of _rounds) never reaches it."""
     read, out = sys.stdin.buffer.read, sys.stdout.buffer
     out.write(_READY)
     out.flush()
-    while len(head := read(8)) == 8:
-        size, n = 4096 * int.from_bytes(head[:4], "big"), int.from_bytes(head[4:], "big")
-        body = read(size + 16 * n)
-        if len(body) != size + 16 * n:
+    ks = None
+    while len(head := read(20)) == 20:
+        n = int.from_bytes(head[:4], "big")
+        body = read(16 * n)
+        if len(body) != 16 * n:
             return
-        tables = [tuple(body[i : i + 256] for i in range(r, r + 4096, 256)) for r in range(0, size, 4096)]
-        slabs = [body[size + j * n : size + j * n + n] for j in range(16)]
-        blocks = _rounds(slabs, KeySchedule((), (), (), tuple(tables), ()))
+        if ks is None or ks.round_keys[0] != head[4:]:
+            ks = key_expansion(head[4:])
+        blocks = _rounds([body[j * n : j * n + n] for j in range(16)], ks)
         out.write(len(blocks).to_bytes(4, "big") + blocks)
         out.flush()
 
@@ -451,9 +454,10 @@ def _serve_helper() -> None:
 class _Helper:
     """One process's keystream helper: a child interpreter that runs
     _serve_helper over two pipes. Every method but stop is called with
-    ``lock`` held, which callers take without blocking. Any error of an
-    exchange, and any interruption of one, which could leave a frame half
-    written or half read, drops the child for good."""
+    ``lock`` held, which callers take without blocking. Each step of an
+    exchange runs in ``with self``: any exception in it, an interruption
+    included, could leave a frame half written or half read, so it drops the
+    child for good, and only _HELPER_ERRORS are not re-raised."""
 
     def __init__(self) -> None:
         self.pid = os.getpid()
@@ -462,19 +466,26 @@ class _Helper:
         self.booted = False
         self.failed = False
 
+    def __enter__(self) -> "_Helper":
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        if exc is not None:
+            self.failed = True
+            self.stop()
+        return isinstance(exc, _HELPER_ERRORS)
+
     def ready(self, timeout: float) -> bool:
         """Start the child if need be, without waiting for it to boot, and
         say whether its ready byte has come within ``timeout`` s."""
-        try:
-            if self.proc is None and not self.failed:
-                self._start()
-            if not self.failed and not self.booted:
+        with self:
+            if not (self.failed or self.booted):
+                if self.proc is None:
+                    self._start()
                 if self.select([self.proc.stdout], [], [], timeout)[0]:
                     if self.proc.stdout.read(1) != _READY:
                         raise EOFError("the keystream helper exited before it was ready")
                     self.booted = True
-        except BaseException as exc:
-            self._fail(exc)
         return self.booted and not self.failed
 
     def _start(self) -> None:
@@ -506,38 +517,24 @@ class _Helper:
 
     def send(self, slabs: "list[bytes]", ks: KeySchedule) -> bool:
         """Send one chunk's request; whether it was sent."""
-        head = len(ks.slab_tables).to_bytes(4, "big") + len(slabs[0]).to_bytes(4, "big")
-        try:
-            self.proc.stdin.write(b"".join([head, *(t for r in ks.slab_tables for t in r), *slabs]))
+        with self:
+            self.proc.stdin.write(b"".join([len(slabs[0]).to_bytes(4, "big"), ks.round_keys[0], *slabs]))
             self.proc.stdin.flush()
-            return True
-        except BaseException as exc:
-            self._fail(exc)
-            return False
+        return not self.failed
 
     def receive(self, n: int) -> "bytes | None":
         """Read the reply to the request just sent, the blocks of an
         n-block chunk, or None if the child failed; release ``lock``."""
-        blocks = None
         try:
-            if self.proc.stdout.read(4) == (16 * n).to_bytes(4, "big"):
-                got = self.proc.stdout.read(16 * n)
-                blocks = got if len(got) == 16 * n else None
-        except _HELPER_ERRORS:
-            pass
+            with self:
+                if self.proc.stdout.read(4) == (16 * n).to_bytes(4, "big"):
+                    blocks = self.proc.stdout.read(16 * n)
+                    if len(blocks) == 16 * n:
+                        return blocks
+                raise EOFError("the keystream helper's reply is out of frame or short")
         finally:
-            if blocks is None:
-                self._fail(None)
             self.lock.release()
-        return blocks
-
-    def _fail(self, exc: "BaseException | None") -> None:
-        """Stop the child for good, so this process stays serial, and
-        re-raise ``exc`` unless it is an error of the exchange itself."""
-        self.failed = True
-        self.stop()
-        if exc is not None and not isinstance(exc, _HELPER_ERRORS):
-            raise exc
+        return None
 
     def stop(self) -> None:
         """Kill and reap the child, from the process that started it only."""

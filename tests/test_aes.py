@@ -686,6 +686,45 @@ class TestKeystreamHelper:
         assert got == per_block_keystream(PASS_KS, PASS_NONCE, 7, nbytes)
         assert got == cryptography_keystream(PASS_KEY, PASS_NONCE, 7, nbytes)
 
+    def test_a_handed_chunk_crosses_the_pipes_as_count_key_and_slabs(self, monkeypatch, fresh_helper):
+        # A request is the block count (u32), the 16-byte key and the 16
+        # slabs; a reply is its length (u32) and the blocks.
+        class Counted:
+            def __init__(self, stream):
+                self.stream, self.count = stream, 0
+
+            def write(self, data):
+                self.count += len(data)
+                return self.stream.write(data)
+
+            def read(self, size):
+                data = self.stream.read(size)
+                self.count += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.stream, name)
+
+        sent = fresh_helper.proc.stdin = Counted(fresh_helper.proc.stdin)
+        read = fresh_helper.proc.stdout = Counted(fresh_helper.proc.stdout)
+        handed = self.watch(monkeypatch)
+        nbytes = 16 * 3 * aes._CHUNK_BLOCKS
+        got = ctr_keystream(PASS_KS, PASS_NONCE, [(4, nbytes)])
+        assert got == per_block_keystream(PASS_KS, PASS_NONCE, 4, nbytes)
+        assert handed == [aes._CHUNK_BLOCKS]
+        assert (sent.count, read.count) == (20 + 16 * aes._CHUNK_BLOCKS, 4 + 16 * aes._CHUNK_BLOCKS)
+
+    def test_the_helper_follows_key_switches(self, monkeypatch, fresh_helper):
+        # The child keeps a key's schedule while the key repeats: keys A, B,
+        # then A again, each call handing it one chunk.
+        handed = self.watch(monkeypatch)
+        a, b = (key_expansion(bytes([k]) * 16) for k in (1, 2))
+        nbytes = 16 * 2 * aes._CHUNK_BLOCKS
+        for ks in (a, b, a):
+            got = ctr_keystream(ks, PASS_NONCE, [(6, nbytes)])
+            assert got == per_block_keystream(ks, PASS_NONCE, 6, nbytes)
+        assert handed == [aes._CHUNK_BLOCKS] * 3 and not fresh_helper.failed
+
     @pytest.mark.parametrize("after_send", [False, True])
     def test_a_killed_helper_leaves_the_process_serial(self, monkeypatch, fresh_helper, after_send):
         # Killed between two calls, or right after a chunk was sent to it:
