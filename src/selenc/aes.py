@@ -621,25 +621,26 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
     Not constant-time: besides the engine's own lookups, the tables that
     build R, P and D are indexed by counter bytes XORed with key bytes.
     """
+    if len(nonce) != 8:
+        raise ValueError("nonce must be 8 bytes")
     if len({ordinal for ordinal, _ in spans}) < len(spans):
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
-    tables, k, rk = _ROUND_TABLES, ks.round_keys[0], ks.round_key_ints
-    t14, t4, t5, t6, t7 = tables[14], *tables[4:8]
-    # Round 1 up to its round key, from the nonce (bytes 0-7); x's term is
-    # rows 0-3 of column 0, each a table over x in ks.column_x.
-    base = rk[1]
-    for i, c in enumerate(nonce[:8]):
-        base ^= tables[i][c ^ k[i]]
-    segments, cuts, start = [], [], 0
     for ordinal, nbytes in spans:
         if nbytes < 0:
             raise ValueError("nbytes must be nonnegative")
         if nbytes > MAX_KEYSTREAM_BYTES:
             raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
-        if len(nonce) != 8:
-            raise ValueError("nonce must be 8 bytes")
         if not 0 <= ordinal < 1 << 32:
             raise ValueError("nal_ordinal must fit in 32 bits")
+    tables, k, rk = _ROUND_TABLES, ks.round_keys[0], ks.round_key_ints
+    t14, t4, t5, t6, t7 = tables[14], *tables[4:8]
+    # Round 1 up to its round key, from the nonce (bytes 0-7); x's term is
+    # rows 0-3 of column 0, each a table over x in ks.column_x.
+    base = rk[1]
+    for i, c in enumerate(nonce):
+        base ^= tables[i][c ^ k[i]]
+    segments, cuts, start = [], [], 0
+    for ordinal, nbytes in spans:
         nblocks = -(-nbytes // BLOCK_SIZE)
         for high in range(0, nblocks, 1 << 16):
             # Blocks high to high + 65,535, whose bytes 0-13 do not step.

@@ -8,7 +8,7 @@ import os
 import sys
 
 from .aes import key_expansion
-from .errors import BadHex, SelencError
+from .errors import BadHex, SelencError, WrongKey
 from .harness import bench
 from .pipeline import (
     DEFAULT_KDF_ITERATIONS,
@@ -150,7 +150,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             nonce,
         )
     elif args.command == "decrypt":
-        report = cmd_decrypt(args.in_path, args.meta_path, args.out_path, _key_source(args))
+        try:
+            report = cmd_decrypt(args.in_path, args.meta_path, args.out_path, _key_source(args))
+        except WrongKey as exc:
+            if args.passphrase is None:
+                raise
+            raise WrongKey(
+                f"{exc} (a passphrase also needs encrypt's --kdf-iters; the sidecar does not record it)"
+            ) from exc
     elif args.command == "inspect":
         report = cmd_inspect(args.in_path, _POLICY_NAMES[args.policy])
         if args.json:
@@ -161,8 +168,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         data = gen_test_stream(args.out_path, args.gop, args.frames, args.payload, args.seed)
         print(f"wrote {len(data)} bytes to {args.out_path}")
     elif args.command == "bench":
-        _, _, nals = _read_stream(args.in_path)
         ks = key_expansion(derive_key(KeySource.from_raw_hex(args.key)))
+        _, _, nals = _read_stream(args.in_path)
         result = bench(nals, ks, _POLICY_NAMES[args.policy])
         if args.json:
             print(json.dumps(result.to_dict(), indent=2))

@@ -25,7 +25,7 @@ from .bitstream import (
     splice_annexb,
     split_annexb,
 )
-from .errors import BadHex, EmptyPassphrase, NoStartCode, WrongKey
+from .errors import BadHex, EmptyPassphrase, NoStartCode
 from .selective import (
     CipherHeader,
     EncryptionPolicy,
@@ -41,7 +41,7 @@ DEFAULT_KDF_ITERATIONS = 10_000
 
 @dataclass(frozen=True)
 class KeySource:
-    """A raw 128-bit key or a passphrase to stretch; exactly one is set."""
+    """A raw 128-bit key or a passphrase to stretch; exactly one is set, judged as it is built."""
 
     raw_key_hex: Optional[str] = field(default=None, repr=False)
     passphrase: Optional[str] = field(default=None, repr=False)
@@ -52,6 +52,15 @@ class KeySource:
             raise ValueError("provide exactly one of raw_key_hex or passphrase")
         if self.kdf_iterations < 1:
             raise ValueError("kdf_iterations must be at least 1")
+        if self.passphrase == "":
+            raise EmptyPassphrase("passphrase must be non-empty")
+        text = self.raw_key_hex
+        if text is not None and len(text) != 32:
+            raise BadHex(f"raw key must be 32 hex characters, got {len(text)}")
+        # Name the position, never the text: the key is a secret.
+        bad = next((i for i, c in enumerate(text or "") if c not in "0123456789abcdefABCDEF"), None)
+        if bad is not None:
+            raise BadHex(f"raw key has a non-hex character at position {bad}")
 
     @classmethod
     def from_raw_hex(cls, text: str) -> "KeySource":
@@ -81,19 +90,10 @@ def derive_key(source: KeySource) -> bytes:
 
     Raw keys are hex-decoded. Passphrases are stretched through the iterated
     cipher construction; the iteration count is the knob that makes guessing
-    expensive.
+    expensive. The KeySource judged both when it was built.
     """
     if source.raw_key_hex is not None:
-        text = source.raw_key_hex
-        if len(text) != 32:
-            raise BadHex(f"raw key must be 32 hex characters, got {len(text)}")
-        # Name the position, never the text: the key is a secret.
-        bad = next((i for i, c in enumerate(text) if c not in "0123456789abcdefABCDEF"), -1)
-        if bad != -1:
-            raise BadHex(f"raw key has a non-hex character at position {bad}")
-        return bytes.fromhex(text)
-    if not source.passphrase:
-        raise EmptyPassphrase("passphrase must be non-empty")
+        return bytes.fromhex(source.raw_key_hex)
     return _kdf(source.passphrase, source.kdf_iterations)
 
 
@@ -276,23 +276,15 @@ def cmd_decrypt(in_path, meta_path, out_path, key: KeySource) -> RunSummary:
     """Decrypt a stream file using its sidecar; inverse of cmd_encrypt. The
     summary's total_bytes is the size of the file written. A sidecar path
     that names the input or the output file, or an output or sidecar path
-    that is a directory, is refused, as cmd_encrypt does, and so, before any
-    key work, is any listed ordinal check_cipherable refuses. A passphrase
-    whose key check fails may be right at another --kdf-iters, which the
-    sidecar does not record, so its WrongKey says so."""
+    that is a directory, is refused, as cmd_encrypt does, then a sidecar
+    that does not parse, before the stream is read, and, before any key
+    work, any listed ordinal check_cipherable refuses."""
     _refuse_targets(meta_path, in_path, out_path)
-    data, leading, nals = _read_stream(in_path)
     header = CipherHeader.from_bytes(Path(meta_path).read_bytes())
+    data, leading, nals = _read_stream(in_path)
     check_cipherable(nals, header.ordinals)
     ks = key_expansion(derive_key(key))
-    try:
-        out_nals = decrypt_stream(nals, ks, header)
-    except WrongKey as exc:
-        if key.passphrase is None:
-            raise
-        raise WrongKey(
-            f"{exc} (a passphrase also needs encrypt's --kdf-iters; the sidecar does not record it)"
-        ) from exc
+    out_nals = decrypt_stream(nals, ks, header)
     parts = splice_annexb(data, leading, nals, out_nals)
     _atomic_write((out_path, parts))
     # The NALs the sidecar does not list are the plaintext's own, so select

@@ -381,40 +381,55 @@ class TestCounterMode:
             (b"\x01" * 7, [(2**32, 0)], "nonce must be 8 bytes"),
             # Each span is judged in turn, after the spans before it.
             (b"\x01" * 8, [(0, 40), (2**32, 0)], "nal_ordinal must fit in 32 bits"),
+            # Every counter block holds the nonce, so even no span needs one.
+            (b"\x01" * 7, [], "nonce must be 8 bytes"),
         ],
     )
     def test_counter_refusals(self, monkeypatch, nonce, spans, refusal):
-        # Refused before any keystream block is computed here or handed off.
-        calls = []
+        # Refused before any round table is read, and so before any
+        # keystream block is computed here or handed off.
+        calls, ks = [], key_expansion(b"\x00" * 16)
         for name in ("_rounds", "_hand_off"):
             real = getattr(aes, name)
             monkeypatch.setattr(aes, name, lambda s, k, real=real: calls.append(len(s[0])) or real(s, k))
+
+        class WatchedTables(tuple):
+            def __getitem__(self, i):
+                calls.append(i)
+                return super().__getitem__(i)
+
+        monkeypatch.setattr(aes, "_ROUND_TABLES", WatchedTables(aes._ROUND_TABLES))
         with pytest.raises(ValueError) as got:
-            ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
+            ctr_keystream(ks, nonce, spans)
         assert type(got.value) is ValueError and str(got.value) == refusal
         assert calls == []
 
     @pytest.mark.parametrize(
         "nonce,spans,refusal",
         [
-            (b"\x01" * 7, [(2**32, 16), (2**32, 0)], "a repeated NAL ordinal would reuse its keystream"),
-            (b"\x01" * 7, [(2**32, -1)], "nbytes must be nonnegative"),
+            (b"\x01" * 7, [(2**32, 16), (2**32, 0)], "nonce must be 8 bytes"),
+            (b"\x01" * 7, [(2**32, -1)], "nonce must be 8 bytes"),
             (b"\x01" * 8, [(-1, -1)], "nbytes must be nonnegative"),
             (b"\x01" * 8, [(0, -1), (2**32, 16)], "nbytes must be nonnegative"),
             (b"\x01" * 8, [(2**32, 16), (0, -1)], "nal_ordinal must fit in 32 bits"),
             (b"\x01" * 7, [(0, 16), (1, -1)], "nonce must be 8 bytes"),
+            (b"\x01" * 8, [(2**32, 16), (2**32, 0)], "a repeated NAL ordinal would reuse its keystream"),
+            (b"\x01" * 8, [(2**32, -1)], "nbytes must be nonnegative"),
         ],
     )
     def test_refusal_order(self, nonce, spans, refusal):
-        # The repeated-ordinal check comes first, then per span: nbytes, the
-        # nonce, the ordinal.
+        # The nonce is judged first, then the repeated-ordinal check, then
+        # per span: nbytes, counter room, the ordinal.
         with pytest.raises(ValueError) as got:
             ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
         assert str(got.value) == refusal
 
-    def test_counter_overflow_comes_before_the_counter_checks(self):
+    def test_counter_overflow_comes_between_the_nonce_and_ordinal_checks(self):
+        ks, nbytes = key_expansion(b"\x00" * 16), (1 << 32) * 16 + 1
+        with pytest.raises(ValueError, match="^nonce must be 8 bytes$"):
+            ctr_keystream(ks, b"\x01" * 7, [(2**32, nbytes)])
         with pytest.raises(CounterOverflow):
-            ctr_keystream(key_expansion(b"\x00" * 16), b"\x01" * 7, [(2**32, (1 << 32) * 16 + 1)])
+            ctr_keystream(ks, b"\x01" * 8, [(2**32, nbytes)])
 
     @pytest.mark.parametrize(
         "spans", [[(3, 16), (3, 16)], [(3, 16), (4, 8), (3, 0)], [(0, 0), (0, 0)]]
@@ -724,6 +739,23 @@ class TestKeystreamHelper:
             got = ctr_keystream(ks, PASS_NONCE, [(6, nbytes)])
             assert got == per_block_keystream(ks, PASS_NONCE, 6, nbytes)
         assert handed == [aes._CHUNK_BLOCKS] * 3 and not fresh_helper.failed
+
+    def test_a_key_frame_of_over_two_chunks_runs_on_both_cores(self, monkeypatch):
+        # The cipher pass keys a one-slice key frame in one call, so the
+        # helper computes its odd chunks, the last of them one block.
+        from selenc.bitstream import ebsp_to_rbsp, split_annexb
+        from selenc.pipeline import gen_test_stream
+        from selenc.selective import EncryptionPolicy, encrypt_stream, select
+
+        handed = self.watch(monkeypatch)
+        nbytes = 16 * (3 * aes._CHUNK_BLOCKS + 1)
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=1, payload_size=nbytes))[1]
+        selection = select(nals, EncryptionPolicy.IDR_ONLY)
+        out, _ = encrypt_stream(nals, PASS_KS, selection, PASS_NONCE)
+        assert selection.selected_ordinals == (2,) and handed == [aes._CHUNK_BLOCKS, 1]
+        rbsp = ebsp_to_rbsp(nals[2].ebsp)
+        want = xor_bytes(rbsp, per_block_keystream(PASS_KS, PASS_NONCE, 2, nbytes))
+        assert len(rbsp) == nbytes and ebsp_to_rbsp(out[2].ebsp) == want
 
     @pytest.mark.parametrize("after_send", [False, True])
     def test_a_killed_helper_leaves_the_process_serial(self, monkeypatch, fresh_helper, after_send):

@@ -1,9 +1,13 @@
 import contextlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selenc
 from selenc.cli import main
 from selenc.selective import CipherHeader
 
@@ -243,6 +247,28 @@ class TestEncryptDecrypt:
         assert rc == 1
         assert "selenc: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,extra,error",
+        [
+            ("encrypt", ["--out", "e.264", "--key", "0" * 31 + "z"],
+             "raw key has a non-hex character at position 31"),
+            ("decrypt", ["--out", "d.264", "--key", KEY, "--meta", "short.seh"],
+             "sidecar truncated: 10 bytes, need at least 22"),
+            ("bench", ["--key", "0" * 32 + "0"], "raw key must be 32 hex characters, got 33"),
+        ],
+    )
+    def test_refused_before_the_stream_is_read(self, tmp_path, capsys, monkeypatch, command, extra, error):
+        # The input does not exist, so a command that read it first would
+        # name the missing file instead.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "short.seh").write_bytes(b"SEH1" + bytes(6))
+        argv = [command, "--in", "missing.264", *extra]
+        if command == "encrypt":
+            argv += ["--meta", "e.seh"]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"selenc: error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.seh"]
+
     def test_key_and_passphrase_mutually_exclusive(self, stream_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("encrypt", "--in", str(stream_file), "--out", str(tmp_path / "e"),
@@ -346,3 +372,14 @@ class TestBench:
         # The same refusal, word for word, as encrypt and decrypt give.
         assert run("bench", "--in", str(bad_stream), "--key", KEY) == 1
         assert capsys.readouterr().err == "selenc: error: NAL 0: 00 00 02 at payload offset 1\n"
+
+
+def test_importing_the_cli_loads_no_helper_machinery():
+    # The keystream helper imports subprocess and select only when it starts.
+    src = Path(selenc.__file__).resolve().parents[1]
+    code = "import selenc.cli, sys; print(sorted({'subprocess', 'select'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

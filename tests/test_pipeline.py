@@ -71,6 +71,24 @@ class TestKeySource:
         with pytest.raises(ValueError):
             KeySource.from_passphrase("x", iterations=0)
 
+    @pytest.mark.parametrize(
+        "text,refusal",
+        [
+            ("0" * 31, "raw key must be 32 hex characters, got 31"),
+            ("0" * 33, "raw key must be 32 hex characters, got 33"),
+            ("0" * 31 + "z", "raw key has a non-hex character at position 31"),
+        ],
+    )
+    def test_bad_raw_key_refused_as_built(self, text, refusal):
+        # Judged where it enters, before any command reads a stream.
+        with pytest.raises(BadHex) as got:
+            KeySource.from_raw_hex(text)
+        assert str(got.value) == refusal
+
+    def test_empty_passphrase_refused_as_built(self):
+        with pytest.raises(EmptyPassphrase, match="^passphrase must be non-empty$"):
+            KeySource.from_passphrase("")
+
     def test_repr_hides_secrets(self):
         assert "hunter2" not in repr(KeySource.from_passphrase("hunter2 secret"))
         assert "00112233" not in repr(KeySource.from_raw_hex("00112233445566778899aabbccddeeff"))
@@ -672,12 +690,25 @@ class TestFileCommands:
             cmd_decrypt(enc, meta, out, KeySource.from_raw_hex("ff" * 16))
         assert not out.exists()
 
-    def test_truncated_sidecar(self, tmp_path):
+    def test_truncated_sidecar(self, tmp_path, monkeypatch):
+        # Refused before the stream is read.
         plain, enc, meta, out = self.make_files(tmp_path)
         cmd_encrypt(plain, enc, meta, KEY, nonce=b"\x05" * 8)
         meta.write_bytes(meta.read_bytes()[:10])
-        with pytest.raises(MalformedHeader):
+        reads, real = [], pipeline._read_stream
+        monkeypatch.setattr(pipeline, "_read_stream", lambda path: reads.append(path) or real(path))
+        with pytest.raises(MalformedHeader, match="^sidecar truncated: 10 bytes, need at least 22$"):
             cmd_decrypt(enc, meta, out, KEY)
+        assert reads == [] and not out.exists()
+
+    def test_wrong_kdf_iterations_is_a_plain_wrong_key(self, tmp_path):
+        # The library names no CLI flag: the CLI adds its --kdf-iters advice.
+        plain, enc, meta, out = self.make_files(tmp_path)
+        cmd_encrypt(plain, enc, meta, KeySource.from_passphrase("sesame", iterations=3))
+        with pytest.raises(WrongKey) as got:
+            cmd_decrypt(enc, meta, out, KeySource.from_passphrase("sesame", iterations=4))
+        assert str(got.value) == "sidecar key check does not match the supplied key"
+        assert not out.exists()
 
     def test_leading_garbage_preserved(self, tmp_path):
         plain, enc, meta, out = self.make_files(tmp_path)
