@@ -53,7 +53,6 @@ from .errors import (
     SelencError,
     WrongKey,
 )
-from .harness import BenchResult, OracleReport, bench, oracle_suite
 from .pipeline import (
     KeySource,
     RunSummary,
@@ -76,6 +75,20 @@ from .selective import (
 )
 
 __version__ = "0.1.0"
+
+# The benchmark harness, and the tempfile and random it imports, load on
+# first use of one of its names (PEP 562), not with the package: a one-shot
+# command never needs them.
+_HARNESS_NAMES = frozenset({"BenchResult", "OracleReport", "bench", "oracle_suite"})
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AesState",

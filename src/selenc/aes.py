@@ -46,18 +46,23 @@ helper, started by its first such call and never waited for: until its
 ready byte has come, and whenever another thread holds it, chunks run
 locally. Over two pipes, a request is the chunk's block count, key and
 slabs, and a reply its blocks after their length: the helper expands each
-new key itself. If the helper cannot start or fails an exchange it is
-killed, the chunk runs locally, and the process stays serial; the output
-bytes are the same in every case. The helper exits at the end of its stdin,
-and an atexit hook of the process that started it kills and reaps it.
+new key itself. The same helper also judges payloads for
+bitstream.classify_stream: _judge_off sends it the back half of the
+payloads to judge, and it replies with each one's escape verdict and
+00 00 03 count, from its own import of selenc.bitstream. That offer never
+starts a helper, so a process that only inspects stays serial. If the
+helper cannot start or fails an exchange it is killed, the work runs
+locally, and the process stays serial; the results are the same in every
+case. The helper exits at the end of its stdin, and an atexit hook of the
+process that started it kills and reaps it.
 
 Not constant-time, and not meant to protect real secrets: the table lookups
 in _encrypt_int are indexed by secret-dependent bytes, _rounds picks one of
 256 S-box tables per slab by round-key byte, and ctr_keystream's first two
 rounds look up tables by counter bytes XORed with key bytes, so the cache
 footprint of all three leaks key material to a co-resident observer. The
-key the helper is sent crosses an anonymous pipe to a child of the same
-user.
+key the helper is sent, and the clear payloads it judges, cross an
+anonymous pipe to a child of the same user.
 """
 
 from __future__ import annotations
@@ -421,43 +426,71 @@ MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 # fastest at half its working set.
 _CHUNK_BLOCKS = 2048
 
-# The keystream helper protocol. Each request is the chunk's block count n
-# as a big-endian u32, the 16-byte key and the 16 slabs of n bytes, 20 + 16n
-# bytes in all; each reply is its length as a u32, then the chunk's 16n
-# keystream blocks. The reply's length is what finds a pipe out of frame.
+# The helper protocol. Every request opens with a 20-byte head, and every
+# reply is its body's length as a big-endian u32, then the body.
+# - Keystream: the head is the chunk's block count n (u32, never 0) and the
+#   16-byte key, then come the 16 slabs of n bytes, 20 + 16n bytes in all;
+#   the reply body is the chunk's 16n keystream blocks. The reply's length
+#   is what finds a pipe out of frame.
+# - Judge: the head is a zero u32, the payload count m and their total size
+#   s (u64 each), then come the m payload lengths (u32 each) and the
+#   payloads; the reply body is one line per payload, its 00 00 03 count, a
+#   space and its escape verdict text, empty when clean.
 _READY = b"R"
 _HELPER_ERRORS = (OSError, ValueError, EOFError)
 
 
 def _serve_helper() -> None:
-    """The keystream helper's loop, run in the child process: write the
-    ready byte, then answer each request on stdin with _rounds on its slabs
-    until stdin reaches its end. The child expands each new key with its own
-    import of this module and keeps the schedule while the key repeats, so a
-    patch of the parent's module (of SBOX or of _rounds) never reaches it."""
+    """The helper's loop, run in the child process: write the ready byte,
+    then answer each request on stdin until stdin reaches its end. A
+    keystream request gets _rounds on its slabs: the child expands each new
+    key with its own import of this module and keeps the schedule while the
+    key repeats, so a patch of the parent's module (of SBOX or of _rounds)
+    never reaches it. A judge request gets _judged_here on its payloads. The
+    whole request is read before any work, so the parent's write never waits
+    on it."""
     read, out = sys.stdin.buffer.read, sys.stdout.buffer
     out.write(_READY)
     out.flush()
     ks = None
     while len(head := read(20)) == 20:
         n = int.from_bytes(head[:4], "big")
-        body = read(16 * n)
-        if len(body) != 16 * n:
+        m = 0 if n else int.from_bytes(head[4:12], "big")
+        size = 16 * n if n else 4 * m + int.from_bytes(head[12:], "big")
+        if len(body := read(size)) != size:
             return
-        if ks is None or ks.round_keys[0] != head[4:]:
-            ks = key_expansion(head[4:])
-        blocks = _rounds([body[j * n : j * n + n] for j in range(16)], ks)
-        out.write(len(blocks).to_bytes(4, "big") + blocks)
+        if n:
+            if ks is None or ks.round_keys[0] != head[4:]:
+                ks = key_expansion(head[4:])
+            reply = _rounds([body[j * n : j * n + n] for j in range(16)], ks)
+        else:
+            reply = _judged_here(body, m)
+        out.write(len(reply).to_bytes(4, "big") + reply)
         out.flush()
 
 
+def _judged_here(body: bytes, m: int) -> bytes:
+    """The reply to a judge request of m payloads: the same escape verdict
+    and 00 00 03 count code that classify_stream runs, from the child's own
+    import of selenc.bitstream, made on its first judge request."""
+    from .bitstream import _escapes, _violation
+
+    lines, pos = [], 4 * m
+    for i in range(0, 4 * m, 4):
+        end = pos + int.from_bytes(body[i : i + 4], "big")
+        payload, pos = body[pos:end], end
+        lines.append(f"{_escapes(payload)} {_violation(payload) or ''}")
+    return "\n".join(lines).encode()
+
+
 class _Helper:
-    """One process's keystream helper: a child interpreter that runs
-    _serve_helper over two pipes. Every method but stop is called with
-    ``lock`` held, which callers take without blocking. Each step of an
-    exchange runs in ``with self``: any exception in it, an interruption
-    included, could leave a frame half written or half read, so it drops the
-    child for good, and only _HELPER_ERRORS are not re-raised."""
+    """One process's helper: a child interpreter that runs _serve_helper
+    over two pipes. Every method but stop is called with ``lock`` held,
+    which callers take without blocking, from a request's send to its
+    reply. Each step of an exchange runs in ``with self``: any exception in
+    it, an interruption included, could leave a frame half written or half
+    read, so it drops the child for good, and only _HELPER_ERRORS are not
+    re-raised."""
 
     def __init__(self) -> None:
         self.pid = os.getpid()
@@ -490,8 +523,10 @@ class _Helper:
 
     def _start(self) -> None:
         # The child imports only selenc.aes and selenc.errors, from this
-        # package's directory; the marker on the first line of its -c text
-        # names it in a process list.
+        # package's directory, and selenc.bitstream on its first judge
+        # request. The marker on the first line of its -c text names it in a
+        # process list, where tests and CI look for it; it keeps the
+        # keystream's name although the child judges payloads too.
         import atexit
         import select
         import subprocess
@@ -515,23 +550,30 @@ class _Helper:
         )
         atexit.register(self.stop)
 
-    def send(self, slabs: "list[bytes]", ks: KeySchedule) -> bool:
-        """Send one chunk's request; whether it was sent."""
+    def send(self, parts: "list[bytes | memoryview]") -> bool:
+        """Send one request, its parts in order and unjoined; whether it
+        was sent."""
         with self:
-            self.proc.stdin.write(b"".join([len(slabs[0]).to_bytes(4, "big"), ks.round_keys[0], *slabs]))
+            write = self.proc.stdin.write
+            for part in parts:
+                write(part)
             self.proc.stdin.flush()
         return not self.failed
 
-    def receive(self, n: int) -> "bytes | None":
-        """Read the reply to the request just sent, the blocks of an
-        n-block chunk, or None if the child failed; release ``lock``."""
+    def receive(self, unpack, size: "int | None" = None):
+        """Read the reply to the request just sent and return unpack of its
+        body, or None if the child failed; release ``lock``. A keystream
+        reply's body must be ``size`` bytes, which is checked before it is
+        read; unpack raises EOFError on a body out of frame."""
         try:
             with self:
-                if self.proc.stdout.read(4) == (16 * n).to_bytes(4, "big"):
-                    blocks = self.proc.stdout.read(16 * n)
-                    if len(blocks) == 16 * n:
-                        return blocks
-                raise EOFError("the keystream helper's reply is out of frame or short")
+                head = self.proc.stdout.read(4)
+                n = int.from_bytes(head, "big")
+                if len(head) == 4 and size in (None, n):
+                    body = self.proc.stdout.read(n)
+                    if len(body) == n:
+                        return unpack(body)
+                raise EOFError("the helper's reply is out of frame or short")
         finally:
             self.lock.release()
         return None
@@ -557,25 +599,52 @@ def _helper() -> _Helper:
     return _helpers.get(pid) or _helpers.setdefault(pid, _Helper())
 
 
-def _hand_off(slabs: "list[bytes]", ks: KeySchedule):
-    """Offer one engine chunk, _rounds' arguments, to this process's helper.
-
-    Returns None if it declines: the caller runs the chunk itself. It
-    declines while another thread holds the helper, while the helper boots
-    (the first offer starts it), and for good once the helper has failed.
-    Otherwise the chunk is sent, and the result is a function that returns
-    its blocks, or None if the helper failed on it. The caller must call it.
-    """
-    helper = _helper()
+def _offer(helper: _Helper, parts: "list[bytes | memoryview]", unpack, size: "int | None" = None):
+    """Send one request to ``helper`` unless it declines: while another
+    thread holds it, while it boots (an offer to a helper whose child has
+    not been started starts it), and for good once it has failed. Returns
+    None if it declines; otherwise a function that returns unpack of the
+    reply, or None if the helper failed on it. The caller must call it."""
     if not helper.lock.acquire(blocking=False):
         return None
     sent = False
     try:
-        sent = helper.ready(0) and helper.send(slabs, ks)
+        sent = helper.ready(0) and helper.send(parts)
     finally:
         if not sent:
             helper.lock.release()
-    return (lambda: helper.receive(len(slabs[0]))) if sent else None
+    return (lambda: helper.receive(unpack, size)) if sent else None
+
+
+def _hand_off(slabs: "list[bytes]", ks: KeySchedule):
+    """Offer one engine chunk, _rounds' arguments, to this process's helper,
+    starting it on the first offer. Returns None if it declines: the caller
+    runs the chunk itself. Otherwise the result is a function that returns
+    the chunk's blocks, or None if the helper failed on it (see _offer)."""
+    n = len(slabs[0])
+    return _offer(_helper(), [n.to_bytes(4, "big"), ks.round_keys[0], *slabs], bytes, 16 * n)
+
+
+def _judge_off(payloads: "list[bytes | memoryview]"):
+    """Offer payloads that follow a non-zero header byte to this process's
+    helper to judge, only if the helper is already ready: this never starts
+    one, so a process that only inspects stays serial. Returns None if it
+    declines; otherwise a function that returns each payload's (escape
+    verdict, 00 00 03 count), in order, or None if the helper failed."""
+    helper = _helpers.get(os.getpid())
+    if helper is None or helper.proc is None:
+        return None
+    lengths = b"".join([len(p).to_bytes(4, "big") for p in payloads])
+    size = sum(map(len, payloads))
+    head = bytes(4) + len(payloads).to_bytes(8, "big") + size.to_bytes(8, "big")
+    return _offer(helper, [head, lengths, *payloads], lambda body: _unpack_judged(body, len(payloads)))
+
+
+def _unpack_judged(body: bytes, m: int) -> "list[tuple[str | None, int]]":
+    lines = body.decode().split("\n")
+    if len(lines) != m:
+        raise EOFError("the helper's judge reply is out of frame")
+    return [(verdict or None, int(count)) for count, _, verdict in (line.partition(" ") for line in lines)]
 
 
 def _helper_ready(timeout: float) -> bool:

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from . import aes
 from .errors import (
     EscapingViolation,
     MalformedEscape,
@@ -95,6 +96,12 @@ class _Kept:
         v = nal.__dict__[self.name] = self.read(nal)
         return v
 
+    def keep(self, nal: "NalUnit", value: object) -> None:
+        """Keep ``value`` as the unit's, as a first read would, unless one
+        is kept already: for a value given when the unit is built or judged
+        by the helper process."""
+        nal.__dict__.setdefault(self.name, value)
+
 
 @dataclass(frozen=True, init=False)
 class NalUnit:
@@ -111,6 +118,7 @@ class NalUnit:
     writes or reports, as a cipher command copies most, is never scanned:
     slice_info does not read it. ``rbsp_size`` is kept the same way, unless
     the unit is built from an RBSP of known length and given it.
+    classify_stream may keep both as the helper process judged them.
     """
 
     ordinal: int
@@ -135,7 +143,7 @@ class NalUnit:
             raise ValueError("a NAL with no header byte has no payload")
         self.__dict__.update(ordinal=ordinal, start_code_len=start_code_len, header=header, ebsp=ebsp)
         if rbsp_size is not None:
-            self.__dict__.update(rbsp_size=rbsp_size)
+            NalUnit.rbsp_size.keep(self, rbsp_size)
 
     def start_code(self) -> bytes:
         return START_CODE_4 if self.start_code_len == 4 else START_CODE_3
@@ -151,7 +159,7 @@ class NalUnit:
     @_Kept
     def rbsp_size(self) -> int:
         """RBSP bytes of a clean payload: its size less its 00 00 03 count."""
-        return len(self.ebsp) - bytes(self.ebsp).count(b"\x00\x00\x03")
+        return len(self.ebsp) - _escapes(self.ebsp)
 
     @_Kept
     def escape_violation(self) -> Optional[str]:
@@ -189,6 +197,11 @@ def find_escape_violation(ebsp: bytes) -> int:
     (Y > 3), or -1 if clean."""
     m = _EPB_VIOLATION.search(ebsp)
     return -1 if m is None else m.start()
+
+
+def _escapes(ebsp: bytes) -> int:
+    """The payload's 00 00 03 count, which unescaping drops one byte of."""
+    return bytes(ebsp).count(b"\x00\x00\x03")
 
 
 def _violation(ebsp: bytes, zero_header: bool = False) -> Optional[str]:
@@ -481,9 +494,60 @@ class ReportRow(NamedTuple):
     malformed_escape: bool  # the NAL's escape_violation is set
 
 
+def _judge_back_half(nals: "list[NalUnit]") -> "tuple[int, Callable[[], None]]":
+    """Offer the back half of the payload bytes classify_stream must judge
+    to this process's helper, through aes._judge_off: the payloads after a
+    non-zero header byte with no verdict kept yet, cut after the NAL that
+    reaches half of their bytes. The back half is offered only if it holds
+    at least the keystream's unit of hand-off, one _CHUNK_BLOCKS chunk of
+    bytes. Returns the position of the first NAL handed off (len(nals) if
+    none was) and a function that keeps the helper's verdicts and counts as
+    those NALs' escape_violation and rbsp_size; if the helper failed, it
+    keeps nothing, and they are judged here when read."""
+    unit = aes.BLOCK_SIZE * aes._CHUNK_BLOCKS
+    if sum([len(nal.ebsp) for nal in nals]) < 2 * unit:  # no back half can hold a unit
+        return len(nals), lambda: None
+    todo = [
+        (i, nal) for i, nal in enumerate(nals)
+        if nal.header is not None and nal.header.to_byte() and "escape_violation" not in nal.__dict__
+    ]
+    total, front, k = sum(len(nal.ebsp) for _, nal in todo), 0, 0
+    while 2 * front < total:
+        front += len(todo[k][1].ebsp)
+        k += 1
+    back = todo[k:]
+    receive = None
+    if total - front >= unit:
+        receive = aes._judge_off([nal.ebsp for _, nal in back])
+    if receive is None:
+        return len(nals), lambda: None
+
+    def keep() -> None:
+        for (_, nal), (verdict, escapes) in zip(back, receive() or ()):
+            NalUnit.escape_violation.keep(nal, verdict)
+            NalUnit.rbsp_size.keep(nal, len(nal.ebsp) - escapes)
+
+    return back[0][0], keep
+
+
 def classify_stream(nals: Iterable[NalUnit]) -> "list[ReportRow]":
     """One inspection row per NAL; never raises on corrupt payloads. A row's
-    slice header is its NAL's slice_info, so select does not read it again."""
+    slice header is its NAL's slice_info, so select does not read it again.
+    While the helper process judges the back half of the payloads (see
+    _judge_back_half), this process judges the front half; every row is
+    the same as when all are judged here."""
+    nals = list(nals)
+    cut, keep = _judge_back_half(nals)
+    # The reply is read even if the front half raises, so the helper is
+    # never left holding an unread reply.
+    try:
+        rows = _rows(nals[:cut])
+    finally:
+        keep()
+    return rows + _rows(nals[cut:])
+
+
+def _rows(nals: "list[NalUnit]") -> "list[ReportRow]":
     rows = []
     for nal in nals:
         if nal.header is None:

@@ -9,7 +9,6 @@ import sys
 
 from .aes import key_expansion
 from .errors import BadHex, SelencError, WrongKey
-from .harness import bench
 from .pipeline import (
     DEFAULT_KDF_ITERATIONS,
     KeySource,
@@ -168,6 +167,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         data = gen_test_stream(args.out_path, args.gop, args.frames, args.payload, args.seed)
         print(f"wrote {len(data)} bytes to {args.out_path}")
     elif args.command == "bench":
+        from .harness import bench
+
         ks = key_expansion(derive_key(KeySource.from_raw_hex(args.key)))
         _, _, nals = _read_stream(args.in_path)
         result = bench(nals, ks, _POLICY_NAMES[args.policy])

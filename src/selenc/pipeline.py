@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import errno
 import os
-import random
 import stat
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -351,6 +350,8 @@ def gen_test_stream(
         raise ValueError("frames must be at least 1")
     if payload_size < 1:
         raise ValueError("payload_size must be at least 1")
+    import random  # here, so that a command that reads streams never imports it
+
     rng = random.Random(seed)
     nals: "list[NalUnit]" = []
 

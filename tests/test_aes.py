@@ -4,10 +4,11 @@ import random
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from selenc import aes
@@ -830,3 +831,224 @@ class TestKeystreamHelper:
         )
         assert done.returncode == 0, done.stderr
         assert helper_pids() - before == set()
+
+
+def judge_stream(shape: str) -> bytes:
+    """A stream of 64 KiB or more in one of three shapes, whose back half
+    holds forbidden runs, 00 00 03 tails, a header byte 00 and, last, a
+    start code with no header byte after it."""
+    from selenc.bitstream import BitWriter, NalUnit, parse_nal_header, rbsp_to_ebsp, split_annexb
+    from selenc.pipeline import gen_test_stream
+
+    if shape == "sparse":
+        nals = split_annexb(gen_test_stream(None, gop=30, frames=40, payload_size=4096, seed=11))[1]
+    elif shape == "all_idr":
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=12, payload_size=8192, seed=12))[1]
+    else:  # pictures of four slices, every slice after the first behind a 3-byte start code
+        rng = random.Random(13)
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=1, payload_size=64, seed=13))[1][:2]
+        for p in range(10):
+            for i in range(4):
+                w = BitWriter()
+                w.write_ue(40 * i)  # first_mb_in_slice
+                w.write_ue(7 if p == 0 else (2, 0, 5, 7)[i])  # slice_type
+                filler = rng.randbytes(2000).translate(bytes((0, 0, 1, 3, 7, 200, 9, 0xFF) * 32))
+                header = parse_nal_header(0x65 if p == 0 else 0x41)
+                nals.append(NalUnit(len(nals), 3 if i else 4, header, rbsp_to_ebsp(w.to_bytes() + filler + b"\x80")))
+    n = len(nals)
+    defects = {
+        n * 6 // 10: b"\x00\x00\x02",  # a run that mimics a start code
+        n * 7 // 10: b"\x00\x00\x03\x07",  # an escape of a byte above 03
+        n * 8 // 10: b"\x00\x00\x00\x05",
+    }
+    parts = []
+    for k, nal in enumerate(nals):
+        ebsp = bytes(nal.ebsp)
+        if k in defects:
+            ebsp = ebsp[:100] + defects[k] + ebsp[100:]
+        elif k % 5 == 4:
+            ebsp += b"\x00\x00\x03" * (k % 3 + 1)  # cabac_zero_word tails
+        parts.append(NalUnit(k, nal.start_code_len, nal.header, ebsp).to_bytes())
+        if k == n * 9 // 10:  # a header byte 00, judged here: its run starts at the header byte
+            parts.append(b"\x00\x00\x00\x01\x00\x00\x02\x11")
+    data = b"".join(parts) + b"\x00\x00\x00\x01"
+    assert len(data) >= 64 * 1024
+    return data
+
+
+class TestJudgeHelper:
+    """classify_stream hands the back half of the payloads it must judge to
+    the helper, when one is ready, and judges the front half itself. Each
+    test starts from a fresh helper, as TestKeystreamHelper's do."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        forget_helper()
+        assert aes._helper_ready(timeout=60)
+        yield aes._helper()
+        forget_helper()
+
+    @staticmethod
+    def watch(monkeypatch) -> "tuple[list[int], list[int]]":
+        """Payloads of each judge request offered, and of each the helper
+        answered."""
+        offered, judged, real = [], [], aes._judge_off
+
+        def judge_off(payloads):
+            offered.append(len(payloads))
+            receive = real(payloads)
+            if receive is None:
+                return None
+
+            def counted():
+                verdicts = receive()
+                if verdicts is not None:
+                    judged.append(len(payloads))
+                return verdicts
+
+            return counted
+
+        monkeypatch.setattr(aes, "_judge_off", judge_off)
+        return offered, judged
+
+    @staticmethod
+    def serial(data: bytes, monkeypatch):
+        """classify_stream's rows, verdicts and RBSP sizes with the seam
+        declining, so every payload is judged in this process."""
+        from selenc.bitstream import classify_stream, split_annexb
+
+        with monkeypatch.context() as m:
+            m.setattr(aes, "_judge_off", lambda payloads: None)
+            nals = split_annexb(data)[1]
+            return classify_stream(nals), [(n.escape_violation, n.rbsp_size) for n in nals if n.header]
+
+    @pytest.mark.parametrize("shape", ["sparse", "all_idr", "multislice"])
+    def test_rows_match_the_serial_rows(self, monkeypatch, shape):
+        from selenc.bitstream import classify_stream, split_annexb
+
+        data = judge_stream(shape)
+        rows, judged_here = self.serial(data, monkeypatch)
+        offered, judged = self.watch(monkeypatch)
+        nals = split_annexb(data)[1]
+        assert classify_stream(nals) == rows
+        assert [(n.escape_violation, n.rbsp_size) for n in nals if n.header] == judged_here
+        assert judged == offered and len(judged) == 1
+        # The defects and the 00 00 03 tails are in the half the helper judged.
+        assert sum(r.malformed_escape for r in rows) == 4
+        assert "00 00 02 at the header byte" in [v for v, _ in judged_here]
+        assert judged[0] >= sum(n.header is not None for n in nals) * 3 // 10
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.sampled_from(b"\x00\x00\x00\x01\x02\x03\x04\xff"), max_size=40), min_size=1, max_size=8))
+    def test_the_judge_job_matches_this_process(self, payloads):
+        from selenc.bitstream import _escapes, _violation
+
+        payloads = [bytes(p) for p in payloads]
+        receive = aes._judge_off([memoryview(p) for p in payloads])
+        assert receive is not None
+        assert receive() == [(_violation(p), _escapes(p)) for p in payloads]
+
+    def test_each_payload_is_scanned_once_here_or_there(self, monkeypatch):
+        from selenc import bitstream
+        from selenc.bitstream import classify_stream, split_annexb
+
+        data = judge_stream("sparse")
+        scans = []
+        real = bitstream._EPB_VIOLATION.search
+        proxy = types.SimpleNamespace(search=lambda *a: scans.append(1) or real(*a))
+        monkeypatch.setattr(bitstream, "_EPB_VIOLATION", proxy)
+        offered, judged = self.watch(monkeypatch)
+        nals = split_annexb(data)[1]
+        classify_stream(nals)
+        assert judged and len(scans) + sum(judged) == sum(n.header is not None for n in nals)
+
+    def test_a_back_half_under_a_chunk_offers_nothing(self, monkeypatch):
+        from selenc.bitstream import classify_stream, split_annexb
+        from selenc.pipeline import gen_test_stream
+
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=7, payload_size=8192, seed=4))[1]
+        assert sum(len(n.ebsp) for n in nals) < 2 * 16 * aes._CHUNK_BLOCKS
+        offered, _ = self.watch(monkeypatch)
+        classify_stream(nals)
+        assert offered == []
+
+    def test_a_process_that_only_inspects_starts_no_helper(self, tmp_path, fresh_helper):
+        from selenc.pipeline import gen_test_stream
+
+        clip = tmp_path / "clip.264"
+        gen_test_stream(clip, gop=30, frames=480, payload_size=8192, seed=6)
+        assert clip.stat().st_size >= 4_000_000
+        before = helper_pids()
+        code = (
+            "import sys\n"
+            "from selenc import aes\n"
+            "from selenc.pipeline import cmd_inspect\n"
+            "cmd_inspect(sys.argv[1])\n"
+            "print('subprocess' in sys.modules, aes._helpers)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(aes.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(clip)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False {}\n", "")
+        if Path("/proc/self/cmdline").exists():
+            assert helper_pids() - before == set()
+
+    def test_a_helper_killed_after_a_judge_request_is_dropped(self, monkeypatch, fresh_helper):
+        from selenc.bitstream import classify_stream, split_annexb
+
+        data = judge_stream("all_idr")
+        rows, judged_here = self.serial(data, monkeypatch)
+        real = aes._judge_off
+
+        def judge_off(payloads):
+            receive = real(payloads)
+            fresh_helper.proc.kill()
+            fresh_helper.proc.wait()
+            return receive
+
+        monkeypatch.setattr(aes, "_judge_off", judge_off)
+        nals = split_annexb(data)[1]
+        assert classify_stream(nals) == rows
+        assert [(n.escape_violation, n.rbsp_size) for n in nals if n.header] == judged_here
+        assert fresh_helper.failed and fresh_helper.proc.returncode is not None
+        monkeypatch.undo()
+        offered, judged = self.watch(monkeypatch)
+        assert classify_stream(split_annexb(data)[1]) == rows
+        assert len(offered) == 1 and judged == []  # offered, and declined
+        assert not aes._helper_ready(timeout=0)
+
+    def test_threads_with_two_jobs_share_one_helper(self, monkeypatch, fresh_helper):
+        # Two threads classify and a third ciphers, more threads than cores:
+        # the lock keeps the two request kinds from interleaving on the pipes.
+        from selenc.bitstream import classify_stream, split_annexb
+
+        data = judge_stream("sparse")
+        rows, _ = self.serial(data, monkeypatch)
+        _, judged = self.watch(monkeypatch)
+        handed = TestKeystreamHelper.watch(monkeypatch)
+        spans = [(0, 16 * 3 * aes._CHUNK_BLOCKS), (1, 100)]
+        stream = b"".join(per_block_keystream(PASS_KS, PASS_NONCE, o, n) for o, n in spans)
+        got = {"rows": [], "keystream": []}
+
+        def classify():
+            for _ in range(4):
+                got["rows"].append(classify_stream(split_annexb(data)[1]))
+
+        def cipher():
+            for _ in range(8):
+                got["keystream"].append(ctr_keystream(PASS_KS, PASS_NONCE, spans))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=f) for f in (classify, classify, cipher)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {"rows": [rows] * 8, "keystream": [stream] * 8}
+        assert (judged or handed) and not fresh_helper.failed

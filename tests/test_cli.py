@@ -375,11 +375,31 @@ class TestBench:
 
 
 def test_importing_the_cli_loads_no_helper_machinery():
-    # The keystream helper imports subprocess and select only when it starts.
+    # The keystream helper imports subprocess and select only when it starts,
+    # the bench command the harness (with tempfile) only when it runs, and
+    # the stream generator random only when it is called.
     src = Path(selenc.__file__).resolve().parents[1]
-    code = "import selenc.cli, sys; print(sorted({'subprocess', 'select'} & set(sys.modules)))"
+    helpers = {"subprocess", "select", "selenc.harness", "tempfile", "random"}
+    code = f"import selenc.cli, sys; print(sorted({helpers!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_the_package_loads_the_harness_on_first_use():
+    # selenc serves the harness's names through a module __getattr__.
+    src = Path(selenc.__file__).resolve().parents[1]
+    code = (
+        "import sys, selenc\n"
+        "before = 'selenc.harness' in sys.modules\n"
+        "from selenc import oracle_suite\n"
+        "import selenc.harness\n"
+        "print(before, oracle_suite is selenc.harness.oracle_suite, selenc.bench is selenc.harness.bench)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False True True\n", "")
