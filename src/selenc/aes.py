@@ -31,22 +31,24 @@ forward fast enough for real work:
   in the last two bytes, so the first two rounds are computed once per run
   of 256 blocks from byte tables (counter-mode caching, Bernstein &
   Schwabe, INDOCRYPT 2008). One call holds the round-3 slabs of all its
-  spans, so the commands call it once per group of NALs.
+  spans, so the cipher pass calls it once per piece of about one chunk.
 
 What depends only on the key is built once per key: key_expansion keeps the
 loop's per-round slab tables and the keystream's column_x tables on the
 KeySchedule, and the engine only reads them.
 
-CTR's block calls are independent (NIST SP 800-38A, section 6.5), so a
-ctr_keystream call of two or more _CHUNK_BLOCKS chunks runs on two cores:
-_hand_off sends every odd chunk to a keystream helper, a child interpreter
-that runs the same _rounds (_serve_helper), while the caller runs the even
-ones, and the results are joined in block order. Each process id has one
-helper, started by its first such call and never waited for: until its
-ready byte has come, and whenever another thread holds it, chunks run
-locally. Over two pipes, a request is the chunk's block count, key and
-slabs, and a reply its blocks after their length: the helper expands each
-new key itself. The same helper also judges payloads for
+CTR's block calls are independent (NIST SP 800-38A, section 6.5), and so
+are the NALs of a stream, so the cipher pass runs on two cores. It cuts the
+listed payloads into pieces of about one _CHUNK_BLOCKS chunk
+(selective._pieces) and offers one piece at a time to a helper, a child
+interpreter (_serve_helper), through _cipher_off, while the caller ciphers
+the next piece. The helper is sent the key, the nonce and each entry's
+ordinal, first block and RBSP, and runs the keystream, the XOR and the
+re-escape of the whole piece (_ciphered_here); it expands each new key
+itself. Each process id has one helper, started by the first offer of a
+pass of two or more pieces and never waited for: until its ready byte has
+come, and whenever another thread holds it, pieces are ciphered by the
+caller. The same helper also judges payloads for
 bitstream.classify_stream: _judge_off sends it the back half of the
 payloads to judge, and it replies with each one's escape verdict and
 00 00 03 count, from its own import of selenc.bitstream. That offer never
@@ -61,8 +63,8 @@ in _encrypt_int are indexed by secret-dependent bytes, _rounds picks one of
 256 S-box tables per slab by round-key byte, and ctr_keystream's first two
 rounds look up tables by counter bytes XORed with key bytes, so the cache
 footprint of all three leaks key material to a co-resident observer. The
-key the helper is sent, and the clear payloads it judges, cross an
-anonymous pipe to a child of the same user.
+key the helper is sent, and the clear payloads it ciphers or judges, cross
+an anonymous pipe to a child of the same user.
 """
 
 from __future__ import annotations
@@ -423,50 +425,69 @@ MAX_KEYSTREAM_BYTES = (1 << 32) * BLOCK_SIZE
 # Blocks per _rounds call in ctr_keystream. Over an 8192-block keystream the
 # engine took 1.09, 0.85, 0.72, 0.64 and 0.62 us per block in chunks of 256,
 # 512, 1024, 2048 and 4096 blocks, and 0.65 at 8192; 2048 is within 3% of the
-# fastest at half its working set.
+# fastest at half its working set. It is also the size of a piece of the
+# cipher pass (selective._pieces), so a piece is one _rounds call.
 _CHUNK_BLOCKS = 2048
 
-# The helper protocol. Every request opens with a 20-byte head, and every
-# reply is its body's length as a big-endian u32, then the body.
-# - Keystream: the head is the chunk's block count n (u32, never 0) and the
-#   16-byte key, then come the 16 slabs of n bytes, 20 + 16n bytes in all;
-#   the reply body is the chunk's 16n keystream blocks. The reply's length
-#   is what finds a pipe out of frame.
-# - Judge: the head is a zero u32, the payload count m and their total size
-#   s (u64 each), then come the m payload lengths (u32 each) and the
-#   payloads; the reply body is one line per payload, its 00 00 03 count, a
-#   space and its escape verdict text, empty when clean.
+# The helper protocol. Every request opens with a 20-byte head: its kind
+# (u32), its entry count m and its body's size (u64 each), then the body.
+# Every reply is its body's length as a big-endian u32, then the body.
+# - Cipher: the body is the 16-byte key, the 8-byte nonce, m entries of
+#   ordinal, RBSP size and first block (u32 each), then the m RBSPs; the
+#   reply body is each RBSP XORed with its keystream and re-escaped: the m
+#   escaped sizes (u32 each), then the escaped bytes.
+# - Judge: the body is m payload sizes (u32 each), then the payloads; the
+#   reply body is one line per payload, its 00 00 03 count, a space and its
+#   escape verdict text, empty when clean.
+_JUDGE, _CIPHER = 0, 1
 _READY = b"R"
 _HELPER_ERRORS = (OSError, ValueError, EOFError)
 
 
 def _serve_helper() -> None:
     """The helper's loop, run in the child process: write the ready byte,
-    then answer each request on stdin until stdin reaches its end. A
-    keystream request gets _rounds on its slabs: the child expands each new
-    key with its own import of this module and keeps the schedule while the
-    key repeats, so a patch of the parent's module (of SBOX or of _rounds)
-    never reaches it. A judge request gets _judged_here on its payloads. The
-    whole request is read before any work, so the parent's write never waits
-    on it."""
+    then answer each request on stdin until stdin reaches its end. A cipher
+    request gets _ciphered_here: the child expands each new key with its own
+    import of this module and keeps the schedule while the key repeats, so a
+    patch of the parent's module (of SBOX or of _rounds) never reaches it. A
+    judge request gets _judged_here. The whole request is read before any
+    work, so the parent's write never waits on it."""
     read, out = sys.stdin.buffer.read, sys.stdout.buffer
     out.write(_READY)
     out.flush()
     ks = None
     while len(head := read(20)) == 20:
-        n = int.from_bytes(head[:4], "big")
-        m = 0 if n else int.from_bytes(head[4:12], "big")
-        size = 16 * n if n else 4 * m + int.from_bytes(head[12:], "big")
+        kind, m, size = (int.from_bytes(head[i:j], "big") for i, j in ((0, 4), (4, 12), (12, 20)))
         if len(body := read(size)) != size:
             return
-        if n:
-            if ks is None or ks.round_keys[0] != head[4:]:
-                ks = key_expansion(head[4:])
-            reply = _rounds([body[j * n : j * n + n] for j in range(16)], ks)
+        if kind == _CIPHER:
+            if ks is None or ks.round_keys[0] != body[:16]:
+                ks = key_expansion(body[:16])
+            reply = _ciphered_here(body, m, ks)
         else:
             reply = _judged_here(body, m)
         out.write(len(reply).to_bytes(4, "big") + reply)
         out.flush()
+
+
+def _ciphered_here(body: bytes, m: int, ks: KeySchedule) -> bytes:
+    """The reply to a cipher request of m entries: one ctr_keystream call
+    for the whole piece, one XOR over its joined RBSPs, then each entry
+    re-escaped on its own by the child's own import of selenc.bitstream,
+    made on its first cipher request."""
+    from .bitstream import rbsp_to_ebsp
+
+    table = 24 + 12 * m
+    spans = [
+        tuple(int.from_bytes(body[j : j + 4], "big") for j in (i, i + 4, i + 8)) for i in range(24, table, 12)
+    ]
+    rbsps = body[table:]
+    ciphered = xor_bytes(rbsps, ctr_keystream(ks, body[16:24], spans))
+    parts, pos = [], 0
+    for _, nbytes, _ in spans:
+        parts.append(rbsp_to_ebsp(ciphered[pos : pos + nbytes]))
+        pos += nbytes
+    return b"".join([len(p).to_bytes(4, "big") for p in parts] + parts)
 
 
 def _judged_here(body: bytes, m: int) -> bytes:
@@ -523,10 +544,10 @@ class _Helper:
 
     def _start(self) -> None:
         # The child imports only selenc.aes and selenc.errors, from this
-        # package's directory, and selenc.bitstream on its first judge
-        # request. The marker on the first line of its -c text names it in a
-        # process list, where tests and CI look for it; it keeps the
-        # keystream's name although the child judges payloads too.
+        # package's directory, and selenc.bitstream on its first request.
+        # The marker on the first line of its -c text names it in a process
+        # list, where tests and CI look for it; it keeps the keystream's
+        # name although the child ciphers and judges whole payloads.
         import atexit
         import select
         import subprocess
@@ -560,16 +581,16 @@ class _Helper:
             self.proc.stdin.flush()
         return not self.failed
 
-    def receive(self, unpack, size: "int | None" = None):
+    def receive(self, unpack, limit: "int | None" = None):
         """Read the reply to the request just sent and return unpack of its
-        body, or None if the child failed; release ``lock``. A keystream
-        reply's body must be ``size`` bytes, which is checked before it is
-        read; unpack raises EOFError on a body out of frame."""
+        body, or None if the child failed; release ``lock``. A body longer
+        than ``limit`` bytes is refused before it is read; unpack raises
+        EOFError on a body out of frame."""
         try:
             with self:
                 head = self.proc.stdout.read(4)
                 n = int.from_bytes(head, "big")
-                if len(head) == 4 and size in (None, n):
+                if len(head) == 4 and (limit is None or n <= limit):
                     body = self.proc.stdout.read(n)
                     if len(body) == n:
                         return unpack(body)
@@ -599,7 +620,7 @@ def _helper() -> _Helper:
     return _helpers.get(pid) or _helpers.setdefault(pid, _Helper())
 
 
-def _offer(helper: _Helper, parts: "list[bytes | memoryview]", unpack, size: "int | None" = None):
+def _offer(helper: _Helper, parts: "list[bytes | memoryview]", unpack, limit: "int | None" = None):
     """Send one request to ``helper`` unless it declines: while another
     thread holds it, while it boots (an offer to a helper whose child has
     not been started starts it), and for good once it has failed. Returns
@@ -613,16 +634,38 @@ def _offer(helper: _Helper, parts: "list[bytes | memoryview]", unpack, size: "in
     finally:
         if not sent:
             helper.lock.release()
-    return (lambda: helper.receive(unpack, size)) if sent else None
+    return (lambda: helper.receive(unpack, limit)) if sent else None
 
 
-def _hand_off(slabs: "list[bytes]", ks: KeySchedule):
-    """Offer one engine chunk, _rounds' arguments, to this process's helper,
-    starting it on the first offer. Returns None if it declines: the caller
-    runs the chunk itself. Otherwise the result is a function that returns
-    the chunk's blocks, or None if the helper failed on it (see _offer)."""
-    n = len(slabs[0])
-    return _offer(_helper(), [n.to_bytes(4, "big"), ks.round_keys[0], *slabs], bytes, 16 * n)
+def _head(kind: int, m: int, size: int) -> bytes:
+    return kind.to_bytes(4, "big") + m.to_bytes(8, "big") + size.to_bytes(8, "big")
+
+
+def _cipher_off(ks: KeySchedule, nonce: bytes, piece: "list[tuple[int, int, bytes]]"):
+    """Offer one piece of the cipher pass, its (ordinal, first block, RBSP)
+    entries, to this process's helper, starting it on the first offer.
+    Returns None if it declines: the caller ciphers the piece itself.
+    Otherwise the result is a function that returns each entry's RBSP XORed
+    with its keystream from that block on and re-escaped, in order, or None
+    if the helper failed on it (see _offer)."""
+    m, rbsps = len(piece), [rbsp for _, _, rbsp in piece]
+    entries = b"".join([b"".join(v.to_bytes(4, "big") for v in (o, len(r), first)) for o, first, r in piece])
+    size = sum(map(len, rbsps))
+    # Escaping adds at most one byte per two.
+    limit = 4 * m + size + size // 2 + m
+    parts = [_head(_CIPHER, m, 24 + 12 * m + size), ks.round_keys[0], nonce, entries, *rbsps]
+    return _offer(_helper(), parts, lambda body: _unpack_ciphered(body, m), limit)
+
+
+def _unpack_ciphered(body: bytes, m: int) -> "list[bytes]":
+    sizes = [int.from_bytes(body[i : i + 4], "big") for i in range(0, 4 * m, 4)]
+    if 4 * m + sum(sizes) != len(body):
+        raise EOFError("the helper's cipher reply is out of frame")
+    parts, pos = [], 4 * m
+    for n in sizes:
+        parts.append(body[pos : pos + n])
+        pos += n
+    return parts
 
 
 def _judge_off(payloads: "list[bytes | memoryview]"):
@@ -634,10 +677,10 @@ def _judge_off(payloads: "list[bytes | memoryview]"):
     helper = _helpers.get(os.getpid())
     if helper is None or helper.proc is None:
         return None
-    lengths = b"".join([len(p).to_bytes(4, "big") for p in payloads])
-    size = sum(map(len, payloads))
-    head = bytes(4) + len(payloads).to_bytes(8, "big") + size.to_bytes(8, "big")
-    return _offer(helper, [head, lengths, *payloads], lambda body: _unpack_judged(body, len(payloads)))
+    m = len(payloads)
+    sizes = b"".join([len(p).to_bytes(4, "big") for p in payloads])
+    head = _head(_JUDGE, m, len(sizes) + sum(map(len, payloads)))
+    return _offer(helper, [head, sizes, *payloads], lambda body: _unpack_judged(body, m))
 
 
 def _unpack_judged(body: bytes, m: int) -> "list[tuple[str | None, int]]":
@@ -649,18 +692,19 @@ def _unpack_judged(body: bytes, m: int) -> "list[tuple[str | None, int]]":
 
 def _helper_ready(timeout: float) -> bool:
     """Start this process's helper if need be and wait up to ``timeout`` s
-    for it to be ready. For tests: the keystream never waits."""
+    for it to be ready. For tests: the cipher pass never waits."""
     helper = _helper()
     with helper.lock:
         return helper.ready(timeout)
 
 
-def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]") -> bytes:
-    """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes) gets
-    the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) || ...,
-    each counter the 8-byte nonce, then the ordinal and the block index as
-    big-endian 32-bit integers. Structural uniqueness: within one stream and
-    nonce every (ordinal, index) pair names a distinct counter, so an
+def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, ...]]") -> bytes:
+    """The keystreams of ``spans``, concatenated: span (nal_ordinal, nbytes)
+    gets the first nbytes of E(nonce||ordinal||0) || E(nonce||ordinal||1) ||
+    ..., each counter the 8-byte nonce, then the ordinal and the block index
+    as big-endian 32-bit integers, and span (nal_ordinal, nbytes, first) the
+    nbytes from block ``first`` on. Structural uniqueness: within one stream
+    and nonce every (ordinal, index) pair names a distinct counter, so an
     ordinal may appear once: two NALs on one keystream would leak their XOR.
 
     No counter block is built. Within a span, counter bytes 0-13 stay fixed
@@ -678,27 +722,27 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
     - D(t), once per 256 blocks, is the third round key XORed with round 2
       over the other twelve bytes, the column-1 ones holding t's terms.
 
-    A run of up to 256 blocks, x from 0 to x1 - 1, then enters round 3's
-    SubBytes as one translate per slab, P_j[:x1] through _KEYED_SBOX[D_j(t)],
-    and _rounds, resolved through the module, takes the slabs of all spans
-    in block order a _CHUNK_BLOCKS chunk at a time, every odd chunk offered
-    to the helper first through _hand_off. The tables that depend
-    only on the key come from ks. The slabs hold 16 bytes per keystream
-    block: the commands keep that small by calling this once per group of
-    about two _CHUNK_BLOCKS chunks.
+    A run of up to 256 blocks, x from x0 to x1 - 1, then enters round 3's
+    SubBytes as one translate per slab, P_j[x0:x1] through
+    _KEYED_SBOX[D_j(t)], and _rounds, resolved through the module, takes
+    the slabs of all spans in block order a _CHUNK_BLOCKS chunk at a time.
+    The tables that depend only on the key come from ks. The slabs hold 16
+    bytes per keystream block: the cipher pass keeps that small by calling
+    this once per piece of about one chunk.
 
     Not constant-time: besides the engine's own lookups, the tables that
     build R, P and D are indexed by counter bytes XORed with key bytes.
     """
     if len(nonce) != 8:
         raise ValueError("nonce must be 8 bytes")
-    if len({ordinal for ordinal, _ in spans}) < len(spans):
+    if len({span[0] for span in spans}) < len(spans):
         raise ValueError("a repeated NAL ordinal would reuse its keystream")
-    for ordinal, nbytes in spans:
-        if nbytes < 0:
-            raise ValueError("nbytes must be nonnegative")
-        if nbytes > MAX_KEYSTREAM_BYTES:
-            raise CounterOverflow(f"{nbytes} bytes exceeds the 32-bit block counter")
+    spans = [(ordinal, nbytes, first[0] if first else 0) for ordinal, nbytes, *first in spans]
+    for ordinal, nbytes, first in spans:
+        if nbytes < 0 or first < 0:
+            raise ValueError("nbytes must be nonnegative" if nbytes < 0 else "first block must be nonnegative")
+        if BLOCK_SIZE * first + nbytes > MAX_KEYSTREAM_BYTES:
+            raise CounterOverflow(f"{nbytes} bytes from block {first} exceed the 32-bit block counter")
         if not 0 <= ordinal < 1 << 32:
             raise ValueError("nal_ordinal must fit in 32 bits")
     tables, k, rk = _ROUND_TABLES, ks.round_keys[0], ks.round_key_ints
@@ -709,11 +753,12 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
     for i, c in enumerate(nonce):
         base ^= tables[i][c ^ k[i]]
     segments, cuts, start = [], [], 0
-    for ordinal, nbytes in spans:
-        nblocks = -(-nbytes // BLOCK_SIZE)
-        for high in range(0, nblocks, 1 << 16):
-            # Blocks high to high + 65,535, whose bytes 0-13 do not step.
-            run = min(nblocks - high, 1 << 16)
+    for ordinal, nbytes, first in spans:
+        end = first + -(-nbytes // BLOCK_SIZE)
+        for high in range(first >> 16 << 16, end, 1 << 16):
+            # Blocks high to high + 65,535, whose bytes 0-13 do not step;
+            # the span takes those from high + lo to high + hi - 1.
+            lo, hi = max(first - high, 0), min(end - high, 1 << 16)
             r = base
             for i, c in enumerate((ordinal << 16 | high >> 16).to_bytes(6, "big"), 8):
                 r ^= tables[i][c ^ k[i]]
@@ -727,25 +772,14 @@ def ctr_keystream(ks: KeySchedule, nonce: bytes, spans: "list[tuple[int, int]]")
             fixed = rk[2]
             for i in range(8, 16):
                 fixed ^= tables[i][rb[i]]
-            for t in range(-(-run // 256)):
+            for t in range(lo >> 8, -(-hi // 256)):
                 s1 = (r ^ t14[t ^ k[14]]).to_bytes(16, "big")
                 d = (fixed ^ t4[s1[4]] ^ t5[s1[5]] ^ t6[s1[6]] ^ t7[s1[7]]).to_bytes(16, "big")
-                x1 = min(run - 256 * t, 256)
-                segments.append([pj[:x1].translate(_KEYED_SBOX[dj]) for pj, dj in zip(p, d)])
+                x0, x1 = max(lo - 256 * t, 0), min(hi - 256 * t, 256)
+                segments.append([pj[x0:x1].translate(_KEYED_SBOX[dj]) for pj, dj in zip(p, d)])
         cuts.append((BLOCK_SIZE * start, nbytes))
-        start += nblocks
-    slabs, step = [b"".join(slab) for slab in zip(*segments)], _CHUNK_BLOCKS
-    chunks = []
-    for i in range(0, start, 2 * step):
-        odd = [slab[i + step : i + 2 * step] for slab in slabs] if i + step < start else None
-        receive = odd and _hand_off(odd, ks)
-        # The reply is read even if the even chunk raises, so the helper is
-        # never left holding an unread reply.
-        try:
-            chunks.append(_rounds([slab[i : i + step] for slab in slabs], ks))
-        finally:
-            blocks = receive and receive()
-        if odd:
-            chunks.append(blocks or _rounds(odd, ks))
+        start += end - first
+    slabs = [b"".join(slab) for slab in zip(*segments)]
+    chunks = [_rounds([slab[i : i + _CHUNK_BLOCKS] for slab in slabs], ks) for i in range(0, start, _CHUNK_BLOCKS)]
     view = memoryview(b"".join(chunks))
     return b"".join([view[s : s + n] for s, n in cuts])

@@ -118,7 +118,8 @@ class NalUnit:
     writes or reports, as a cipher command copies most, is never scanned:
     slice_info does not read it. ``rbsp_size`` is kept the same way, unless
     the unit is built from an RBSP of known length and given it.
-    classify_stream may keep both as the helper process judged them.
+    classify_stream may keep both as the helper process judged them, and
+    the cipher pass keeps a clean verdict for each unit it escapes.
     """
 
     ordinal: int
@@ -342,11 +343,12 @@ def splice_annexb(
     ValueError). Each run of kept NALs is one view of ``data``, and each
     replaced NAL is its to_bytes(); nothing is joined.
 
-    Only the replaced NALs are judged, each once, by check_escaping's rule.
-    The kept NALs and ``leading`` are the bytes split_annexb read them from,
-    so they read back as themselves: a kept NAL that breaks the escaping
-    rule is copied byte for byte, unscanned. Where every NAL passes, the
-    joined parts are serialize_annexb(out_nals, leading)."""
+    Only the replaced NALs are judged, each once, by check_escaping's rule;
+    one the cipher pass escaped keeps a clean verdict, so only its last byte
+    is read. The kept NALs and ``leading`` are the bytes split_annexb read
+    them from, so they read back as themselves: a kept NAL that breaks the
+    escaping rule is copied byte for byte, unscanned. Where every NAL
+    passes, the joined parts are serialize_annexb(out_nals, leading)."""
     view = memoryview(data)
     parts = []
     copied, pos = 0, len(leading)
@@ -499,9 +501,9 @@ def _judge_back_half(nals: "list[NalUnit]") -> "tuple[int, Callable[[], None]]":
     to this process's helper, through aes._judge_off: the payloads after a
     non-zero header byte with no verdict kept yet, cut after the NAL that
     reaches half of their bytes. The back half is offered only if it holds
-    at least the keystream's unit of hand-off, one _CHUNK_BLOCKS chunk of
-    bytes. Returns the position of the first NAL handed off (len(nals) if
-    none was) and a function that keeps the helper's verdicts and counts as
+    at least one _CHUNK_BLOCKS chunk of bytes, the size of a cipher piece.
+    Returns the position of the first NAL handed off (len(nals) if none
+    was) and a function that keeps the helper's verdicts and counts as
     those NALs' escape_violation and rbsp_size; if the helper failed, it
     keeps nothing, and they are judged here when read."""
     unit = aes.BLOCK_SIZE * aes._CHUNK_BLOCKS

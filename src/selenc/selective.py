@@ -15,9 +15,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .aes import _CHUNK_BLOCKS, BLOCK_SIZE, KeySchedule, ctr_keystream, encrypt_block, xor_bytes
+from . import aes
+from .aes import _CHUNK_BLOCKS, BLOCK_SIZE, KeySchedule, _encrypt_int, ctr_keystream, encrypt_block, xor_bytes
 from .bitstream import (
     NAL_IDR,
     NAL_NON_IDR,
@@ -79,10 +81,21 @@ def encrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
     The header byte stays in the clear; ordinal and start-code length are
     untouched. The escaped length may grow or shrink when the ciphered bytes
     trigger different emulation prevention, but the RBSP length is preserved,
-    so the new unit is given it as its rbsp_size.
+    so the new unit is given it as its rbsp_size (see _rewritten).
     """
-    ebsp = rbsp_to_ebsp(xor_bytes(rbsp, mask))
-    return NalUnit(nal.ordinal, nal.start_code_len, nal.header, ebsp, rbsp_size=len(rbsp))
+    return _rewritten(nal, rbsp_to_ebsp(xor_bytes(rbsp, mask)), len(rbsp))
+
+
+def _rewritten(nal: NalUnit, ebsp: bytes, rbsp_size: int) -> NalUnit:
+    """``nal`` with the payload ``ebsp``, escaped from an RBSP of rbsp_size
+    bytes, which it keeps. Escaping leaves no forbidden run, so the unit
+    keeps None as its escape verdict too, and the splice judges it without a
+    scan; after a header byte 00 a run can start at that byte, so such a
+    unit is judged when its verdict is read."""
+    out = NalUnit(nal.ordinal, nal.start_code_len, nal.header, ebsp, rbsp_size=rbsp_size)
+    if nal.header is None or nal.header.to_byte():
+        NalUnit.escape_violation.keep(out, None)
+    return out
 
 
 def decrypt_nal(nal: NalUnit, rbsp: bytes, mask: bytes) -> NalUnit:
@@ -111,30 +124,103 @@ def _cipher_nals(nals, ks, nonce, ordinals, transform) -> "list[NalUnit]":
     """Apply ``transform`` to nals[o] for each listed ordinal o, each with
     its unescaped payload and its cut of the keystream, after check_cipherable.
 
-    check_cipherable has read each listed NAL's escape verdict, so the
-    unescape is handed that verdict and only strips. The listed NALs are
-    taken in stream order, in groups that end once they reach two
-    _CHUNK_BLOCKS chunks of counter blocks: each group is unescaped, keyed by
-    one ctr_keystream call and ciphered before the next is unescaped, so one
-    group's payloads and keystream are held at a time. Two chunks give
-    ctr_keystream one to hand to its helper process while it runs the other.
+    The pass runs in pieces (see _pieces), in stream order, and at most one
+    piece is out with the helper process at a time: a piece the helper
+    takes (aes._cipher_off) is ciphered there while this process unescapes
+    and ciphers the next one. A NAL ciphered here whole goes through
+    ``transform``; one the helper ciphered, or one cut across pieces, is
+    built from its escaped bytes, the bytes transform would give.
     ``ordinals`` come from a CipherHeader, strictly increasing, so no two
-    groups share one.
+    pieces key one block.
     """
     check_cipherable(nals, ordinals)
-    out, group, blocks = list(nals), [], 0
+    out, cuts, parts = list(nals), {}, {}
+
+    def here(piece):
+        spans = [(o, len(rbsp), first) for o, first, rbsp in piece]
+        keystream, pos, done = ctr_keystream(ks, nonce, spans), 0, []
+        for o, _, rbsp in piece:
+            mask = keystream[pos : pos + len(rbsp)]
+            done.append(rbsp_to_ebsp(xor_bytes(rbsp, mask)) if o in cuts else transform(nals[o], rbsp, mask))
+            pos += len(rbsp)
+        return done
+
+    def place(piece, done):
+        for (o, first, rbsp), d in zip(piece, done):
+            if o not in cuts:
+                out[o] = d if isinstance(d, NalUnit) else _rewritten(nals[o], d, len(rbsp))
+                continue
+            parts.setdefault(o, []).append(d)
+            if BLOCK_SIZE * first + len(rbsp) == cuts[o]:
+                out[o] = _rewritten(nals[o], b"".join(parts.pop(o)), cuts[o])
+
+    pending = None  # the piece out with the helper, and the function that reads its reply
+    try:
+        for piece, more in _pieces(nals, ks, nonce, ordinals, cuts):
+            if pending is None and more:
+                receive = aes._cipher_off(ks, nonce, piece)
+                if receive is not None:
+                    pending = piece, receive
+                    continue
+            done = here(piece)
+            if pending is not None:
+                (offered, receive), pending = pending, None
+                place(offered, receive() or here(offered))
+            place(piece, done)
+    finally:
+        # The reply is read whatever raised, so the helper is never left
+        # holding an unread reply.
+        if pending is not None:
+            pending[1]()
+    return out
+
+
+def _pieces(nals, ks, nonce, ordinals, cuts):
+    """Yield the cipher pass's pieces in stream order, each with whether
+    another follows it. A piece is a list of (ordinal, first block, RBSP)
+    entries: consecutive whole NALs up to one _CHUNK_BLOCKS chunk of
+    keystream blocks, or a cut of a NAL longer than a chunk, cut where
+    _seam allows after about one chunk of its blocks. A NAL's last cut
+    starts a piece that later NALs may join. Each cut NAL's RBSP size is
+    recorded in ``cuts``. Each NAL is unescaped once, on its turn, with the
+    verdict check_cipherable read, so the pass holds about one piece more
+    than the helper's."""
+    piece, blocks = [], 0
     for k, o in enumerate(ordinals, 1):
         rbsp = ebsp_to_rbsp(nals[o].ebsp, nals[o].escape_violation)
-        group.append((o, rbsp))
-        blocks += -(-len(rbsp) // BLOCK_SIZE)
-        if blocks < 2 * _CHUNK_BLOCKS and k < len(ordinals):
-            continue
-        keystream, pos = ctr_keystream(ks, nonce, [(g, len(r)) for g, r in group]), 0
-        for g, r in group:
-            out[g] = transform(nals[g], r, keystream[pos : pos + len(r)])
-            pos += len(r)
-        group, blocks = [], 0
-    return out
+        n, first = -(-len(rbsp) // BLOCK_SIZE), 0
+        if piece and blocks + n > _CHUNK_BLOCKS:
+            yield piece, True
+            piece, blocks = [], 0
+        while n - first > _CHUNK_BLOCKS and (end := _seam(ks, nonce, o, rbsp, first)) < n:
+            cuts[o] = len(rbsp)
+            yield [(o, first, rbsp[BLOCK_SIZE * first : BLOCK_SIZE * end])], True
+            first = end
+        piece.append((o, first, rbsp[BLOCK_SIZE * first :]))
+        blocks += n - first
+        if blocks >= _CHUNK_BLOCKS and k < len(ordinals):
+            yield piece, True
+            piece, blocks = [], 0
+    if piece:
+        yield piece, False
+
+
+def _seam(ks, nonce, ordinal: int, rbsp: bytes, first: int) -> int:
+    """Where a cut of nals[ordinal] from block ``first`` ends: the block b
+    nearest at or before first + _CHUNK_BLOCKS, else nearest after it,
+    before which the ciphered byte, RBSP byte 16b - 1 XOR keystream byte
+    16b - 1, is not 00; the NAL's block count if there is none. Escaping
+    inserts 03 after a 00 00 that precedes a byte up to 03, so no insertion
+    reads across a non-zero byte, and the cuts escape to the bytes their
+    whole escapes to. Each candidate costs one single-block encryption of
+    counter b - 1, whose last byte is keystream byte 16b - 1."""
+    n = -(-len(rbsp) // BLOCK_SIZE)
+    counter = int.from_bytes(nonce + ordinal.to_bytes(4, "big"), "big") << 32
+    nominal = first + _CHUNK_BLOCKS
+    for b in chain(range(nominal, first, -1), range(nominal + 1, n)):
+        if rbsp[BLOCK_SIZE * b - 1] != _encrypt_int(counter | b - 1, ks.round_key_ints) & 0xFF:
+            return b
+    return n
 
 
 def key_check_value(ks: KeySchedule) -> bytes:

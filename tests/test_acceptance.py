@@ -170,23 +170,23 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         assert abs(fraction - 5 / 60) <= 0.02 * (5 / 60)
 
         # Count the blocks the cipher actually computes during the selective
-        # pass. The keystream generator resolves the batched round loop and
-        # the hand-off of a chunk to its helper process through the aes
-        # module, so only payload keystream blocks are counted, wherever they
-        # are computed: a chunk the helper returns is counted at the
-        # hand-off, one it declines or fails on at the loop.
+        # pass. The cipher pass resolves the batched round loop and the
+        # offer of a piece to its helper process through the aes module, so
+        # only payload keystream blocks are counted, wherever they are
+        # computed: a piece the helper replied to is counted at the offer,
+        # one it declines or fails on at the loop.
         blocks = []
-        real, real_hand_off = aes._rounds, aes._hand_off
+        real, real_cipher_off = aes._rounds, aes._cipher_off
 
-        def hand_off(s, k):
-            receive = real_hand_off(s, k)
+        def cipher_off(ks, nonce, piece):
+            receive = real_cipher_off(ks, nonce, piece)
             if receive is None:
                 return None
 
             def counted():
                 got = receive()
                 if got is not None:
-                    blocks.append(len(s[0]))
+                    blocks.append(sum(-(-len(rbsp) // 16) for _, _, rbsp in piece))
                 return got
 
             return counted
@@ -194,7 +194,7 @@ def test_criterion_6_selectivity_arithmetic(monkeypatch):
         monkeypatch.setattr(
             aes, "_rounds", lambda s, k: blocks.append(len(s[0])) or real(s, k)
         )
-        monkeypatch.setattr(aes, "_hand_off", hand_off)
+        monkeypatch.setattr(aes, "_cipher_off", cipher_off)
         selection = select(nals, EncryptionPolicy.IDR_ONLY)
         encrypt_stream(nals, ks, selection, b"\x22" * 8)
         monkeypatch.undo()
@@ -220,19 +220,37 @@ def test_criterion_7_wrong_key_behavior(monkeypatch):
         selection = select(nals, EncryptionPolicy.IDR_ONLY)
         enc, header = encrypt_stream(nals, right, selection, rng.randbytes(8))
 
-        touched = []
-        real = selective_mod.decrypt_nal
-        monkeypatch.setattr(
-            selective_mod, "decrypt_nal", lambda n, k, v: touched.append(n.ordinal) or real(n, k, v)
+        # No payload is unescaped, cut, keyed, offered to the helper process
+        # or ciphered before the key check fires. Under the right key, the
+        # short stream and one of two key frames longer than a chunk reach
+        # each of those calls.
+        long_nals = split_annexb(
+            gen_test_stream(None, gop=1, frames=2, payload_size=16 * aes._CHUNK_BLOCKS + 4000, seed=1007)
+        )[1]
+        long_enc, long_header = encrypt_stream(
+            long_nals, right, select(long_nals, EncryptionPolicy.IDR_ONLY), rng.randbytes(8)
         )
+        touched = []
+        watched = [(selective_mod, name) for name in ("decrypt_nal", "ebsp_to_rbsp", "ctr_keystream", "_seam")]
+        for module, name in watched + [(aes, "_cipher_off")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: touched.append(name) or real(*a)
+            )
         rejected = 0
-        for _ in range(100):
+        for i in range(100):
             wrong = key_expansion(rng.randbytes(16))
             with pytest.raises(WrongKey):
                 decrypt_stream(enc, wrong, header)
+            if i < 10:
+                with pytest.raises(WrongKey):
+                    decrypt_stream(long_enc, wrong, long_header)
             rejected += 1
         assert rejected == 100
         assert touched == [], "payloads were touched before the key check fired"
+        assert decrypt_stream(enc, right, header) == nals
+        assert decrypt_stream(long_enc, right, long_header) == long_nals
+        assert set(touched) == {name for _, name in watched} | {"_cipher_off"}
 
 
 def test_criterion_8_kdf_determinism():

@@ -388,11 +388,10 @@ class TestCounterMode:
     )
     def test_counter_refusals(self, monkeypatch, nonce, spans, refusal):
         # Refused before any round table is read, and so before any
-        # keystream block is computed here or handed off.
+        # keystream block is computed.
         calls, ks = [], key_expansion(b"\x00" * 16)
-        for name in ("_rounds", "_hand_off"):
-            real = getattr(aes, name)
-            monkeypatch.setattr(aes, name, lambda s, k, real=real: calls.append(len(s[0])) or real(s, k))
+        real = aes._rounds
+        monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
 
         class WatchedTables(tuple):
             def __getitem__(self, i):
@@ -424,6 +423,20 @@ class TestCounterMode:
         with pytest.raises(ValueError) as got:
             ctr_keystream(key_expansion(b"\x00" * 16), nonce, spans)
         assert str(got.value) == refusal
+
+    def test_a_first_block_is_judged_with_the_counter_room(self):
+        # A span may start at any block whose run fits the 32-bit counter.
+        ks = key_expansion(b"\x00" * 16)
+        with pytest.raises(ValueError) as got:
+            ctr_keystream(ks, b"\x01" * 8, [(0, 16, -1)])
+        assert type(got.value) is ValueError and str(got.value) == "first block must be nonnegative"
+        assert ctr_keystream(ks, b"\x01" * 8, [(0, 16, 2**32 - 1)]) == encrypt_block(
+            b"\x01" * 8 + bytes(4) + b"\xff" * 4, ks
+        )
+        with pytest.raises(CounterOverflow):
+            ctr_keystream(ks, b"\x01" * 8, [(0, 17, 2**32 - 1)])
+        with pytest.raises(CounterOverflow):
+            ctr_keystream(ks, b"\x01" * 8, [(0, 0, 2**32 + 1)])
 
     def test_counter_overflow_comes_between_the_nonce_and_ordinal_checks(self):
         ks, nbytes = key_expansion(b"\x00" * 16), (1 << 32) * 16 + 1
@@ -580,12 +593,11 @@ class TestOnePassKeystream:
         assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        # The helper is offered every odd chunk; declined here, each runs
-        # locally, in block order.
-        calls, offered = [], []
+        # The spans' blocks run in block order, a whole chunk per call and
+        # then the rest, all in this process.
+        calls = []
         real = aes._rounds
         monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
-        monkeypatch.setattr(aes, "_hand_off", lambda s, k: offered.append(len(s[0])))
         spans = [(o, 16 * aes._CHUNK_BLOCKS // 3 + 1) for o in range(7)]
         want = b"".join(longest_per_block_keystream(o)[:n] for o, n in spans)
         assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
@@ -593,7 +605,15 @@ class TestOnePassKeystream:
         assert calls == [aes._CHUNK_BLOCKS] * (blocks // aes._CHUNK_BLOCKS) + [
             blocks % aes._CHUNK_BLOCKS
         ]
-        assert offered == [aes._CHUNK_BLOCKS]
+
+    @settings(max_examples=60, deadline=None)
+    @given(SPAN_LISTS, st.lists(st.integers(0, 300) | st.sampled_from([255, 256, 2047, 2048]), min_size=6, max_size=6))
+    def test_spans_from_a_first_block_are_cuts_of_the_whole(self, spans, firsts):
+        # Span (ordinal, nbytes, first) is bytes 16 * first on of the
+        # keystream of (ordinal, 16 * first + nbytes).
+        spans = [(o, n, f) for (o, n), f in zip(spans, firsts) if 16 * f + n <= PAST_ONE_CHUNK]
+        want = b"".join(longest_per_block_keystream(o)[16 * f : 16 * f + n] for o, n, f in spans)
+        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == want
 
 
 # Block indices at the carries of block-index bytes 15, 14 and 13.
@@ -626,6 +646,18 @@ class TestCounterBlocks:
     def test_several_spans(self):
         self.check([(0, 16 * 255 + 1), (2**32 - 1, 16 * 257), (7, 0), (8, 16 * 65537 - 5), (9, 16)])
 
+    @pytest.mark.parametrize("first", [1, 200, 255, 256, 65535, 65536, 2**32 - 3])
+    def test_a_span_from_a_first_block(self, first):
+        # Block i of span (ordinal, nbytes, first) is E(nonce||ordinal||first + i),
+        # across the carries of index bytes 15, 14 and 13.
+        nbytes = min(16 * 300 + 5, 16 * (2**32 - first))
+        got = ctr_keystream(PASS_KS, PASS_NONCE, [(9, 40), (7, nbytes, first)])[40:]
+        assert len(got) == nbytes
+        for i in range(-(-nbytes // 16)):
+            counter = PASS_NONCE + (7).to_bytes(4, "big") + (first + i).to_bytes(4, "big")
+            block = got[16 * i : 16 * i + 16]
+            assert block == encrypt_block(counter, PASS_KS)[: len(block)], i
+
     def test_matches_cryptography_past_a_byte_13_carry(self):
         nbytes = 16 * 65537
         got = ctr_keystream(PASS_KS, PASS_NONCE, [(2**32 - 1, nbytes)])
@@ -653,9 +685,41 @@ def forget_helper():
         helper.stop()
 
 
+def key_frames(frames: int, payload_size: int, seed: int) -> list:
+    """The NALs of an all-IDR stream: SPS, PPS and one IDR slice per frame."""
+    from selenc.bitstream import split_annexb
+    from selenc.pipeline import gen_test_stream
+
+    return split_annexb(gen_test_stream(None, gop=1, frames=frames, payload_size=payload_size, seed=seed))[1]
+
+
+def cipher_pass(nals, ks, nonce=PASS_NONCE):
+    """encrypt_stream's output NALs under IDR_ONLY."""
+    from selenc.selective import EncryptionPolicy, encrypt_stream, select
+
+    return encrypt_stream(nals, ks, select(nals, EncryptionPolicy.IDR_ONLY), nonce)[0]
+
+
+def one_process_payloads(nals, ks, nonce=PASS_NONCE, keystream=per_block_keystream) -> list:
+    """Each IDR's escaped ciphertext, made whole here from one encrypt_block
+    call per keystream block (or from ``keystream``), and every other
+    payload as it is."""
+    from selenc.bitstream import ebsp_to_rbsp, rbsp_to_ebsp
+
+    out = []
+    for n in nals:
+        if n.header is not None and n.header.nal_unit_type == 5:
+            rbsp = ebsp_to_rbsp(n.ebsp)
+            out.append(rbsp_to_ebsp(xor_bytes(rbsp, keystream(ks, nonce, n.ordinal, len(rbsp)))))
+        else:
+            out.append(bytes(n.ebsp))
+    return out
+
+
 class TestKeystreamHelper:
-    """ctr_keystream hands every odd chunk of a call with two or more to a
-    helper process. Each test starts from a fresh helper and waits, with a
+    """The cipher pass offers every other piece of a pass of two or more
+    to a helper process, which runs the piece's keystream, XOR and
+    re-escape. Each test starts from a fresh helper and waits, with a
     timeout, until it is ready; what a test kills is forgotten after it."""
 
     @pytest.fixture(autouse=True)
@@ -667,44 +731,61 @@ class TestKeystreamHelper:
 
     @staticmethod
     def watch(monkeypatch) -> "list[int]":
-        """Blocks of each chunk the helper computed."""
-        handed, real = [], aes._hand_off
+        """Keystream blocks of each piece the helper ciphered."""
+        ciphered, real = [], aes._cipher_off
 
-        def hand_off(slabs, ks):
-            receive = real(slabs, ks)
+        def cipher_off(ks, nonce, piece):
+            receive = real(ks, nonce, piece)
             if receive is None:
                 return None
 
             def counted():
-                blocks = receive()
-                if blocks is not None:
-                    handed.append(len(slabs[0]))
-                return blocks
+                parts = receive()
+                if parts is not None:
+                    ciphered.append(sum(-(-len(rbsp) // 16) for _, _, rbsp in piece))
+                return parts
 
             return counted
 
-        monkeypatch.setattr(aes, "_hand_off", hand_off)
-        return handed
+        monkeypatch.setattr(aes, "_cipher_off", cipher_off)
+        return ciphered
 
     def test_three_chunks_match_cryptography_and_per_block_calls(self, monkeypatch):
-        handed = self.watch(monkeypatch)
-        spans = [(3, 16 * 3000), (9, 16 * 2500 + 5), (2**32 - 1, 40)]
-        got = ctr_keystream(PASS_KS, PASS_NONCE, spans)
-        assert handed == [aes._CHUNK_BLOCKS]
-        assert got == b"".join(per_block_keystream(PASS_KS, PASS_NONCE, o, n) for o, n in spans)
-        assert got == b"".join(cryptography_keystream(PASS_KEY, PASS_NONCE, o, n) for o, n in spans)
+        # 12 slices of 512 blocks are three pieces: the helper ciphers the
+        # first while this process ciphers the second, and the third is
+        # ciphered here.
+        ciphered = self.watch(monkeypatch)
+        nals = key_frames(12, 8192, 3)
+        got = [n.ebsp for n in cipher_pass(nals, PASS_KS)]
+        assert ciphered == [aes._CHUNK_BLOCKS]
+        assert got == one_process_payloads(nals, PASS_KS)
+
+        def cryptography(ks, nonce, o, n):
+            return cryptography_keystream(PASS_KEY, nonce, o, n)
+
+        assert got == one_process_payloads(nals, PASS_KS, keystream=cryptography)
 
     def test_matches_per_block_calls_and_cryptography_past_a_byte_13_carry(self, monkeypatch):
-        handed = self.watch(monkeypatch)
-        nbytes = 16 * 65537
-        got = ctr_keystream(PASS_KS, PASS_NONCE, [(7, nbytes)])
-        assert handed == [aes._CHUNK_BLOCKS] * 16
-        assert got == per_block_keystream(PASS_KS, PASS_NONCE, 7, nbytes)
-        assert got == cryptography_keystream(PASS_KEY, PASS_NONCE, 7, nbytes)
+        # One slice of 65,537 blocks is cut into 33 pieces; the helper
+        # ciphers every other one of the first 32, one of them from a
+        # first block at or next to the carry into index byte 13.
+        ciphered = self.watch(monkeypatch)
+        nals = key_frames(1, 16 * 65537, 4)
+        got = [n.ebsp for n in cipher_pass(nals, PASS_KS)]
+        assert len(ciphered) == 16 and all(c <= aes._CHUNK_BLOCKS for c in ciphered)
+        assert got == one_process_payloads(nals, PASS_KS)
 
-    def test_a_handed_chunk_crosses_the_pipes_as_count_key_and_slabs(self, monkeypatch, fresh_helper):
-        # A request is the block count (u32), the 16-byte key and the 16
-        # slabs; a reply is its length (u32) and the blocks.
+        def cryptography(ks, nonce, o, n):
+            return cryptography_keystream(PASS_KEY, nonce, o, n)
+
+        assert got == one_process_payloads(nals, PASS_KS, keystream=cryptography)
+
+    def test_a_piece_crosses_the_pipes_as_key_nonce_entries_and_rbsps(self, monkeypatch, fresh_helper):
+        # A request is its 20-byte head, the 16-byte key, the nonce, 12
+        # bytes per entry and the RBSPs; a reply is its length (u32), 4
+        # bytes per entry and the escaped ciphertexts.
+        from selenc.bitstream import ebsp_to_rbsp
+
         class Counted:
             def __init__(self, stream):
                 self.stream, self.count = stream, 0
@@ -723,80 +804,80 @@ class TestKeystreamHelper:
 
         sent = fresh_helper.proc.stdin = Counted(fresh_helper.proc.stdin)
         read = fresh_helper.proc.stdout = Counted(fresh_helper.proc.stdout)
-        handed = self.watch(monkeypatch)
-        nbytes = 16 * 3 * aes._CHUNK_BLOCKS
-        got = ctr_keystream(PASS_KS, PASS_NONCE, [(4, nbytes)])
-        assert got == per_block_keystream(PASS_KS, PASS_NONCE, 4, nbytes)
-        assert handed == [aes._CHUNK_BLOCKS]
-        assert (sent.count, read.count) == (20 + 16 * aes._CHUNK_BLOCKS, 4 + 16 * aes._CHUNK_BLOCKS)
+        ciphered = self.watch(monkeypatch)
+        nals = key_frames(8, 8192, 5)
+        got = [n.ebsp for n in cipher_pass(nals, PASS_KS)]
+        assert got == one_process_payloads(nals, PASS_KS)
+        assert ciphered == [aes._CHUNK_BLOCKS]
+        first = nals[2:6]  # the first piece: four slices of 512 blocks
+        rbsp_bytes = sum(len(ebsp_to_rbsp(n.ebsp)) for n in first)
+        escaped_bytes = sum(len(got[n.ordinal]) for n in first)
+        assert (sent.count, read.count) == (20 + 16 + 8 + 12 * 4 + rbsp_bytes, 4 + 4 * 4 + escaped_bytes)
 
     def test_the_helper_follows_key_switches(self, monkeypatch, fresh_helper):
         # The child keeps a key's schedule while the key repeats: keys A, B,
-        # then A again, each call handing it one chunk.
-        handed = self.watch(monkeypatch)
+        # then A again, each pass handing it one piece.
+        ciphered = self.watch(monkeypatch)
         a, b = (key_expansion(bytes([k]) * 16) for k in (1, 2))
-        nbytes = 16 * 2 * aes._CHUNK_BLOCKS
+        nals = key_frames(8, 8192, 6)
         for ks in (a, b, a):
-            got = ctr_keystream(ks, PASS_NONCE, [(6, nbytes)])
-            assert got == per_block_keystream(ks, PASS_NONCE, 6, nbytes)
-        assert handed == [aes._CHUNK_BLOCKS] * 3 and not fresh_helper.failed
+            assert [n.ebsp for n in cipher_pass(nals, ks)] == one_process_payloads(nals, ks)
+        assert ciphered == [aes._CHUNK_BLOCKS] * 3 and not fresh_helper.failed
 
     def test_a_key_frame_of_over_two_chunks_runs_on_both_cores(self, monkeypatch):
-        # The cipher pass keys a one-slice key frame in one call, so the
-        # helper computes its odd chunks, the last of them one block.
-        from selenc.bitstream import ebsp_to_rbsp, split_annexb
-        from selenc.pipeline import gen_test_stream
+        # The cipher pass cuts a one-slice key frame into pieces of about a
+        # chunk, four here, and the helper ciphers the first and the third.
         from selenc.selective import EncryptionPolicy, encrypt_stream, select
 
-        handed = self.watch(monkeypatch)
+        ciphered = self.watch(monkeypatch)
         nbytes = 16 * (3 * aes._CHUNK_BLOCKS + 1)
-        nals = split_annexb(gen_test_stream(None, gop=1, frames=1, payload_size=nbytes))[1]
+        nals = key_frames(1, nbytes, 0)
         selection = select(nals, EncryptionPolicy.IDR_ONLY)
         out, _ = encrypt_stream(nals, PASS_KS, selection, PASS_NONCE)
-        assert selection.selected_ordinals == (2,) and handed == [aes._CHUNK_BLOCKS, 1]
-        rbsp = ebsp_to_rbsp(nals[2].ebsp)
-        want = xor_bytes(rbsp, per_block_keystream(PASS_KS, PASS_NONCE, 2, nbytes))
-        assert len(rbsp) == nbytes and ebsp_to_rbsp(out[2].ebsp) == want
+        assert selection.selected_ordinals == (2,)
+        assert len(ciphered) == 2 and sum(ciphered) >= 2 * aes._CHUNK_BLOCKS - 4
+        assert [n.ebsp for n in out] == one_process_payloads(nals, PASS_KS)
+        assert out[2].rbsp_size == nbytes
 
     @pytest.mark.parametrize("after_send", [False, True])
     def test_a_killed_helper_leaves_the_process_serial(self, monkeypatch, fresh_helper, after_send):
-        # Killed between two calls, or right after a chunk was sent to it:
-        # both calls return the same bytes, and nothing is handed off again.
-        spans = [(1, 16 * 5000), (2, 33)]
-        first = ctr_keystream(PASS_KS, PASS_NONCE, spans)
+        # Killed between two passes, or right after a piece was sent to it:
+        # both passes return the same bytes, and nothing is offered again.
+        nals = key_frames(12, 8192, 7)
+        first = cipher_pass(nals, PASS_KS)
         if after_send:
-            real = aes._hand_off
+            real = aes._cipher_off
 
-            def hand_off(slabs, ks):
-                receive = real(slabs, ks)
+            def cipher_off(ks, nonce, piece):
+                receive = real(ks, nonce, piece)
                 fresh_helper.proc.kill()
                 fresh_helper.proc.wait()
                 return receive
 
-            monkeypatch.setattr(aes, "_hand_off", hand_off)
+            monkeypatch.setattr(aes, "_cipher_off", cipher_off)
         else:
             fresh_helper.proc.kill()
             fresh_helper.proc.wait()
-        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == first
+        assert cipher_pass(nals, PASS_KS) == first
         assert fresh_helper.failed and fresh_helper.proc.returncode is not None
         monkeypatch.undo()
-        handed = self.watch(monkeypatch)
-        assert ctr_keystream(PASS_KS, PASS_NONCE, spans) == first
-        assert handed == [] and not aes._helper_ready(timeout=0)
+        ciphered = self.watch(monkeypatch)
+        assert cipher_pass(nals, PASS_KS) == first
+        assert ciphered == [] and not aes._helper_ready(timeout=0)
         assert aes._helper() is fresh_helper
 
     def test_two_threads_share_one_helper(self, monkeypatch, fresh_helper):
-        # One thread at a time holds the helper; the other runs its chunks
-        # itself. Both keystreams must come out whole.
-        handed = self.watch(monkeypatch)
+        # One thread at a time holds the helper; the other ciphers its
+        # pieces itself. Both passes must come out whole.
+        ciphered = self.watch(monkeypatch)
         keys = [key_expansion(bytes([k]) * 16) for k in (1, 2)]
-        spans = [(0, 16 * 3 * aes._CHUNK_BLOCKS), (1, 100)]
-        want = [b"".join(per_block_keystream(ks, PASS_NONCE, o, n) for o, n in spans) for ks in keys]
+        nals = key_frames(12, 8192, 8)
+        want = [one_process_payloads(nals, ks) for ks in keys]
         got = {0: [], 1: []}
 
         def work(i):
             for _ in range(6):
-                got[i].append(ctr_keystream(keys[i], PASS_NONCE, spans))
+                got[i].append([n.ebsp for n in cipher_pass(nals, keys[i])])
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -810,12 +891,12 @@ class TestKeystreamHelper:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert got == {0: [want[0]] * 6, 1: [want[1]] * 6}
-        assert handed and not fresh_helper.failed
+        assert ciphered and not fresh_helper.failed
 
     @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
     def test_cli_leaves_no_helper(self, tmp_path, fresh_helper):
-        # 10 IDR slices of 512 blocks: the first keystream group has two
-        # chunks, so the command starts a helper, and it must reap it.
+        # 10 IDR slices of 512 blocks: the cipher pass has three pieces, so
+        # the command starts a helper, and it must reap it.
         from selenc.pipeline import gen_test_stream
 
         clip = tmp_path / "clip.264"
@@ -831,6 +912,124 @@ class TestKeystreamHelper:
         )
         assert done.returncode == 0, done.stderr
         assert helper_pids() - before == set()
+
+    def test_a_pass_of_one_piece_starts_no_helper(self, tmp_path):
+        # A 16 KB clip of 256-byte slices, the passphrase workload's size,
+        # is one piece: a fresh process that encrypts it never offers one,
+        # so it imports no subprocess and starts no helper.
+        from selenc.pipeline import gen_test_stream
+
+        clip = tmp_path / "clip.264"
+        gen_test_stream(clip, gop=4, frames=60, payload_size=256, seed=9)
+        assert 15_000 <= clip.stat().st_size <= 17_000
+        before = helper_pids() if Path("/proc/self/cmdline").exists() else set()
+        code = (
+            "import sys\n"
+            "from selenc import aes\n"
+            "from selenc.pipeline import KeySource, cmd_encrypt\n"
+            "cmd_encrypt(sys.argv[1], sys.argv[2], sys.argv[3], KeySource.from_raw_hex('00' * 16))\n"
+            "print('subprocess' in sys.modules, aes._helpers)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(aes.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(clip), str(tmp_path / "e.264"), str(tmp_path / "e.seh")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False {}\n", "")
+        if Path("/proc/self/cmdline").exists():
+            assert helper_pids() - before == set()
+
+
+def zero_dense_frames(nbytes: int, seed: int) -> list:
+    """Two IDR slices of ``nbytes`` RBSP bytes, over half of them 00."""
+    from selenc.bitstream import NalUnit, parse_nal_header, rbsp_to_ebsp, split_annexb
+
+    rng = random.Random(seed)
+    nals = split_annexb(gen_stream(gop=1, frames=1, payload_size=64, seed=seed))[1][:2]
+    for _ in range(2):
+        rbsp = b"\xb8" + rng.randbytes(nbytes - 2).translate(bytes((0, 0, 0, 0, 1, 2, 3, 0x80) * 32)) + b"\x80"
+        nals.append(NalUnit(len(nals), 4, parse_nal_header(0x65), rbsp_to_ebsp(rbsp)))
+    return nals
+
+
+def gen_stream(**kwargs) -> bytes:
+    from selenc.pipeline import gen_test_stream
+
+    return gen_test_stream(None, **kwargs)
+
+
+class TestPieceSeams:
+    """A NAL longer than a chunk is cut only before a block whose previous
+    ciphered byte is not 00, so its cuts, escaped apart, here or in the
+    helper, give the bytes of the whole NAL escaped at once."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        forget_helper()
+        assert aes._helper_ready(timeout=60)
+        yield aes._helper()
+        forget_helper()
+
+    @staticmethod
+    def seams(monkeypatch) -> "list[tuple[int, int]]":
+        """(first block, end) of each cut."""
+        from selenc import selective
+
+        cuts, real = [], selective._seam
+
+        def seam(ks, nonce, ordinal, rbsp, first):
+            end = real(ks, nonce, ordinal, rbsp, first)
+            cuts.append((first, end))
+            return end
+
+        monkeypatch.setattr(selective, "_seam", seam)
+        return cuts
+
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_a_forced_00_before_a_chunk_boundary_moves_the_cut(self, monkeypatch, helper):
+        # The ciphertext of NAL 2 is forced to 00 at bytes 16c - 17,
+        # 16c - 2 and 16c - 1 and to 01 at 16c, c = _CHUNK_BLOCKS: escaped
+        # whole it holds 00 00 03 01, and a cut at c would escape it to
+        # 00 00 01. So the first cut moves back two blocks.
+        from selenc.bitstream import NalUnit, ebsp_to_rbsp, rbsp_to_ebsp
+        from selenc.selective import EncryptionPolicy, decrypt_stream, encrypt_stream, select
+
+        c = aes._CHUNK_BLOCKS
+        nals = zero_dense_frames(16 * (2 * c + 100) + 7, 1)
+        rbsp = bytearray(ebsp_to_rbsp(nals[2].ebsp))
+        keystream = per_block_keystream(PASS_KS, PASS_NONCE, 2, len(rbsp))
+        for i, v in ((16 * c - 17, 0), (16 * c - 2, 0), (16 * c - 1, 0), (16 * c, 1)):
+            rbsp[i] = keystream[i] ^ v
+        nals[2] = NalUnit(2, 4, nals[2].header, rbsp_to_ebsp(bytes(rbsp)))
+        if not helper:
+            monkeypatch.setattr(aes, "_cipher_off", lambda ks, nonce, piece: None)
+        ciphered = TestKeystreamHelper.watch(monkeypatch)
+        cuts = self.seams(monkeypatch)
+        selection = select(nals, EncryptionPolicy.IDR_ONLY)
+        enc, header = encrypt_stream(nals, PASS_KS, selection, PASS_NONCE)
+        want = one_process_payloads(nals, PASS_KS)
+        assert bytes.fromhex("00000301") in want[2]
+        assert [n.ebsp for n in enc] == want
+        assert cuts[0] == (0, c - 2)
+        assert bool(ciphered) == helper
+        assert decrypt_stream(enc, PASS_KS, header) == nals
+
+    def test_zero_dense_plaintexts_move_cuts_and_round_trip(self, monkeypatch):
+        # Decrypting gives back RBSPs over half of whose bytes are 00, so
+        # many a cut moves; every payload must come out as it went in.
+        from selenc.selective import EncryptionPolicy, decrypt_stream, encrypt_stream, select
+
+        nals = zero_dense_frames(16 * 5 * aes._CHUNK_BLOCKS + 3, 2)
+        selection = select(nals, EncryptionPolicy.IDR_ONLY)
+        enc, header = encrypt_stream(nals, PASS_KS, selection, PASS_NONCE)
+        assert [n.ebsp for n in enc] == one_process_payloads(nals, PASS_KS)
+        ciphered = TestKeystreamHelper.watch(monkeypatch)
+        cuts = self.seams(monkeypatch)
+        assert decrypt_stream(enc, PASS_KS, header) == nals
+        assert ciphered and any(end != first + aes._CHUNK_BLOCKS for first, end in cuts)
+        assert [end - first for first, end in cuts] and all(
+            0 < end - first <= aes._CHUNK_BLOCKS for first, end in cuts
+        )
 
 
 def judge_stream(shape: str) -> bytes:
@@ -1026,10 +1225,10 @@ class TestJudgeHelper:
         data = judge_stream("sparse")
         rows, _ = self.serial(data, monkeypatch)
         _, judged = self.watch(monkeypatch)
-        handed = TestKeystreamHelper.watch(monkeypatch)
-        spans = [(0, 16 * 3 * aes._CHUNK_BLOCKS), (1, 100)]
-        stream = b"".join(per_block_keystream(PASS_KS, PASS_NONCE, o, n) for o, n in spans)
-        got = {"rows": [], "keystream": []}
+        ciphered = TestKeystreamHelper.watch(monkeypatch)
+        nals = key_frames(12, 8192, 10)
+        payloads = one_process_payloads(nals, PASS_KS)
+        got = {"rows": [], "payloads": []}
 
         def classify():
             for _ in range(4):
@@ -1037,7 +1236,7 @@ class TestJudgeHelper:
 
         def cipher():
             for _ in range(8):
-                got["keystream"].append(ctr_keystream(PASS_KS, PASS_NONCE, spans))
+                got["payloads"].append([n.ebsp for n in cipher_pass(nals, PASS_KS)])
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1050,5 +1249,5 @@ class TestJudgeHelper:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert got == {"rows": [rows] * 8, "keystream": [stream] * 8}
-        assert (judged or handed) and not fresh_helper.failed
+        assert got == {"rows": [rows] * 8, "payloads": [payloads] * 8}
+        assert (judged or ciphered) and not fresh_helper.failed

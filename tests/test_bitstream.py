@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import types
 from dataclasses import FrozenInstanceError, fields, replace
@@ -546,6 +547,21 @@ class TestEscaping:
     def test_malformed_escape(self, bad):
         with pytest.raises(MalformedEscape):
             ebsp_to_rbsp(bad)
+
+    # The cipher pass keeps a clean verdict for every payload it escapes,
+    # without a scan: escaping must leave no forbidden run in any RBSP.
+    @settings(max_examples=500)
+    @given(st.binary(max_size=300) | st.lists(st.sampled_from(b"\x00\x00\x00\x01\x02\x03\x04\xff"), max_size=300).map(bytes))
+    def test_escaping_leaves_no_forbidden_run(self, rbsp):
+        assert find_escape_violation(rbsp_to_ebsp(rbsp)) == -1
+
+    def test_escaping_leaves_no_forbidden_run_in_any_short_string(self):
+        # Every string over 00-04 up to 8 bytes: bytes above 03 act as 04
+        # does in both patterns.
+        for n in range(9):
+            for rbsp in map(bytes, itertools.product(range(5), repeat=n)):
+                if find_escape_violation(rbsp_to_ebsp(rbsp)) != -1:
+                    pytest.fail(f"rbsp_to_ebsp({rbsp.hex()}) holds a forbidden run")
 
     @pytest.mark.xfail(
         strict=True,

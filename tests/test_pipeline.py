@@ -757,8 +757,9 @@ class TestOnePass:
     A payload is scanned for a forbidden run once, when its NAL's verdict is
     first read: no check reads it again, and each unescape is handed the
     verdict already read. Reading a stream scans nothing, and the cipher
-    commands judge only the NALs they rewrite: a slice header is read from
-    its prefix without a scan."""
+    commands judge only the NALs they rewrite, each from its input alone:
+    escaping leaves its output no forbidden run to scan for. A slice
+    header is read from its prefix without a scan."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -796,8 +797,9 @@ class TestOnePass:
         assert ciphered == 3
         headers = slices - ciphered if policy is EncryptionPolicy.ALL_INTRA else 0
         # Judged under either policy: each NAL to cipher before the key (its
-        # plaintext) and at the splice (its ciphertext), 6 in all.
-        scans = 2 * ciphered
+        # plaintext), 3 in all. Its ciphertext is escaped by the cipher
+        # pass, which leaves no forbidden run, so the splice scans nothing.
+        scans = ciphered
         assert counts == {"ebsp_to_rbsp": headers + ciphered, "scan": scans}
 
         counts.clear()

@@ -388,7 +388,7 @@ class TestStreamEncryption:
         # unescaped or keyed before the refusal.
         nals = split_annexb(gen_test_stream(None, gop=4, frames=8, payload_size=48, seed=2))[1]
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_hand_off")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_cipher_off")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -408,7 +408,7 @@ class TestStreamEncryption:
         offset = len(enc[o].ebsp) + 1
         refusal = f"^NAL {o}: 00 00 03 05 at payload offset {offset}$"
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_hand_off")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_cipher_off")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
@@ -434,29 +434,51 @@ class TestStreamEncryption:
                 assert xor_bytes(plain, cipher) == per_block_keystream(ks, NONCE, o, len(plain))
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        # 200 short IDR slices share one keystream pass: one engine chunk
-        # per _CHUNK_BLOCKS keystream blocks, not one per NAL, each run here
-        # or offered to the helper (declined here, so it runs here too).
-        nals = split_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=64, seed=9))[1]
+        # 200 IDR slices of 44 blocks: one engine call per piece, each of
+        # as many whole slices as fit in one _CHUNK_BLOCKS chunk, not one
+        # per NAL. Every piece but the last is offered to the helper
+        # (declined here, so each runs here).
+        nals = split_annexb(gen_test_stream(None, gop=1, frames=200, payload_size=700, seed=9))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
-        blocks = sum(-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals)
+        sizes = [-(-len(ebsp_to_rbsp(nals[o].ebsp)) // 16) for o in sel.selected_ordinals]
         calls, offered = [], []
         real = aes._rounds
         monkeypatch.setattr(aes, "_rounds", lambda s, k: calls.append(len(s[0])) or real(s, k))
-        monkeypatch.setattr(aes, "_hand_off", lambda s, k: offered.append(len(s[0])))
+        monkeypatch.setattr(
+            aes, "_cipher_off", lambda ks, nonce, piece: offered.append(sum(-(-len(r) // 16) for _, _, r in piece))
+        )
         encrypt_stream(nals, KS, sel, NONCE)
-        assert len(sel.selected_ordinals) == 200
-        assert len(calls) == -(-blocks // aes._CHUNK_BLOCKS)
-        assert sum(calls) == blocks
-        assert offered == calls[1::2]
+        per_piece = aes._CHUNK_BLOCKS // 44
+        assert len(sel.selected_ordinals) == 200 and set(sizes) == {44}
+        assert calls == [44 * per_piece] * (200 // per_piece) + [44 * (200 % per_piece)]
+        assert offered == calls[:-1]
+
+    def test_a_rewritten_nal_after_a_header_byte_00_is_judged_with_it(self):
+        # Escaping sees only the payload, so a ciphertext that opens 00 01
+        # after a header byte 00 holds 00 00 01: such a unit keeps no clean
+        # verdict, and the splice refuses it, as it refuses any NAL that
+        # would not read back.
+        from selenc.bitstream import splice_annexb
+
+        want = b"\x00\x01" + b"\xaa" * 30
+        rbsp = xor_bytes(want, per_block_keystream(KS, NONCE, 0, len(want)))
+        data = b"\x00\x00\x00\x01\x00" + rbsp_to_ebsp(rbsp)
+        leading, nals = split_annexb(data)
+        assert nals[0].header.to_byte() == 0 and nals[0].escape_violation is None
+        out, _ = encrypt_stream(nals, KS, SelectionResult(EncryptionPolicy.IDR_ONLY, (0,)), NONCE)
+        assert ebsp_to_rbsp(out[0].ebsp) == want
+        assert out[0].escape_violation == "00 00 01 at the header byte"
+        with pytest.raises(EscapingViolation, match="^NAL 0: 00 00 01 at the header byte$"):
+            splice_annexb(data, leading, nals, out)
 
     def test_groups_are_ciphered_before_the_next_is_unescaped(self, monkeypatch):
-        # 12 IDR slices of 512 blocks each: a group of 8 reaches two
-        # _CHUNK_BLOCKS chunks and the last 4 end the stream, and each group
-        # is unescaped, keyed once and ciphered in turn. The output equals
+        # 12 IDR slices of 512 blocks each: a piece of 4 fills one
+        # _CHUNK_BLOCKS chunk, and each piece is unescaped, keyed once and
+        # ciphered in turn (here: the helper is declined). The output equals
         # each NAL ciphered on its own.
         nals = split_annexb(gen_test_stream(None, gop=1, frames=12, payload_size=8192, seed=4))[1]
         sel = select(nals, EncryptionPolicy.IDR_ONLY)
+        monkeypatch.setattr(aes, "_cipher_off", lambda ks, nonce, piece: None)
         events = []
         for name in ("ebsp_to_rbsp", "ctr_keystream", "encrypt_nal"):
             real = getattr(selective, name)
@@ -468,7 +490,7 @@ class TestStreamEncryption:
             return ["ebsp_to_rbsp"] * k + ["ctr_keystream"] + ["encrypt_nal"] * k
 
         assert aes._CHUNK_BLOCKS == 4 * 512
-        assert events == group(8) + group(4)
+        assert events == group(4) * 3
         monkeypatch.undo()
         for o in sel.selected_ordinals:
             assert enc[o] == encrypt_nal(*masked(nals[o]))
@@ -592,7 +614,7 @@ class TestDecryptStream:
         nals = split_annexb(gen_test_stream(None, gop=2, frames=4, payload_size=32, seed=6))[1]
         enc, header = encrypt_stream(nals, KS, select(nals, EncryptionPolicy.IDR_ONLY), NONCE)
         calls = Counter()
-        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_hand_off")):
+        for module, name in ((selective, "ebsp_to_rbsp"), (aes, "_rounds"), (aes, "_cipher_off")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
